@@ -31,13 +31,12 @@ from .grammar import (
     add_leading_space,
     as_terminals,
     format_grammar,
-    open_session,
     parse_grammar,
     recognize,
     reduce_grammar,
     sample,
 )
-from .recognizer import TokenRecognizer, TokenSession, build, relevant_token_ids
+from .recognizer import TokenRecognizer, TokenSession, relevant_token_ids
 from .segmentation import (
     Classification,
     Kind,
@@ -75,7 +74,6 @@ __all__ = [
     "UTF8",
     "add_leading_space",
     "as_terminals",
-    "build",
     "classify",
     "count_tokenizations",
     "dumps_tokenizer",
@@ -89,7 +87,6 @@ __all__ = [
     "load_gpt2_tokenizer",
     "load_tokenizer",
     "loads_tokenizer",
-    "open_session",
     "parse_grammar",
     "recognize",
     "reduce_grammar",

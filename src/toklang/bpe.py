@@ -112,14 +112,14 @@ class Tokenizer:
     def max_token_len(self) -> int:
         return max(len(bs) for bs in self.vocab)
 
+    def check_id(self, t: int) -> int:
+        """*t*, if it is a token ID of this tokenizer; else TokenizerError."""
+        if not isinstance(t, int) or not 0 <= t < len(self.vocab):
+            raise TokenizerError(f"unknown token id {t!r}")
+        return t
+
     def check_ids(self, ids: Iterable[int]) -> list[int]:
-        out = []
-        n = len(self.vocab)
-        for t in ids:
-            if not isinstance(t, int) or not 0 <= t < n:
-                raise TokenizerError(f"unknown token id {t!r}")
-            out.append(t)
-        return out
+        return [self.check_id(t) for t in ids]
 
     def tokenize(self, data: bytes) -> list[int]:
         """The tokenization the tokenizer actually returns for *data*.
@@ -243,6 +243,22 @@ def dumps_tokenizer(t: Tokenizer) -> str:
     return json.dumps(data, indent=2)
 
 
+def _vocab_from_map(vocab_map: dict, decode) -> list[bytes]:
+    """The vocabulary of a {token string: id} map whose ids are 0..len-1.
+
+    Distinct byte strings are left to ``Tokenizer`` to check.
+    """
+    n = len(vocab_map)
+    vocab: list[bytes | None] = [None] * n
+    for key, tid in vocab_map.items():
+        if not isinstance(tid, int) or not 0 <= tid < n:
+            raise TokenizerError(f"token id {tid!r} outside 0..{n - 1}")
+        if vocab[tid] is not None:
+            raise TokenizerError(f"duplicate token id {tid}")
+        vocab[tid] = decode(key)
+    return vocab
+
+
 def loads_tokenizer(text: str) -> Tokenizer:
     try:
         data = json.loads(text)
@@ -257,21 +273,8 @@ def loads_tokenizer(text: str) -> Tokenizer:
     if not isinstance(vocab_map, dict) or not isinstance(merge_list, list):
         raise TokenizerError("tokenizer file needs a vocab object and a merges array")
 
-    n = len(vocab_map)
-    vocab: list[bytes | None] = [None] * n
-    for key, tid in vocab_map.items():
-        if not isinstance(tid, int) or not 0 <= tid < n:
-            raise TokenizerError(f"token id {tid!r} outside 0..{n - 1}")
-        if vocab[tid] is not None:
-            raise TokenizerError(f"duplicate token id {tid}")
-        vocab[tid] = unescape_bytes(key)
-
-    ids: dict[bytes, int] = {}
-    for i, bs in enumerate(vocab):
-        if bs in ids:
-            raise TokenizerError(
-                f"tokens {ids[bs]} and {i} share byte string {escape_bytes(bs)!r}")
-        ids[bs] = i
+    vocab = _vocab_from_map(vocab_map, unescape_bytes)
+    ids = {bs: i for i, bs in enumerate(vocab)}
 
     merges: list[tuple[int, int, int]] = []
     for entry in merge_list:
@@ -348,14 +351,7 @@ def load_gpt2_tokenizer(vocab_path, merges_path) -> Tokenizer:
             raise TokenizerError(f"vocab file is not valid JSON: {e}") from None
     if not isinstance(raw_vocab, dict):
         raise TokenizerError("vocab file must map token strings to ids")
-    n = len(raw_vocab)
-    vocab: list[bytes | None] = [None] * n
-    for token, tid in raw_vocab.items():
-        if not isinstance(tid, int) or not 0 <= tid < n:
-            raise TokenizerError(f"token id {tid!r} outside 0..{n - 1}")
-        if vocab[tid] is not None:
-            raise TokenizerError(f"duplicate token id {tid}")
-        vocab[tid] = _gpt2_str_to_bytes(token)
+    vocab = _vocab_from_map(raw_vocab, _gpt2_str_to_bytes)
     ids = {bs: i for i, bs in enumerate(vocab)}
 
     merges: list[tuple[int, int, int]] = []

@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .bpe import (
     Tokenizer,
@@ -25,6 +24,7 @@ from .encoding import UTF8, EncodingError, encode_grammar
 from .grammar import (
     Grammar,
     GrammarError,
+    RecognitionSession,
     add_leading_space,
     format_grammar,
     parse_grammar,
@@ -45,57 +45,32 @@ class CliError(Exception):
     """User-facing configuration or data error; exits with status 2."""
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation state: artifacts are loaded before any
-    subcommand logic runs."""
-
-    grammar: Grammar | None = None
-    tokenizer: Tokenizer | None = None
-    alphabet_mode: str = "unicode"
-    bos_id: int | None = None
-    structured: bool = False
-    seed: int = 0
-    limit: int | None = None
-
-
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig(
-        alphabet_mode=getattr(args, "alphabet", "unicode"),
-        bos_id=getattr(args, "bos_id", None),
-        structured=getattr(args, "structured", False),
-        seed=getattr(args, "seed", 0),
-        limit=getattr(args, "limit", None),
-    )
-    if cfg.limit is not None and cfg.limit < 1:
-        raise CliError("--limit must be positive")
-    path = getattr(args, "grammar", None)
-    if path:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                cfg.grammar = reduce_grammar(parse_grammar(fh.read(), cfg.alphabet_mode))
-        except OSError as e:
-            raise CliError(f"cannot read grammar: {e}") from None
-    path = getattr(args, "tokenizer", None)
-    if path:
-        try:
-            cfg.tokenizer = load_tokenizer(path)
-        except OSError as e:
-            raise CliError(f"cannot read tokenizer: {e}") from None
-    return cfg
-
-
-def _need(cfg: RunConfig, *, grammar: bool = False, tokenizer: bool = False):
-    if grammar and cfg.grammar is None:
+def _grammar(args) -> Grammar:
+    """The reduced grammar named by --grammar, read in --alphabet mode."""
+    if not args.grammar:
         raise CliError("this command needs --grammar")
-    if tokenizer and cfg.tokenizer is None:
+    try:
+        with open(args.grammar, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise CliError(f"cannot read grammar: {e}") from None
+    return reduce_grammar(parse_grammar(text, args.alphabet))
+
+
+def _tokenizer(args) -> Tokenizer:
+    """The tokenizer named by --tokenizer."""
+    if not args.tokenizer:
         raise CliError("this command needs --tokenizer")
+    try:
+        return load_tokenizer(args.tokenizer)
+    except OSError as e:
+        raise CliError(f"cannot read tokenizer: {e}") from None
 
 
 def _read_text_input(args) -> str:
-    if getattr(args, "input", None) is not None:
+    if args.input is not None:
         return args.input
-    if getattr(args, "input_file", None):
+    if args.input_file:
         with open(args.input_file, encoding="utf-8") as fh:
             text = fh.read()
     else:
@@ -104,38 +79,37 @@ def _read_text_input(args) -> str:
 
 
 def _read_byte_input(args) -> bytes:
-    if getattr(args, "bytes", False):
-        if getattr(args, "input", None) is not None:
+    if args.bytes:
+        if args.input is not None:
             raise CliError("--bytes reads a file or stdin, not a literal argument")
-        if getattr(args, "input_file", None):
+        if args.input_file:
             with open(args.input_file, "rb") as fh:
                 return fh.read()
         return sys.stdin.buffer.read()
     return _read_text_input(args).encode("utf-8")
 
 
-def _parse_ids(text: str, cfg: RunConfig) -> list[int]:
+def _parse_ids(args) -> list[int]:
+    text = _read_text_input(args)
     try:
         ids = [int(f) for f in text.split()]
     except ValueError:
         raise CliError(f"token ids must be space-separated decimals, got {text!r}") from None
-    if cfg.bos_id is not None and ids[:1] == [cfg.bos_id]:
+    if args.bos_id is not None and ids[:1] == [args.bos_id]:
         ids = ids[1:]
     return ids
 
 
-def _emit(cfg: RunConfig, plain: str, structured: dict) -> None:
-    if cfg.structured:
+def _emit(args, plain: str, structured: dict) -> None:
+    if args.structured:
         structured["schema"] = SCHEMA_VERSION
         print(json.dumps(structured))
-    elif plain:
-        print(plain)
     else:
-        print()
+        print(plain)
 
 
-def _byte_grammar(cfg: RunConfig) -> Grammar:
-    g = cfg.grammar
+def _byte_grammar(args) -> Grammar:
+    g = _grammar(args)
     if g.alphabet == "unicode":
         g = encode_grammar(UTF8, g)  # auto byte transform when tokens are in play
     return g
@@ -145,27 +119,23 @@ def _byte_grammar(cfg: RunConfig) -> Grammar:
 
 
 def cmd_tokenize(args) -> int:
-    cfg = _build_config(args)
-    _need(cfg, tokenizer=True)
-    ids = cfg.tokenizer.tokenize(_read_byte_input(args))
-    _emit(cfg, " ".join(map(str, ids)), {"command": "tokenize", "ids": ids})
+    ids = _tokenizer(args).tokenize(_read_byte_input(args))
+    _emit(args, " ".join(map(str, ids)), {"command": "tokenize", "ids": ids})
     return 0
 
 
 def cmd_detokenize(args) -> int:
-    cfg = _build_config(args)
-    _need(cfg, tokenizer=True)
-    ids = _parse_ids(_read_text_input(args), cfg)
-    data = cfg.tokenizer.detokenize(ids)
-    if getattr(args, "bytes", False) and not cfg.structured:
+    tokenizer = _tokenizer(args)
+    data = tokenizer.detokenize(_parse_ids(args))
+    if args.bytes and not args.structured:
         sys.stdout.buffer.write(data)
         return 0
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         text = None
-    if cfg.structured:
-        _emit(cfg, "", {"command": "detokenize", "bytes": escape_bytes(data), "text": text})
+    if args.structured:
+        _emit(args, "", {"command": "detokenize", "bytes": escape_bytes(data), "text": text})
         return 0
     if text is None:
         raise CliError("detokenized bytes are not UTF-8; use --bytes for raw output")
@@ -174,41 +144,36 @@ def cmd_detokenize(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    cfg = _build_config(args)
-    _need(cfg, grammar=True)
     mode = args.mode
     reason = None
 
     if mode == "chars":
-        g = cfg.grammar
+        g = _grammar(args)
         if g.alphabet == "byte":
             terms = _read_byte_input(args)
         else:
             terms = [ord(c) for c in _read_text_input(args)]
-        session = g.open_session()
+        session = RecognitionSession(g)
         for t in terms:
             session.feed(t)
             if not session.live:
                 break
-        accept = session.accepts()
-        died_at = session.died_at
     else:
-        _need(cfg, tokenizer=True)
-        rec = TokenRecognizer(_byte_grammar(cfg), cfg.tokenizer)
-        ids = cfg.tokenizer.check_ids(_parse_ids(_read_text_input(args), cfg))
+        rec = TokenRecognizer(_byte_grammar(args), _tokenizer(args))
+        ids = _parse_ids(args)
         session = rec.open_session()
         for tid in ids:
             session.feed(tid)
-        accept = session.accepts()
-        died_at = session.died_at
-        if mode == "proper" and accept:
-            c = classify(cfg.tokenizer, ids)
-            if c.kind is not Kind.PROPER:
-                accept = False
-                reason = f"improper: {c.kind.value}"
+    accept = session.accepts()
+    died_at = session.died_at
+    if mode == "proper" and accept:
+        c = classify(rec.tokenizer, ids)
+        if c.kind is not Kind.PROPER:
+            accept = False
+            reason = f"improper: {c.kind.value}"
 
     plain = "accept" if accept else ("reject" if reason is None else f"reject: {reason}")
-    _emit(cfg, plain, {
+    _emit(args, plain, {
         "command": "recognize",
         "mode": mode,
         "accept": accept,
@@ -219,11 +184,8 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = _build_config(args)
-    _need(cfg, tokenizer=True)
-    ids = _parse_ids(_read_text_input(args), cfg)
-    c = classify(cfg.tokenizer, ids)
-    _emit(cfg, str(c), {
+    c = classify(_tokenizer(args), _parse_ids(args))
+    _emit(args, str(c), {
         "command": "classify",
         "kind": c.kind.value,
         "mergeable_at": c.mergeable_at,
@@ -233,15 +195,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    cfg = _build_config(args)
-    _need(cfg, tokenizer=True)
+    tokenizer = _tokenizer(args)
     data = _read_byte_input(args)
-    total = count_tokenizations(cfg.tokenizer, data)
+    total = count_tokenizations(tokenizer, data)
     rows = []
-    for ids in enumerate_tokenizations(cfg.tokenizer, data, limit=cfg.limit):
-        rows.append((ids, classify(cfg.tokenizer, ids).kind.value))
-    if cfg.structured:
-        _emit(cfg, "", {
+    for ids in enumerate_tokenizations(tokenizer, data, limit=args.limit):
+        rows.append((ids, classify(tokenizer, ids).kind.value))
+    if args.structured:
+        _emit(args, "", {
             "command": "enumerate",
             "total": total,
             "items": [{"ids": ids, "kind": kind} for ids, kind in rows],
@@ -254,9 +215,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    cfg = _build_config(args)
-    _need(cfg, grammar=True)
-    g = cfg.grammar
+    g = _grammar(args)
     if args.leading_space:
         g = add_leading_space(g)
     if args.encode_utf8:
@@ -268,9 +227,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _build_config(args)
     try:
-        if getattr(args, "bytes", False):
+        if args.bytes:
             with open(args.corpus, "rb") as fh:
                 corpus = [fh.read()]
         else:
@@ -283,20 +241,17 @@ def cmd_train(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(out)
-        if not cfg.structured:
-            print(f"{len(t.vocab)} tokens, {len(t.merges)} merges -> {args.output}")
+        print(f"{len(t.vocab)} tokens, {len(t.merges)} merges -> {args.output}")
     else:
         sys.stdout.write(out)
     return 0
 
 
 def cmd_sample(args) -> int:
-    cfg = _build_config(args)
-    _need(cfg, grammar=True)
-    g = cfg.grammar
+    g = _grammar(args)
     if g.is_empty_language:
         raise CliError("grammar generates the empty language; nothing to sample")
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     lines = []
     for _ in range(args.count):
         for _ in range(SAMPLE_ATTEMPTS):
@@ -316,8 +271,8 @@ def cmd_sample(args) -> int:
                 lines.append(escape_bytes(w))
         else:
             lines.append(w)
-    if cfg.structured:
-        _emit(cfg, "", {"command": "sample", "samples": lines})
+    if args.structured:
+        _emit(args, "", {"command": "sample", "samples": lines})
     else:
         for line in lines:
             print(line)
@@ -325,29 +280,22 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _build_config(args)
     budget = args.budget
     if args.suite == "homomorphism":
-        _need(cfg, tokenizer=True)
         report = run_homomorphism_suite(
-            cfg.tokenizer, pairs=budget or 10000, seed=cfg.seed)
+            _tokenizer(args), pairs=10000 if budget is None else budget, seed=args.seed)
     elif args.suite == "equivalence":
-        _need(cfg, grammar=True, tokenizer=True)
-        rec = TokenRecognizer(_byte_grammar(cfg), cfg.tokenizer)
-        report = run_equivalence_suite(rec, max_len=budget or 5)
+        rec = TokenRecognizer(_byte_grammar(args), _tokenizer(args))
+        report = run_equivalence_suite(rec, max_len=5 if budget is None else budget)
     else:
-        _need(cfg, tokenizer=True)
-        report = run_partition_suite(cfg.tokenizer, max_len=budget or 8)
-    if cfg.structured:
-        _emit(cfg, "", {
-            "command": "verify",
-            "suite": report.suite,
-            "passed": report.passed,
-            "cases": report.cases,
-            "failures": report.failures[:20],
-        })
-    else:
-        print(report.summary())
+        report = run_partition_suite(_tokenizer(args), max_len=8 if budget is None else budget)
+    _emit(args, report.summary(), {
+        "command": "verify",
+        "suite": report.suite,
+        "passed": report.passed,
+        "cases": report.cases,
+        "failures": report.failures[:20],
+    })
     return 0 if report.passed else 1
 
 
@@ -363,6 +311,19 @@ def _add_artifact_flags(p, *, grammar=False, tokenizer=False):
         p.add_argument("--tokenizer", metavar="FILE", help="tokenizer file (native format)")
         p.add_argument("--bos-id", type=int, default=None, metavar="ID",
                        help="strip this leading id from token input")
+
+
+def _at_least(low: int):
+    """argparse type for an integer count that must be >= *low*."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    return parse
 
 
 def _add_io_flags(p, *, input_arg=True, bytes_flag=False):
@@ -406,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all tokenizations of a string")
     _add_artifact_flags(p, tokenizer=True)
-    p.add_argument("--limit", type=int, default=1000,
+    p.add_argument("--limit", type=_at_least(1), default=1000,
                    help="max tokenizations to print (default: 1000)")
     _add_io_flags(p, bytes_flag=True)
     p.set_defaults(func=cmd_enumerate)
@@ -417,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="character terminals -> UTF-8 byte terminals")
     p.add_argument("--leading-space", action="store_true",
                    help="accept exactly the members prefixed with one space")
-    p.add_argument("--structured", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("train", help="learn a BPE tokenizer from a corpus")
@@ -426,26 +386,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merges", required=True, type=int, help="number of merges to learn")
     p.add_argument("--output", metavar="FILE", help="write tokenizer here (default: stdout)")
     p.add_argument("--bytes", action="store_true", help="corpus file is one raw-byte sample")
-    p.add_argument("--structured", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="draw member strings from a grammar")
     _add_artifact_flags(p, grammar=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_at_least(0), default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-expansions", type=int, default=200,
                    help="derivation budget per attempt (default: 200)")
-    p.add_argument("--structured", action="store_true", help="JSON output")
+    _add_io_flags(p, input_arg=False)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run a property suite (exit 0 iff it passes)")
     _add_artifact_flags(p, grammar=True, tokenizer=True)
     p.add_argument("--suite", required=True,
                    choices=["homomorphism", "equivalence", "partition"])
-    p.add_argument("--budget", type=int, default=None,
-                   help="random pairs (homomorphism) or max length (others)")
+    p.add_argument("--budget", type=_at_least(0), default=None,
+                   help="random pairs (homomorphism, default 10000) or max length "
+                        "(equivalence 5, partition 8)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--structured", action="store_true", help="JSON output")
+    _add_io_flags(p, input_arg=False)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -455,10 +415,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GrammarError, TokenizerError, EncodingError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (CliError, GrammarError, TokenizerError, EncodingError, OSError,
+            UnicodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -104,9 +104,6 @@ class Grammar:
             raise GrammarError("emptiness is only decided on reduced grammars")
         return not self._rules_by_head[self.start]
 
-    def open_session(self) -> "RecognitionSession":
-        return RecognitionSession(self)
-
 
 def as_terminals(g: Grammar, w) -> tuple[int, ...]:
     """Coerce *w* to a tuple of terminal ints for *g*'s alphabet.
@@ -264,11 +261,6 @@ class RecognitionSession:
         self.consumed += 1
         return self
 
-    def feed_all(self, w) -> "RecognitionSession":
-        for t in as_terminals(self.grammar, w):
-            self.feed(t)
-        return self
-
     def clone(self) -> "RecognitionSession":
         s = object.__new__(RecognitionSession)
         s.grammar = self.grammar
@@ -276,10 +268,6 @@ class RecognitionSession:
         s.died_at = self.died_at
         s._positions = list(self._positions)
         return s
-
-
-def open_session(g: Grammar) -> RecognitionSession:
-    return RecognitionSession(g)
 
 
 def reduce_grammar(g: Grammar) -> Grammar:
@@ -395,6 +383,15 @@ def _scan(text: str):
                 col += 1
             i += 1
 
+    def hex_escape(el, ec) -> int:
+        # text[i] is the "x" of a \xHH escape whose backslash is at (el, ec)
+        bump()
+        hexpart = text[i:i + 2]
+        if len(hexpart) < 2 or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
+            raise GrammarParseError("\\x needs two hex digits", el, ec)
+        bump(2)
+        return int(hexpart, 16)
+
     while i < n:
         c = text[i]
         if c == "#":
@@ -430,12 +427,7 @@ def _scan(text: str):
                         raise GrammarParseError("dangling escape", el, ec)
                     e = text[i]
                     if e == "x":
-                        bump()
-                        hexpart = text[i:i + 2]
-                        if len(hexpart) < 2 or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
-                            raise GrammarParseError("\\x needs two hex digits", el, ec)
-                        bump(2)
-                        units.append(("esc", int(hexpart, 16)))
+                        units.append(("esc", hex_escape(el, ec)))
                     elif e in _STRING_ESCAPES:
                         bump()
                         units.append(("ch", _STRING_ESCAPES[e]))
@@ -452,12 +444,7 @@ def _scan(text: str):
             sl, sc = line, col
             bump()
             if i < n and text[i] == "x":
-                bump()
-                hexpart = text[i:i + 2]
-                if len(hexpart) < 2 or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
-                    raise GrammarParseError("\\x needs two hex digits", sl, sc)
-                bump(2)
-                toks.append(("BYTE", int(hexpart, 16), sl, sc))
+                toks.append(("BYTE", hex_escape(sl, sc), sl, sc))
                 continue
             raise GrammarParseError("stray backslash", sl, sc)
         if c in _NAME_FIRST:

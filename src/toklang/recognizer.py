@@ -62,7 +62,7 @@ class TokenRecognizer:
         the tokenizer's image: the sequence must both detokenize into the
         language and be exactly what the tokenizer returns for that string.
         """
-        seq = self.tokenizer.check_ids(ids)
+        seq = list(ids)
         return self.accepts_tokens(seq) and classify(self.tokenizer, seq).kind is Kind.PROPER
 
 
@@ -95,9 +95,9 @@ class TokenSession:
         return self.inner.accepts()
 
     def feed(self, token_id: int) -> "TokenSession":
-        data = self.recognizer.tokenizer.detokenize([token_id])
+        tokenizer = self.recognizer.tokenizer
         inner = self.inner
-        for b in data:
+        for b in tokenizer.vocab[tokenizer.check_id(token_id)]:
             inner.feed(b)
         self.tokens_consumed += 1
         return self
@@ -130,10 +130,6 @@ class TokenSession:
             if ok:
                 allowed.add(tid)
         return allowed
-
-
-def build(g: Grammar, t: Tokenizer) -> TokenRecognizer:
-    return TokenRecognizer(g, t)
 
 
 def relevant_token_ids(rec: TokenRecognizer) -> list[int]:

@@ -48,10 +48,11 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
                             limit: int | None = None) -> Iterator[list[int]]:
     """Lazily yield every segmentation of *data* into vocabulary tokens.
 
-    Longest token first at each cut, recursively, so the all-single-byte
+    Longest token first at each cut, depth first, so the all-single-byte
     segmentation (when it exists) comes last.  Each segmentation appears
     exactly once; an unsegmentable input yields nothing.  ``limit`` caps
-    the number of items.
+    the number of items.  The walk keeps an explicit stack, so the input
+    length is not bounded by the recursion limit.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1 (or None for unlimited)")
@@ -59,17 +60,35 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
     n = len(data)
     cap = t.max_token_len
 
-    def walk(pos: int) -> Iterator[list[int]]:
-        if pos == n:
-            yield []
-            return
+    def cuts(pos: int) -> Iterator[tuple[int, int]]:
         for ln in range(min(cap, n - pos), 0, -1):
             tid = ids.get(data[pos:pos + ln])
             if tid is not None:
-                for rest in walk(pos + ln):
-                    yield [tid] + rest
+                yield tid, pos + ln
 
-    gen = walk(0)
+    def walk() -> Iterator[list[int]]:
+        if n == 0:
+            yield []
+            return
+        # stack[k] yields the cuts after path[:k], so len(stack) == len(path) + 1
+        path: list[int] = []
+        stack = [cuts(0)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            tid, end = step
+            path.append(tid)
+            if end == n:
+                yield list(path)
+                path.pop()
+            else:
+                stack.append(cuts(end))
+
+    gen = walk()
     return gen if limit is None else itertools.islice(gen, limit)
 
 

@@ -117,8 +117,5 @@ def run_partition_suite(t: Tokenizer, max_len: int = 8,
             n_proper = sum(1 for k in kinds if k is Kind.PROPER)
             if n_proper != 1:
                 report.failures.append(f"{s!r}: {n_proper} items classified Proper")
-            if any(k not in (Kind.PROPER, Kind.MERGEABLE, Kind.WRONG_MERGE_ORDER)
-                   for k in kinds):
-                report.failures.append(f"{s!r}: item with no classification kind")
             report.cases += 1
     return report

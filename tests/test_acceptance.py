@@ -14,9 +14,9 @@ import pytest
 from toklang import (
     UTF8,
     Kind,
+    TokenRecognizer,
     Tokenizer,
     add_leading_space,
-    build,
     classify,
     count_tokenizations,
     encode_grammar,
@@ -126,7 +126,7 @@ def test_criterion_5_oracle_equivalence_exhaustive():
     with _Budget("5 oracle equivalence x3906", 30.0):
         g = dyck_grammar()
         t = bracket_tokenizer()
-        rec = build(g, t)
+        rec = TokenRecognizer(g, t)
         checked = 0
         for length in range(6):
             for seq in itertools.product([1, 2, 3, 4, 5], repeat=length):
@@ -141,7 +141,7 @@ def test_criterion_6_membership_through_token_space():
     with _Budget("6 membership through tokens x87381", 60.0):
         g = dyck_letters_grammar()
         t = letter_bracket_tokenizer()
-        rec = build(g, t)
+        rec = TokenRecognizer(g, t)
         checked = 0
         for length in range(9):
             for combo in itertools.product(b"ab[]", repeat=length):
@@ -208,7 +208,7 @@ def test_criterion_10_next_token_sets_exact():
     """allowed_next_tokens equals the brute-force per-token trial set on
     1,000 random live sessions."""
     with _Budget("10 next-token sets x1000", 30.0):
-        rec = build(dyck_grammar(), bracket_tokenizer())
+        rec = TokenRecognizer(dyck_grammar(), bracket_tokenizer())
         vocab_size = len(rec.tokenizer.vocab)
         rng = random.Random(1234)
         for _ in range(1000):

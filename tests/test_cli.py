@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toklang import save_tokenizer
 from toklang.cli import main
@@ -268,3 +272,128 @@ def test_bad_grammar_file_exit_2(capsys, tmp_path):
     g.write_text("S -> A ;", encoding="utf-8")
     rc, _ = run(capsys, "recognize", "--grammar", str(g), "x")
     assert rc == 2
+
+
+@pytest.mark.parametrize("place", ["grammar", "input-file", "stdin", "corpus"])
+def test_non_utf8_input_exits_2(files, capsys, monkeypatch, place):
+    bad = files["dir"] / "not-utf8.bin"
+    bad.write_bytes(b'S -> "\xff" ;')
+    argv = {
+        "grammar": ["recognize", "--grammar", str(bad), "x"],
+        "input-file": ["classify", "--tokenizer", files["aab"], "--input-file", str(bad)],
+        "stdin": ["classify", "--tokenizer", files["aab"]],
+        "corpus": ["train", "--corpus", str(bad), "--merges", "1"],
+    }[place]
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff 1"), encoding="utf-8"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "partition", "--budget", "-1"],
+    ["sample", "--count", "-1"],
+    ["enumerate", "--limit", "0", "a"],
+    ["enumerate", "--limit", "x", "a"],
+])
+def test_out_of_range_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
+def test_budget_zero_is_taken_literally(files, capsys):
+    rc, out = run(capsys, "verify", "--tokenizer", files["aab"],
+                  "--suite", "partition", "--budget", "0")
+    assert rc == 0 and out == "partition: pass (1 cases checked)\n"
+    rc, out = run(capsys, "sample", "--grammar", files["dyck"], "--count", "0")
+    assert rc == 0 and out == ""
+
+
+# --- the exit-code contract over generated invocations --------------------------------
+
+_COMMANDS = ["tokenize", "detokenize", "recognize", "classify", "enumerate",
+             "transform", "train", "sample", "verify"]
+
+
+@st.composite
+def invocations(draw, files):
+    """argv for one subcommand: artifacts, flags and counts in and out of range."""
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = [command]
+
+    def maybe(*flag_values, odds=0.5):
+        if draw(st.floats(0, 1)) < odds:
+            argv.extend(flag_values)
+
+    grammar = st.sampled_from([files["dyck"], files["mix"], files["bad"]])
+    tokenizer = st.sampled_from([files["aab"], files["brackets"], files["bad"]])
+    if command in ("recognize", "transform", "sample", "verify"):
+        maybe("--grammar", draw(grammar), odds=0.9)
+        maybe("--alphabet", draw(st.sampled_from(["unicode", "byte"])))
+    if command in ("tokenize", "detokenize", "recognize", "classify", "enumerate", "verify"):
+        maybe("--tokenizer", draw(tokenizer), odds=0.9)
+        maybe("--bos-id", str(draw(st.integers(-1, 6))))
+    if command not in ("transform", "train"):
+        maybe("--structured")
+    if command in ("tokenize", "detokenize", "recognize", "classify", "enumerate"):
+        argv += ["--input-file", files["input"]]
+        if command != "classify":
+            maybe("--bytes")
+    if command == "recognize":
+        maybe("--mode", draw(st.sampled_from(["chars", "tokens", "proper"])))
+    elif command == "enumerate":
+        maybe("--limit", str(draw(st.integers(-1, 4))))
+    elif command == "transform":
+        maybe("--encode-utf8")
+        maybe("--leading-space")
+    elif command == "train":
+        argv += ["--corpus", files["input"], "--merges", str(draw(st.integers(-1, 3)))]
+        maybe("--bytes")
+        maybe("--output", str(files["dir"] / "generated.json"))
+    elif command == "sample":
+        maybe("--count", str(draw(st.integers(-1, 3))))
+        maybe("--max-expansions", str(draw(st.integers(0, 50))))
+    elif command == "verify":
+        argv += ["--suite", draw(st.sampled_from(["homomorphism", "equivalence", "partition"]))]
+        # small budgets only: the partition suite is exponential in it
+        argv += ["--budget", str(draw(st.integers(-1, 1)))]
+    return argv
+
+
+_input_bytes = st.one_of(
+    st.binary(max_size=24),
+    st.text("[]ab 0123456789é你\n", max_size=24).map(str.encode),
+    st.lists(st.integers(0, 260), max_size=8).map(lambda ids: " ".join(map(str, ids)).encode()),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(files):
+    bad = files["dir"] / "bad-artifact"
+    bad.write_bytes(b"\xff\xfe{")
+    return {**files, "bad": str(bad), "input": str(files["dir"] / "input.bin")}
+
+
+@settings(max_examples=300)
+@given(data=st.data(), payload=_input_bytes)
+def test_exit_code_contract(fuzz_files, data, payload):
+    argv = data.draw(invocations(fuzz_files))
+    with open(fuzz_files["input"], "wb") as fh:
+        fh.write(payload)
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+        out.flush()
+    assert rc in (0, 1, 2), argv
+    if rc == 1:  # only a decision exits 1
+        printed = out.buffer.getvalue().decode("utf-8")
+        if printed.startswith("{"):
+            doc = json.loads(printed)
+            assert doc.get("accept") is False or doc.get("passed") is False, argv
+        else:
+            assert printed.startswith("reject") or "FAIL" in printed, (argv, printed)

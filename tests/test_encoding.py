@@ -7,9 +7,9 @@ from toklang import (
     UTF8,
     EncodingError,
     GrammarError,
+    RecognitionSession,
     encode_grammar,
     encode_string,
-    open_session,
     parse_grammar,
     recognize,
     reduce_grammar,
@@ -103,7 +103,7 @@ def test_byte_grammar_accepts_exactly_the_encoded_members():
             if child.live:
                 walk(child, prefix + [b])
 
-    walk(open_session(gb), [])
+    walk(RecognitionSession(gb), [])
 
     members = strings_up_to(g, max_bytes)  # chars <= bytes, so this covers all
     expected = {

@@ -8,9 +8,9 @@ from toklang import (
     GrammarError,
     GrammarParseError,
     Production,
+    RecognitionSession,
     add_leading_space,
     format_grammar,
-    open_session,
     parse_grammar,
     recognize,
     reduce_grammar,
@@ -66,6 +66,22 @@ def test_parse_byte_mode_literals():
 def test_parse_bare_byte_rejected_in_unicode_mode():
     with pytest.raises(GrammarParseError, match="byte alphabet"):
         parse_grammar(r"S -> \x41 ;", "unicode")
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    (r'S -> "\x4" ;', "two hex digits", 1, 7),
+    (r'S -> "\xg0" ;', "two hex digits", 1, 7),
+    ('S -> "a"\n  | "\\x" ;', "two hex digits", 2, 6),
+    (r"S -> \x4 ;", "two hex digits", 1, 6),
+    (r"S -> \xZZ ;", "two hex digits", 1, 6),
+    ("S -> \\x", "two hex digits", 1, 6),
+    (r"S -> \y ;", "stray backslash", 1, 6),
+    ('S -> "a"\n\n  \\ ;', "stray backslash", 3, 3),
+])
+def test_parse_backslash_errors_point_at_the_backslash(text, message, line, column):
+    with pytest.raises(GrammarParseError, match=message) as e:
+        parse_grammar(text, "byte")
+    assert (e.value.line, e.value.column) == (line, column)
 
 
 def test_parse_multichar_literal_expands():
@@ -195,13 +211,13 @@ def test_recognize_left_recursion_with_epsilon():
 
 
 def test_fresh_session_state(dyck):
-    s = open_session(dyck)
+    s = RecognitionSession(dyck)
     assert s.live and s.accepts() and s.consumed == 0
 
 
 def test_session_on_finite_language():
     g = reduce_grammar(parse_grammar('S -> "ab" ;'))
-    s = open_session(g)
+    s = RecognitionSession(g)
     assert s.live and not s.accepts()
     s.feed(ord("a"))
     assert s.live and not s.accepts()
@@ -213,19 +229,19 @@ def test_session_on_finite_language():
 
 def test_empty_language_session_starts_dead():
     g = reduce_grammar(parse_grammar("S -> S ;"))
-    s = open_session(g)
+    s = RecognitionSession(g)
     assert not s.live and not s.accepts()
 
 
 def test_dead_sessions_absorb(dyck):
-    s = open_session(dyck).feed(0x5D)
+    s = RecognitionSession(dyck).feed(0x5D)
     assert not s.live and s.died_at == 0
     s.feed(0x5B).feed(0x5D)
     assert not s.live and s.died_at == 0 and s.consumed == 3
 
 
 def test_session_clone_is_independent(dyck):
-    parent = open_session(dyck).feed(0x5B)
+    parent = RecognitionSession(dyck).feed(0x5B)
     child = parent.clone()
     parent.feed(0x5D)
     assert parent.accepts()
@@ -238,7 +254,7 @@ def test_session_clone_is_independent(dyck):
 @given(st.text(alphabet="[]", max_size=12))
 def test_batch_streaming_agreement(s):
     g = dyck_grammar()
-    session = open_session(g)
+    session = RecognitionSession(g)
     for b in s.encode():
         session.feed(b)
     assert session.accepts() == recognize(g, s)
@@ -250,7 +266,7 @@ def test_prefix_viability_exhaustive(dyck):
     import itertools
     for n in range(7):
         for p in itertools.product((0x5B, 0x5D), repeat=n):
-            session = open_session(dyck)
+            session = RecognitionSession(dyck)
             for t in p:
                 session.feed(t)
             assert session.live == (p in viable) == bracket_prefix_viable(
@@ -263,7 +279,7 @@ def test_prefix_viability_on_finite_language():
     import itertools
     for n in range(5):
         for p in itertools.product((97, 98, 99, 100), repeat=n):
-            session = open_session(g)
+            session = RecognitionSession(g)
             for t in p:
                 session.feed(t)
             assert session.live == (p in viable), p

@@ -8,7 +8,6 @@ from toklang import (
     GrammarError,
     TokenRecognizer,
     TokenizerError,
-    build,
     parse_grammar,
     recognize,
     reduce_grammar,
@@ -27,7 +26,7 @@ toy_ids = st.lists(st.sampled_from([1, 2, 3, 4, 5]), max_size=6)
 
 @pytest.fixture(scope="module")
 def rec():
-    return build(dyck_grammar(), bracket_tokenizer())
+    return TokenRecognizer(dyck_grammar(), bracket_tokenizer())
 
 
 # --- construction ---------------------------------------------------------------
@@ -36,18 +35,18 @@ def rec():
 def test_build_rejects_unicode_grammar(brackets):
     g = reduce_grammar(parse_grammar('S -> "[]" ;', "unicode"))
     with pytest.raises(GrammarError, match="byte-alphabet"):
-        build(g, brackets)
+        TokenRecognizer(g, brackets)
 
 
 def test_build_rejects_unreduced_grammar(brackets):
     g = parse_grammar('S -> "[]" ;', "byte")
     with pytest.raises(GrammarError, match="reduced"):
-        build(g, brackets)
+        TokenRecognizer(g, brackets)
 
 
 def test_build_rejects_non_byte_base_tokenizer(dyck):
     with pytest.raises(TokenizerError, match="byte-base"):
-        build(dyck, aab_tokenizer())
+        TokenRecognizer(dyck, aab_tokenizer())
 
 
 def test_build_empty_language(brackets):
@@ -91,7 +90,7 @@ def test_feed_splits_multibyte_characters():
     from toklang import UTF8, Tokenizer, encode_grammar
     g = encode_grammar(UTF8, reduce_grammar(parse_grammar('S -> "你" ;', "unicode")))
     vocab = [bytes([b]) for b in range(256)] + [b"\xe4\xbd"]
-    t = build(g, Tokenizer(tuple(vocab), ((0xE4, 0xBD, 256),)))
+    t = TokenRecognizer(g, Tokenizer(tuple(vocab), ((0xE4, 0xBD, 256),)))
     assert t.accepts_tokens([256, 0xA0])
     assert not t.accepts_tokens([256])
     assert t.accepts_proper(t.tokenizer.tokenize("你".encode()))
@@ -120,14 +119,14 @@ def test_accepts_proper_examples(rec):
 
 @given(toy_ids)
 def test_proper_implies_extended(ids):
-    r = build(dyck_grammar(), bracket_tokenizer())
+    r = TokenRecognizer(dyck_grammar(), bracket_tokenizer())
     if r.accepts_proper(ids):
         assert r.accepts_tokens(ids)
 
 
 @given(toy_ids)
 def test_streaming_matches_batch(ids):
-    r = build(dyck_grammar(), bracket_tokenizer())
+    r = TokenRecognizer(dyck_grammar(), bracket_tokenizer())
     s = r.open_session()
     for t in ids:
         s.feed(t)
@@ -136,7 +135,7 @@ def test_streaming_matches_batch(ids):
 
 @given(toy_ids)
 def test_accepts_tokens_equals_character_oracle(ids):
-    r = build(dyck_grammar(), bracket_tokenizer())
+    r = TokenRecognizer(dyck_grammar(), bracket_tokenizer())
     assert r.accepts_tokens(ids) == recognize(r.grammar, r.tokenizer.detokenize(ids))
 
 

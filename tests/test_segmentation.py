@@ -13,7 +13,7 @@ from toklang import (
     find_mergeable_pair,
     unmerge,
 )
-from toklang.toys import aab_tokenizer
+from toklang.toys import aab_tokenizer, byte_identity_tokenizer
 
 from oracles import segmentations
 
@@ -53,6 +53,22 @@ def test_enumerate_is_lazy(aab):
     assert aab.detokenize(first) == b"a" * 400
 
 
+@pytest.mark.parametrize("make, n, first", [
+    (aab_tokenizer, 3000, [4] * 1000),  # aaa = 4, aa = 2
+    (aab_tokenizer, 8192, [4] * 2730 + [2]),
+    (byte_identity_tokenizer, 3000, [97] * 3000),
+    (byte_identity_tokenizer, 8192, [97] * 8192),
+])
+def test_enumerate_long_input_with_limit(make, n, first):
+    t = make()
+    data = b"a" * n
+    got = list(enumerate_tokenizations(t, data, limit=16))
+    assert got[0] == first
+    assert len(got) == min(16, count_tokenizations(t, data))
+    assert len(set(map(tuple, got))) == len(got)
+    assert all(t.detokenize(ids) == data for ids in got)
+
+
 def test_count_examples(aab):
     assert count_tokenizations(aab, b"aaaa") == 7
     assert count_tokenizations(aab, b"aaabb") == 10
@@ -64,7 +80,7 @@ def test_enumeration_matches_brute_force(data):
     t = aab_tokenizer()
     got = [tuple(t.vocab[i] for i in ids) for ids in enumerate_tokenizations(t, data)]
     want = segmentations(set(t.vocab), data)
-    assert sorted(got) == sorted(want)
+    assert got == list(reversed(want))  # longest first cut, depth first
     assert len(got) == len(set(map(tuple, got)))  # each exactly once
     assert count_tokenizations(t, data) == len(got)
 

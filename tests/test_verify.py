@@ -1,5 +1,5 @@
 from toklang import (
-    build,
+    TokenRecognizer,
     find_tokenize_witness,
     run_equivalence_suite,
     run_homomorphism_suite,
@@ -38,7 +38,7 @@ def test_witness_found_for_trained_tokenizer():
 
 
 def test_equivalence_suite_counts(dyck, brackets):
-    report = run_equivalence_suite(build(dyck, brackets), max_len=3)
+    report = run_equivalence_suite(TokenRecognizer(dyck, brackets), max_len=3)
     assert report.passed
     assert report.cases == 1 + 5 + 25 + 125
 
