@@ -259,6 +259,21 @@ def _vocab_from_map(vocab_map: dict, decode) -> list[bytes]:
     return vocab
 
 
+def _tokenizer_from(vocab: list[bytes], merges, source: str) -> Tokenizer:
+    """The tokenizer of *vocab* and its (left bytes, right bytes, origin) merges;
+    ``source.format(origin)`` names a merge whose tokens are not in *vocab*."""
+    ids = {bs: i for i, bs in enumerate(vocab)}
+    resolved = []
+    for left, right, origin in merges:
+        try:
+            resolved.append((ids[left], ids[right], ids[left + right]))
+        except KeyError as e:
+            raise TokenizerError(
+                f"{source.format(origin)} references a token not in the "
+                f"vocabulary: {escape_bytes(e.args[0])!r}") from None
+    return Tokenizer(tuple(vocab), tuple(resolved))
+
+
 def loads_tokenizer(text: str) -> Tokenizer:
     try:
         data = json.loads(text)
@@ -274,28 +289,19 @@ def loads_tokenizer(text: str) -> Tokenizer:
         raise TokenizerError("tokenizer file needs a vocab object and a merges array")
 
     vocab = _vocab_from_map(vocab_map, unescape_bytes)
-    ids = {bs: i for i, bs in enumerate(vocab)}
-
-    merges: list[tuple[int, int, int]] = []
+    merges = []
     for entry in merge_list:
         if not isinstance(entry, list) or len(entry) not in (2, 3) \
                 or not all(isinstance(x, str) for x in entry):
             raise TokenizerError(f"bad merge entry {entry!r}")
         left_bytes = unescape_bytes(entry[0])
         right_bytes = unescape_bytes(entry[1])
-        concat = left_bytes + right_bytes
-        if len(entry) == 3 and unescape_bytes(entry[2]) != concat:
+        if len(entry) == 3 and unescape_bytes(entry[2]) != left_bytes + right_bytes:
             raise TokenizerError(
                 f"merge output {entry[2]!r} is not the concatenation of "
                 f"{entry[0]!r} and {entry[1]!r}")
-        try:
-            merges.append((ids[left_bytes], ids[right_bytes], ids[concat]))
-        except KeyError as e:
-            raise TokenizerError(
-                f"merge {entry!r} references a token not in the vocabulary: "
-                f"{escape_bytes(e.args[0])!r}") from None
-
-    return Tokenizer(tuple(vocab), tuple(merges))
+        merges.append((left_bytes, right_bytes, entry))
+    return _tokenizer_from(vocab, merges, "merge {!r}")
 
 
 def load_tokenizer(path) -> Tokenizer:
@@ -352,9 +358,8 @@ def load_gpt2_tokenizer(vocab_path, merges_path) -> Tokenizer:
     if not isinstance(raw_vocab, dict):
         raise TokenizerError("vocab file must map token strings to ids")
     vocab = _vocab_from_map(raw_vocab, _gpt2_str_to_bytes)
-    ids = {bs: i for i, bs in enumerate(vocab)}
 
-    merges: list[tuple[int, int, int]] = []
+    merges = []
     with open(merges_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -363,14 +368,6 @@ def load_gpt2_tokenizer(vocab_path, merges_path) -> Tokenizer:
             fields = line.split(" ")
             if len(fields) != 2:
                 raise TokenizerError(f"merges line {lineno}: expected two fields")
-            left_bytes = _gpt2_str_to_bytes(fields[0])
-            right_bytes = _gpt2_str_to_bytes(fields[1])
-            try:
-                merges.append(
-                    (ids[left_bytes], ids[right_bytes], ids[left_bytes + right_bytes]))
-            except KeyError as e:
-                raise TokenizerError(
-                    f"merges line {lineno} references a token not in the "
-                    f"vocabulary: {escape_bytes(e.args[0])!r}") from None
-
-    return Tokenizer(tuple(vocab), tuple(merges))
+            merges.append(
+                (_gpt2_str_to_bytes(fields[0]), _gpt2_str_to_bytes(fields[1]), lineno))
+    return _tokenizer_from(vocab, merges, "merges line {}")

@@ -8,6 +8,7 @@ object (schema version 1) carrying the same decision as the plain text.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import random
 import sys
@@ -17,7 +18,7 @@ from .bpe import (
     TokenizerError,
     dumps_tokenizer,
     escape_bytes,
-    load_tokenizer,
+    loads_tokenizer,
     train,
 )
 from .encoding import UTF8, EncodingError, encode_grammar
@@ -45,36 +46,43 @@ class CliError(Exception):
     """User-facing configuration or data error; exits with status 2."""
 
 
+def _read(path: str | None) -> bytes:
+    """The bytes of the file at *path*, or of stdin when *path* is None."""
+    if path is None:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _read_text(path: str | None) -> str:
+    """UTF-8 text of *path* (or stdin), newlines as in text mode, locale-free."""
+    data = _read(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CliError(
+            f"{path or 'stdin'} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _grammar(args) -> Grammar:
     """The reduced grammar named by --grammar, read in --alphabet mode."""
     if not args.grammar:
         raise CliError("this command needs --grammar")
-    try:
-        with open(args.grammar, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise CliError(f"cannot read grammar: {e}") from None
-    return reduce_grammar(parse_grammar(text, args.alphabet))
+    return reduce_grammar(parse_grammar(_read_text(args.grammar), args.alphabet))
 
 
 def _tokenizer(args) -> Tokenizer:
     """The tokenizer named by --tokenizer."""
     if not args.tokenizer:
         raise CliError("this command needs --tokenizer")
-    try:
-        return load_tokenizer(args.tokenizer)
-    except OSError as e:
-        raise CliError(f"cannot read tokenizer: {e}") from None
+    return loads_tokenizer(_read_text(args.tokenizer))
 
 
 def _read_text_input(args) -> str:
     if args.input is not None:
         return args.input
-    if args.input_file:
-        with open(args.input_file, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    text = _read_text(args.input_file or None)
     return text[:-1] if text.endswith("\n") else text
 
 
@@ -82,10 +90,7 @@ def _read_byte_input(args) -> bytes:
     if args.bytes:
         if args.input is not None:
             raise CliError("--bytes reads a file or stdin, not a literal argument")
-        if args.input_file:
-            with open(args.input_file, "rb") as fh:
-                return fh.read()
-        return sys.stdin.buffer.read()
+        return _read(args.input_file or None)
     return _read_text_input(args).encode("utf-8")
 
 
@@ -227,15 +232,11 @@ def cmd_transform(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        if args.bytes:
-            with open(args.corpus, "rb") as fh:
-                corpus = [fh.read()]
-        else:
-            with open(args.corpus, encoding="utf-8") as fh:
-                corpus = [line.rstrip("\n").encode("utf-8") for line in fh]
-    except OSError as e:
-        raise CliError(f"cannot read corpus: {e}") from None
+    if args.bytes:
+        corpus = [_read(args.corpus)]
+    else:
+        lines = io.StringIO(_read_text(args.corpus))
+        corpus = [line.rstrip("\n").encode("utf-8") for line in lines]
     t = train(corpus, args.merges)
     out = dumps_tokenizer(t) + "\n"
     if args.output:

@@ -127,32 +127,32 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 
 # --- Earley chart ----------------------------------------------------------
 #
-# An item is (rule index, dot, origin).  A finalized position keeps only
-# what later steps need: items keyed by the symbol after their dot, an
-# accept flag, and the item count (liveness).  Positions never mutate once
-# built, so sessions can share them across clones.
+# An item is (rule index, dot, origin), origin being the _Position where its
+# rule was predicted.  A finalized position keeps its index, its items keyed
+# by the symbol after their dot, and an accept flag.  Positions never mutate
+# once built, so clones share them, and one lives as long as a pending item
+# names it as its origin.
 
 
 class _Position:
-    __slots__ = ("wait", "accepting", "item_count")
+    __slots__ = ("index", "wait", "accepting")
 
-    def __init__(self, wait, accepting, item_count):
-        self.wait = wait
-        self.accepting = accepting
-        self.item_count = item_count
+    def __init__(self, index: int):
+        self.index = index
+        self.wait: dict[str | int, list[tuple]] = {}
+        self.accepting = False
 
 
-def _close(g: Grammar, positions: list[_Position], index: int, seeds) -> _Position:
-    """Predictor/completer closure of the item worklist at chart *index*."""
+def _close(g: Grammar, pos: _Position, seeds) -> None:
+    """Fill *pos* with the predictor/completer closure of *seeds*."""
     rules = g.productions
     by_head = g._rules_by_head
     start = g.start
 
-    items: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    wait: dict[str | int, list[tuple[int, int, int]]] = {}
-    empty_done: set[str] = set()  # heads already completed with origin == index
-    accepting = False
+    items: list[tuple] = []
+    seen: set[tuple] = set()
+    wait = pos.wait
+    empty_done: set[str] = set()  # heads already completed with origin pos
 
     def add(item):
         if item not in seen:
@@ -173,36 +173,36 @@ def _close(g: Grammar, positions: list[_Position], index: int, seeds) -> _Positi
             wait.setdefault(sym, []).append(item)
             if isinstance(sym, str):
                 for r2 in by_head[sym]:
-                    add((r2, 0, index))
+                    add((r2, 0, pos))
                 if sym in empty_done:
                     # a nullable completion at this position already went by
                     add((rule, dot + 1, origin))
         else:
             head = rules[rule].head
-            if origin == index:
+            if origin is pos:
                 empty_done.add(head)
                 waiters = tuple(wait.get(head, ()))
             else:
-                waiters = positions[origin].wait.get(head, ())
+                waiters = origin.wait.get(head, ())
             for r2, d2, o2 in waiters:
                 add((r2, d2 + 1, o2))
-            if head == start and origin == 0:
-                accepting = True
-
-    return _Position(wait, accepting, len(items))
+            if head == start and origin.index == 0:
+                pos.accepting = True
 
 
 def _initial_position(g: Grammar) -> _Position:
-    seeds = [(r, 0, 0) for r in g._rules_by_head[g.start]]
-    return _close(g, [], 0, seeds)
+    pos = _Position(0)
+    _close(g, pos, [(r, 0, pos) for r in g._rules_by_head[g.start]])
+    return pos
 
 
-def _advance(g: Grammar, positions: list[_Position], terminal: int) -> _Position | None:
-    waiters = positions[-1].wait.get(terminal)
+def _advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
+    waiters = last.wait.get(terminal)
     if not waiters:
         return None
-    seeds = [(r, d + 1, o) for r, d, o in waiters]
-    return _close(g, positions, len(positions), seeds)
+    pos = _Position(last.index + 1)
+    _close(g, pos, [(r, d + 1, o) for r, d, o in waiters])
+    return pos
 
 
 def recognize(g: Grammar, w) -> bool:
@@ -210,13 +210,12 @@ def recognize(g: Grammar, w) -> bool:
     if not g.reduced:
         raise GrammarError("recognize requires a reduced grammar")
     terms = as_terminals(g, w)
-    positions = [_initial_position(g)]
+    pos = _initial_position(g)
     for t in terms:
-        nxt = _advance(g, positions, t)
-        if nxt is None:
+        pos = _advance(g, pos, t)
+        if pos is None:
             return False
-        positions.append(nxt)
-    return positions[-1].accepting
+    return pos.accepting
 
 
 class RecognitionSession:
@@ -224,21 +223,20 @@ class RecognitionSession:
 
     ``live`` means the consumed sequence is a viable prefix of the
     language; dead sessions are absorbing.  A session belongs to one
-    logical caller; ``clone`` forks it cheaply (positions are shared,
-    immutable).
+    logical caller.  It holds only its last chart position, which keeps
+    alive just the positions its pending items refer to; ``clone`` is
+    O(1), since positions are immutable and shared.
     """
 
-    __slots__ = ("grammar", "consumed", "died_at", "_positions")
+    __slots__ = ("grammar", "consumed", "died_at", "_last")
 
     def __init__(self, grammar: Grammar):
         if not grammar.reduced:
             raise GrammarError("recognition sessions require a reduced grammar")
         self.grammar = grammar
         self.consumed = 0
-        self.died_at: int | None = None
-        self._positions = [_initial_position(grammar)]
-        if self._positions[0].item_count == 0:
-            self.died_at = 0  # empty language: nothing is viable
+        self.died_at: int | None = 0 if grammar.is_empty_language else None
+        self._last = _initial_position(grammar)
 
     @property
     def live(self) -> bool:
@@ -246,18 +244,18 @@ class RecognitionSession:
 
     def accepts(self) -> bool:
         """True iff exactly the consumed sequence is in the language."""
-        return self.live and self._positions[-1].accepting
+        return self.live and self._last.accepting
 
     def feed(self, terminal: int) -> "RecognitionSession":
         if not _valid_terminal(terminal, self.grammar.alphabet):
             raise GrammarError(
                 f"terminal {terminal!r} outside the {self.grammar.alphabet} alphabet")
         if self.live:
-            nxt = _advance(self.grammar, self._positions, terminal)
+            nxt = _advance(self.grammar, self._last, terminal)
             if nxt is None:
                 self.died_at = self.consumed
             else:
-                self._positions.append(nxt)
+                self._last = nxt
         self.consumed += 1
         return self
 
@@ -266,7 +264,7 @@ class RecognitionSession:
         s.grammar = self.grammar
         s.consumed = self.consumed
         s.died_at = self.died_at
-        s._positions = list(self._positions)
+        s._last = self._last
         return s
 
 

@@ -110,7 +110,10 @@ def count_tokenizations(t: Tokenizer, data: bytes) -> int:
 
 def find_mergeable_pair(t: Tokenizer, ids: Iterable[int]) -> int | None:
     """Index of the first adjacent pair matching a merge rule, else None."""
-    seq = t.check_ids(ids)
+    return _first_mergeable_pair(t, t.check_ids(ids))
+
+
+def _first_mergeable_pair(t: Tokenizer, seq: list[int]) -> int | None:
     ranks = t.merge_ranks
     for i in range(len(seq) - 1):
         if (seq[i], seq[i + 1]) in ranks:
@@ -147,11 +150,11 @@ def classify(t: Tokenizer, ids: Iterable[int]) -> Classification:
     equals retokenizing the unmerged byte sequence since unmerging never
     changes the detokenization.
     """
-    seq = t.check_ids(ids)
-    proper = t.tokenize(t.detokenize(seq))
+    seq = list(ids)
+    proper = t.tokenize(t.detokenize(seq))  # the one check of the ids
     if seq == proper:
         return Classification(Kind.PROPER)
-    at = find_mergeable_pair(t, seq)
+    at = _first_mergeable_pair(t, seq)
     if at is not None:
         return Classification(Kind.MERGEABLE, mergeable_at=at)
     return Classification(Kind.WRONG_MERGE_ORDER, proper_form=tuple(proper))

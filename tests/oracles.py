@@ -9,6 +9,19 @@ import itertools
 def strings_up_to(g, max_len: int) -> set[tuple[int, ...]]:
     """All members of L(g) with at most *max_len* terminals, by a set
     fixed-point over the productions (no charts involved)."""
+    return _fixed_point(g, lambda s: s if len(s) <= max_len else None)
+
+
+def members_cut_at(g, max_len: int) -> set[tuple[int, ...]]:
+    """{w[:max_len] : w in L(g)}, by the same fixed point, cutting instead of
+    dropping (cutting commutes with concatenation).  Its ``prefixes_of`` are
+    exactly the viable prefixes of at most *max_len* terminals."""
+    return _fixed_point(g, lambda s: s[:max_len])
+
+
+def _fixed_point(g, fit) -> set[tuple[int, ...]]:
+    """Least sets of fitted yields per nonterminal; *fit* maps a string to
+    the string kept in its place, or to None to drop it."""
     derivable: dict[str, set[tuple[int, ...]]] = {n: set() for n in g.nonterminals}
     changed = True
     while changed:
@@ -17,10 +30,7 @@ def strings_up_to(g, max_len: int) -> set[tuple[int, ...]]:
             partials: set[tuple[int, ...]] = {()}
             for sym in body:
                 choices = ((sym,),) if isinstance(sym, int) else derivable[sym]
-                partials = {
-                    p + c for p in partials for c in choices
-                    if len(p) + len(c) <= max_len
-                }
+                partials = {fit(p + c) for p in partials for c in choices} - {None}
                 if not partials:
                     break
             for s in partials:

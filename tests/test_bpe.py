@@ -216,7 +216,8 @@ def test_loads_rejects_duplicate_byte_spellings():
 
 def test_loads_rejects_merge_with_unknown_token():
     text = '{"version": 1, "vocab": {"a": 0, "b": 1}, "merges": [["a", "b"]]}'
-    with pytest.raises(TokenizerError, match="not in the vocabulary"):
+    with pytest.raises(TokenizerError,
+                       match=r"merge \['a', 'b'\] references a token not in the vocabulary: 'ab'"):
         loads_tokenizer(text)
 
 
@@ -273,4 +274,17 @@ def test_gpt2_loader_rejects_bad_merge_line(tmp_path):
     vocab_path, merges_path = _write_gpt2_fixture(tmp_path)
     merges_path.write_text("#version: 0.2\na b c\n", encoding="utf-8")
     with pytest.raises(TokenizerError, match="two fields"):
+        load_gpt2_tokenizer(vocab_path, merges_path)
+
+
+def test_gpt2_loader_rejects_merge_with_unknown_token(tmp_path):
+    from toklang.bpe import _gpt2_byte_table
+    table = _gpt2_byte_table()
+    vocab_path, merges_path = _write_gpt2_fixture(tmp_path)
+    # "bc" is not in the fixture's vocabulary
+    merges_path.write_text(
+        f"#version: 0.2\n{table[97]} {table[98]}\n{table[98]} {table[99]}\n",
+        encoding="utf-8")
+    with pytest.raises(TokenizerError,
+                       match="merges line 3 references a token not in the vocabulary: 'bc'"):
         load_gpt2_tokenizer(vocab_path, merges_path)

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -274,12 +276,13 @@ def test_bad_grammar_file_exit_2(capsys, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("place", ["grammar", "input-file", "stdin", "corpus"])
+@pytest.mark.parametrize("place", ["grammar", "tokenizer", "input-file", "stdin", "corpus"])
 def test_non_utf8_input_exits_2(files, capsys, monkeypatch, place):
     bad = files["dir"] / "not-utf8.bin"
     bad.write_bytes(b'S -> "\xff" ;')
     argv = {
         "grammar": ["recognize", "--grammar", str(bad), "x"],
+        "tokenizer": ["tokenize", "--tokenizer", str(bad), "a"],
         "input-file": ["classify", "--tokenizer", files["aab"], "--input-file", str(bad)],
         "stdin": ["classify", "--tokenizer", files["aab"]],
         "corpus": ["train", "--corpus", str(bad), "--merges", "1"],
@@ -288,6 +291,27 @@ def test_non_utf8_input_exits_2(files, capsys, monkeypatch, place):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    source = "stdin" if place == "stdin" else str(bad)
+    assert err.startswith(f"error: {source} is not UTF-8 text: invalid start byte at byte ")
+
+
+def test_non_utf8_stdin_under_c_locale_exits_2(files):
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "toklang.cli", "tokenize", "--tokenizer", files["aab"]],
+        input=b"\xff", capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: stdin is not UTF-8 text: invalid start byte at byte 0\n"
+
+
+def test_crlf_files_read_as_text(files, capsys):
+    crlf = files["dir"] / "crlf.txt"
+    crlf.write_bytes(b"ab\r\n")  # with the \r kept, it would have no token
+    rc, out = run(capsys, "tokenize", "--tokenizer", files["aab"], "--input-file", str(crlf))
+    assert rc == 0 and out == "3\n"
+    crlf.write_bytes(b"a\r\na\r\n")  # with the \r kept, (a, \r) would merge
+    rc, out = run(capsys, "train", "--corpus", str(crlf), "--merges", "1")
+    assert rc == 0 and json.loads(out)["merges"] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,9 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toklang import (
     Grammar,
@@ -16,11 +18,12 @@ from toklang import (
     reduce_grammar,
     sample,
 )
-from toklang.toys import DYCK_GRAMMAR_TEXT, dyck_grammar
+from toklang.toys import DYCK_GRAMMAR_TEXT, dyck_grammar, dyck_letters_grammar
 
 from oracles import (
     balanced_brackets,
     bracket_prefix_viable,
+    members_cut_at,
     prefixes_of,
     strings_up_to,
 )
@@ -283,6 +286,81 @@ def test_prefix_viability_on_finite_language():
             for t in p:
                 session.feed(t)
             assert session.live == (p in viable), p
+
+
+# --- the chart on generated grammars ----------------------------------------------
+
+_NAMES = ("S", "A", "B")
+_A, _B = 0x61, 0x62
+
+
+@st.composite
+def small_grammars(draw):
+    """Reduced byte grammars: up to 3 nonterminals, bodies of up to 3 symbols
+    over a, b and the nonterminals, epsilon allowed."""
+    names = _NAMES[:draw(st.integers(1, 3))]
+    symbol = st.sampled_from((_A, _B) + names)
+    rules = draw(st.lists(
+        st.builds(Production, st.sampled_from(names), st.lists(symbol, max_size=3).map(tuple)),
+        min_size=1, max_size=7))
+    return reduce_grammar(Grammar(frozenset(names), "byte", tuple(rules), "S"))
+
+
+def _grammar(text):
+    return reduce_grammar(parse_grammar(text, "byte"))
+
+
+@settings(max_examples=200)
+@given(small_grammars())
+@example(_grammar('S -> S "a" | "" ;'))                         # left recursion
+@example(_grammar('S -> "a" S | "b" ;'))                        # right recursion
+@example(_grammar('S -> A A "b" ; A -> "" | "a" ;'))            # nullables
+@example(_grammar('S -> A | "a" ; A -> B | "b" ; B -> S ;'))    # unit cycle
+@example(_grammar('S -> "a" A ; A -> "b" B B ; B -> "a" "b" "b" ;'))  # long completions
+@example(_grammar("S -> S ;"))                                   # empty language
+def test_chart_matches_oracles_on_generated_grammars(g):
+    members = strings_up_to(g, 5)
+    viable = prefixes_of(members_cut_at(g, 5))
+
+    def check(prefix, session):
+        # the first cut of the prefix that is not viable: died_at is the byte
+        # that ended it, or 0 for an empty language, where () is not viable
+        cut = next((i for i in range(len(prefix) + 1) if prefix[:i] not in viable), None)
+        assert session.consumed == len(prefix)
+        assert session.live == (prefix in viable)
+        assert session.died_at == (None if cut is None else max(cut - 1, 0))
+        assert session.accepts() == (prefix in members) == recognize(g, prefix)
+
+    def walk(prefix, session):
+        check(prefix, session)
+        if len(prefix) < 5:
+            for t in (_A, _B):
+                walk(prefix + (t,), session.clone().feed(t))
+            check(prefix, session)  # its clones took other suffixes; it did not move
+
+    walk((), RecognitionSession(g))
+
+
+def _retained_bytes(g, data: bytes) -> int:
+    """Memory still held by a session after it was fed *data*."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        session = RecognitionSession(g)
+        for b in data:
+            session.feed(b)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_session_frees_positions_of_closed_groups():
+    g = dyck_letters_grammar()
+    assert recognize(g, b"[a]")  # builds the grammar's cached tables first
+    groups = _retained_bytes(g, (b"[" + b"a" * 60 + b"]") * 40)
+    flat = _retained_bytes(g, b"[]" * 40)
+    assert groups <= 2 * flat, (groups, flat)
 
 
 # --- sampling ----------------------------------------------------------------

@@ -147,6 +147,32 @@ def test_classify_rejects_unknown_ids(aab):
         classify(aab, [0, 99])
 
 
+def test_classify_checks_ids_once(aab, monkeypatch):
+    calls = []
+    check_ids = Tokenizer.check_ids
+
+    def counted(self, ids):
+        calls.append(ids)
+        return check_ids(self, ids)
+
+    monkeypatch.setattr(Tokenizer, "check_ids", counted)
+    # one sequence of each kind, and the empty one
+    for ids in ([4, 5], [0, 0, 0, 1, 1], [2, 3, 1], []):
+        calls.clear()
+        classify(aab, ids)
+        assert len(calls) == 1, ids
+
+
+@pytest.mark.parametrize("check", [
+    lambda t, ids: t.detokenize(ids),
+    find_mergeable_pair,
+    unmerge,
+], ids=["detokenize", "find_mergeable_pair", "unmerge"])
+def test_direct_calls_reject_unknown_ids(aab, check):
+    with pytest.raises(TokenizerError, match="unknown token id 99"):
+        check(aab, [0, 99])
+
+
 @given(ab_bytes)
 def test_tokenizer_output_classifies_proper(data):
     t = aab_tokenizer()
