@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import random
 import sys
 
@@ -54,14 +55,17 @@ def _read(path: str | None) -> bytes:
         return fh.read()
 
 
+def _decode(data: bytes, source: str) -> str:
+    """*data* as UTF-8; an error names *source*."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CliError(f"{source} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
 def _read_text(path: str | None) -> str:
     """UTF-8 text of *path* (or stdin), newlines as in text mode, locale-free."""
-    data = _read(path)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise CliError(
-            f"{path or 'stdin'} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+    text = _decode(_read(path), path or "stdin")
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -81,7 +85,8 @@ def _tokenizer(args) -> Tokenizer:
 
 def _read_text_input(args) -> str:
     if args.input is not None:
-        return args.input
+        # argv holds undecodable bytes as surrogate escapes; fsencode restores them
+        return _decode(os.fsencode(args.input), "the input argument")
     text = _read_text(args.input_file or None)
     return text[:-1] if text.endswith("\n") else text
 
@@ -303,13 +308,14 @@ def cmd_verify(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_artifact_flags(p, *, grammar=False, tokenizer=False):
+def _add_artifact_flags(p, *, grammar=False, tokenizer=False, token_ids=False):
     if grammar:
         p.add_argument("--grammar", metavar="FILE", help="grammar file")
         p.add_argument("--alphabet", choices=["unicode", "byte"], default="unicode",
                        help="grammar terminal alphabet (default: unicode)")
     if tokenizer:
         p.add_argument("--tokenizer", metavar="FILE", help="tokenizer file (native format)")
+    if token_ids:
         p.add_argument("--bos-id", type=int, default=None, metavar="ID",
                        help="strip this leading id from token input")
 
@@ -351,18 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tokenize)
 
     p = sub.add_parser("detokenize", help="token ids -> text")
-    _add_artifact_flags(p, tokenizer=True)
+    _add_artifact_flags(p, tokenizer=True, token_ids=True)
     _add_io_flags(p, bytes_flag=True)
     p.set_defaults(func=cmd_detokenize)
 
     p = sub.add_parser("recognize", help="decide membership (exit 0 accept, 1 reject)")
-    _add_artifact_flags(p, grammar=True, tokenizer=True)
+    _add_artifact_flags(p, grammar=True, tokenizer=True, token_ids=True)
     p.add_argument("--mode", choices=["chars", "tokens", "proper"], default="chars")
     _add_io_flags(p, bytes_flag=True)
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("classify", help="Proper / Mergeable / WrongMergeOrder")
-    _add_artifact_flags(p, tokenizer=True)
+    _add_artifact_flags(p, tokenizer=True, token_ids=True)
     _add_io_flags(p)
     p.set_defaults(func=cmd_classify)
 

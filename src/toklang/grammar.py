@@ -88,6 +88,10 @@ class Grammar:
         return {h: tuple(ix) for h, ix in by_head.items()}
 
     @cached_property
+    def _nullable(self) -> frozenset[str]:
+        return frozenset(_deriving(self.productions, terminals=False))
+
+    @cached_property
     def terminals_used(self) -> frozenset[int]:
         """Terminal values appearing in some production body."""
         return frozenset(
@@ -128,10 +132,11 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # --- Earley chart ----------------------------------------------------------
 #
 # An item is (rule index, dot, origin), origin being the _Position where its
-# rule was predicted.  A finalized position keeps its index, its items keyed
-# by the symbol after their dot, and an accept flag.  Positions never mutate
-# once built, so clones share them, and one lives as long as a pending item
-# names it as its origin.
+# rule was predicted, or None while the item still sits at that position: a
+# position never refers to itself, so it is freed by reference counting once
+# no pending item names it.  A finalized position keeps its index, its items
+# keyed by the symbol after their dot, and an accept flag.  Positions never
+# mutate once built, so clones share them.
 
 
 class _Position:
@@ -144,15 +149,17 @@ class _Position:
 
 
 def _close(g: Grammar, pos: _Position, seeds) -> None:
-    """Fill *pos* with the predictor/completer closure of *seeds*."""
+    """Fill *pos* with the predictor/completer closure of *seeds*; a nullable
+    is stepped over as it is predicted (Aycock–Horspool), so a completion
+    that starts at *pos* adds nothing."""
     rules = g.productions
     by_head = g._rules_by_head
+    nullable = g._nullable
     start = g.start
 
     items: list[tuple] = []
     seen: set[tuple] = set()
     wait = pos.wait
-    empty_done: set[str] = set()  # heads already completed with origin pos
 
     def add(item):
         if item not in seen:
@@ -173,26 +180,22 @@ def _close(g: Grammar, pos: _Position, seeds) -> None:
             wait.setdefault(sym, []).append(item)
             if isinstance(sym, str):
                 for r2 in by_head[sym]:
-                    add((r2, 0, pos))
-                if sym in empty_done:
-                    # a nullable completion at this position already went by
+                    add((r2, 0, None))
+                if sym in nullable:
                     add((rule, dot + 1, origin))
-        else:
+        elif origin is not None:
             head = rules[rule].head
-            if origin is pos:
-                empty_done.add(head)
-                waiters = tuple(wait.get(head, ()))
-            else:
-                waiters = origin.wait.get(head, ())
-            for r2, d2, o2 in waiters:
-                add((r2, d2 + 1, o2))
+            # a waiter with origin None was predicted at *origin*
+            for r2, d2, o2 in origin.wait.get(head, ()):
+                add((r2, d2 + 1, origin if o2 is None else o2))
             if head == start and origin.index == 0:
                 pos.accepting = True
 
 
 def _initial_position(g: Grammar) -> _Position:
     pos = _Position(0)
-    _close(g, pos, [(r, 0, pos) for r in g._rules_by_head[g.start]])
+    _close(g, pos, [(r, 0, None) for r in g._rules_by_head[g.start]])
+    pos.accepting = g.start in g._nullable
     return pos
 
 
@@ -201,7 +204,7 @@ def _advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
     if not waiters:
         return None
     pos = _Position(last.index + 1)
-    _close(g, pos, [(r, d + 1, o) for r, d, o in waiters])
+    _close(g, pos, [(r, d + 1, last if o is None else o) for r, d, o in waiters])
     return pos
 
 
@@ -268,6 +271,17 @@ class RecognitionSession:
         return s
 
 
+def _deriving(productions, terminals: bool) -> set[str]:
+    """Nonterminals that derive a terminal string, or only ε when not *terminals*."""
+    found: set[str] = set()
+    size = -1
+    while size != len(found):
+        size = len(found)
+        found.update(head for head, body in productions if all(
+            s in found if isinstance(s, str) else terminals for s in body))
+    return found
+
+
 def reduce_grammar(g: Grammar) -> Grammar:
     """Strip non-generating and unreachable nonterminals.
 
@@ -275,16 +289,7 @@ def reduce_grammar(g: Grammar) -> Grammar:
     generates nothing yields the canonical empty-language grammar (the
     start alone, no productions) — a legal value, not an error.
     """
-    generating: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, body in g.productions:
-            if head not in generating and all(
-                    not isinstance(s, str) or s in generating for s in body):
-                generating.add(head)
-                changed = True
-
+    generating = _deriving(g.productions, terminals=True)
     if g.start not in generating:
         return Grammar(frozenset({g.start}), g.alphabet, (), g.start, reduced=True)
 
@@ -552,7 +557,8 @@ def _quote_terminals(run: Iterable[int], alphabet: str) -> str:
         elif alphabet == "byte":
             parts.append(chr(t) if t <= 0x7E else f"\\x{t:02x}")
         else:
-            parts.append(chr(t) if chr(t).isprintable() else f"\\x{t:02x}")
+            # \xHH reads back as U+00HH; a literal takes any other code point as is
+            parts.append(chr(t) if t > 0xFF or chr(t).isprintable() else f"\\x{t:02x}")
     return '"' + "".join(parts) + '"'
 
 

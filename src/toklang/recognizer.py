@@ -5,9 +5,9 @@ sequence belongs to the token image of a language exactly when its
 detokenization belongs to the language.  The recognizer exploits that
 directly: each incoming token's bytes are drained, in order, into an
 incremental byte-level recognition session — nothing is ever buffered
-across token boundaries, and the full byte string is never materialized
-ahead of recognition.  Tokens may split multi-byte characters; bytes are
-bytes.
+across token boundaries, and only the proper-tokenization check, which
+retokenizes it, materializes the full byte string.  Tokens may split
+multi-byte characters; bytes are bytes.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .bpe import Tokenizer, TokenizerError
-from .grammar import Grammar, GrammarError, RecognitionSession
-from .segmentation import Kind, classify
+from .grammar import Grammar, GrammarError, RecognitionSession, recognize
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,8 @@ class TokenRecognizer:
         language and be exactly what the tokenizer returns for that string.
         """
         seq = list(ids)
-        return self.accepts_tokens(seq) and classify(self.tokenizer, seq).kind is Kind.PROPER
+        data = self.tokenizer.detokenize(seq)  # the one check of the ids
+        return recognize(self.grammar, data) and self.tokenizer.tokenize(data) == seq
 
 
 class TokenSession:

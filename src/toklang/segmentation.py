@@ -52,7 +52,9 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
     segmentation (when it exists) comes last.  Each segmentation appears
     exactly once; an unsegmentable input yields nothing.  ``limit`` caps
     the number of items.  The walk keeps an explicit stack, so the input
-    length is not bounded by the recursion limit.
+    length is not bounded by the recursion limit, and it skips cuts into
+    positions it has already left without reaching the end, so the time
+    to each next item is polynomial.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1 (or None for unlimited)")
@@ -70,23 +72,32 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
         if n == 0:
             yield []
             return
-        # stack[k] yields the cuts after path[:k], so len(stack) == len(path) + 1
+        # stack[k] is [start, cuts from start, whether one of them has led to
+        # the end of the input] after path[:k], so len(stack) == len(path) + 1
         path: list[int] = []
-        stack = [cuts(0)]
+        stack = [[0, cuts(0), False]]
+        dead: set[int] = set()  # positions from which no walk reaches the end
         while stack:
-            step = next(stack[-1], None)
+            step = next(stack[-1][1], None)
             if step is None:
-                stack.pop()
+                start, _, found = stack.pop()
+                if not found:
+                    dead.add(start)
+                elif stack:
+                    stack[-1][2] = True
                 if path:
                     path.pop()
                 continue
             tid, end = step
+            if end in dead:
+                continue
             path.append(tid)
             if end == n:
+                stack[-1][2] = True
                 yield list(path)
                 path.pop()
             else:
-                stack.append(cuts(end))
+                stack.append([end, cuts(end), False])
 
     gen = walk()
     return gen if limit is None else itertools.islice(gen, limit)

@@ -126,6 +126,18 @@ def test_recognize_bos_strip(files, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["tokenize", "aab"],
+    ["enumerate", "aab"],
+    ["verify", "--suite", "partition", "--budget", "1"],
+], ids=lambda argv: argv[0])
+def test_bos_id_is_rejected_where_no_ids_are_read(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tokenizer", files["aab"], "--bos-id", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bos-id 1" in capsys.readouterr().err
+
+
 def test_pipe_composition_matches_chars_mode(files, capsys):
     # tokenize | recognize --mode tokens agrees with recognize --mode chars
     for text in ["", "[]", "[[]]", "[][[]]", "[[", "]["]:
@@ -276,22 +288,31 @@ def test_bad_grammar_file_exit_2(capsys, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("place", ["grammar", "tokenizer", "input-file", "stdin", "corpus"])
+@pytest.mark.parametrize("place", ["grammar", "tokenizer", "input-file", "stdin", "corpus",
+                                   "argument"])
 def test_non_utf8_input_exits_2(files, capsys, monkeypatch, place):
     bad = files["dir"] / "not-utf8.bin"
     bad.write_bytes(b'S -> "\xff" ;')
-    argv = {
-        "grammar": ["recognize", "--grammar", str(bad), "x"],
-        "tokenizer": ["tokenize", "--tokenizer", str(bad), "a"],
-        "input-file": ["classify", "--tokenizer", files["aab"], "--input-file", str(bad)],
-        "stdin": ["classify", "--tokenizer", files["aab"]],
-        "corpus": ["train", "--corpus", str(bad), "--merges", "1"],
-    }[place]
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff 1"), encoding="utf-8"))
-    assert main(argv) == 2
-    err = capsys.readouterr().err
+    if place == "argument":  # argv comes from the operating system: run a process
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "toklang.cli", "tokenize", "--tokenizer", files["aab"],
+             b"\xff"], capture_output=True, env=env, timeout=60)
+        rc, err = proc.returncode, proc.stderr.decode("utf-8")
+    else:
+        argv = {
+            "grammar": ["recognize", "--grammar", str(bad), "x"],
+            "tokenizer": ["tokenize", "--tokenizer", str(bad), "a"],
+            "input-file": ["classify", "--tokenizer", files["aab"], "--input-file", str(bad)],
+            "stdin": ["classify", "--tokenizer", files["aab"]],
+            "corpus": ["train", "--corpus", str(bad), "--merges", "1"],
+        }[place]
+        monkeypatch.setattr(sys, "stdin",
+                            io.TextIOWrapper(io.BytesIO(b"\xff 1"), encoding="utf-8"))
+        rc, err = main(argv), capsys.readouterr().err
+    assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    source = "stdin" if place == "stdin" else str(bad)
+    source = {"stdin": "stdin", "argument": "the input argument"}.get(place, str(bad))
     assert err.startswith(f"error: {source} is not UTF-8 text: invalid start byte at byte ")
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from toklang import (
     GrammarError,
     TokenRecognizer,
+    Tokenizer,
     TokenizerError,
     parse_grammar,
     recognize,
@@ -109,6 +110,24 @@ def test_accepts_tokens_examples(rec):
 def test_accepts_tokens_validates_all_ids_first(rec):
     with pytest.raises(TokenizerError):
         rec.accepts_tokens([2, 999])  # prefix already dead, id still checked
+
+
+def test_accepts_proper_checks_ids_once(rec, monkeypatch):
+    calls = []
+    check_ids = Tokenizer.check_ids
+
+    def counted(self, ids):
+        calls.append(ids)
+        return check_ids(self, ids)
+
+    monkeypatch.setattr(Tokenizer, "check_ids", counted)
+    # proper member, improper member, non-member, empty
+    for ids in ([3, 3], [1, 3, 2], [1], []):
+        calls.clear()
+        rec.accepts_proper(ids)
+        assert len(calls) == 1, ids
+    with pytest.raises(TokenizerError):
+        rec.accepts_proper([2, 999])  # prefix already dead, id still checked
 
 
 def test_accepts_proper_examples(rec):

@@ -69,6 +69,46 @@ def test_enumerate_long_input_with_limit(make, n, first):
     assert all(t.detokenize(ids) == data for ids in got)
 
 
+def _dead_ends_tokenizer() -> Tokenizer:
+    # a first cut "ba" leaves an odd run of a's, which no token covers
+    return Tokenizer((b"b", b"ba", b"aa", b"aaaa", b"c"))
+
+
+class _CountedIds(dict):
+    """A ``token_ids`` map that counts its lookups."""
+
+    def __init__(self, ids):
+        super().__init__(ids)
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("make, data, total", [
+    (aab_tokenizer, b"a" * 24 + b"c", 0),
+    (_dead_ends_tokenizer, b"b" + b"a" * 60 + b"c", 1_346_269),
+], ids=["no_segmentation", "late_first_item"])
+def test_enumerate_skips_dead_ends(make, data, total):
+    t = make()
+    ids = t.__dict__["token_ids"] = _CountedIds(t.token_ids)  # the cached map
+    first = next(enumerate_tokenizations(t, data), None)
+    # each position's cuts are tried at most once before the first item
+    assert ids.lookups <= (len(data) + 1) * t.max_token_len
+    assert count_tokenizations(t, data) == total
+    assert (first is None) == (total == 0)
+    assert first is None or t.detokenize(first) == data
+
+
+@pytest.mark.parametrize("make", [aab_tokenizer, _dead_ends_tokenizer])
+@given(data=st.lists(st.sampled_from(b"abc"), max_size=10).map(bytes))
+def test_enumeration_with_dead_ends_matches_brute_force(make, data):
+    t = make()
+    got = [tuple(t.vocab[i] for i in ids) for ids in enumerate_tokenizations(t, data)]
+    assert got == list(reversed(segmentations(set(t.vocab), data)))
+
+
 def test_count_examples(aab):
     assert count_tokenizations(aab, b"aaaa") == 7
     assert count_tokenizations(aab, b"aaabb") == 10
