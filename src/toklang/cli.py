@@ -158,6 +158,9 @@ def cmd_recognize(args) -> int:
     reason = None
 
     if mode == "chars":
+        for flag, value in (("--tokenizer", args.tokenizer), ("--bos-id", args.bos_id)):
+            if value is not None:
+                raise CliError(f"{flag} is only read in --mode tokens or proper")
         g = _grammar(args)
         if g.alphabet == "byte":
             terms = _read_byte_input(args)

@@ -249,6 +249,11 @@ class RecognitionSession:
         """True iff exactly the consumed sequence is in the language."""
         return self.live and self._last.accepting
 
+    def expected(self) -> frozenset[int]:
+        """The terminals ``feed`` would accept next; once dead, those it
+        expected at ``died_at``."""
+        return frozenset(k for k in self._last.wait if isinstance(k, int))
+
     def feed(self, terminal: int) -> "RecognitionSession":
         if not _valid_terminal(terminal, self.grammar.alphabet):
             raise GrammarError(

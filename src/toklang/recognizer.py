@@ -13,6 +13,7 @@ multi-byte characters; bytes are bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .bpe import Tokenizer, TokenizerError
@@ -40,6 +41,17 @@ class TokenRecognizer:
             raise GrammarError("token recognition needs a reduced grammar")
         if not self.tokenizer.byte_base:
             raise TokenizerError("token recognition needs a byte-base tokenizer")
+
+    @cached_property
+    def _trie(self) -> dict:
+        """The vocabulary by bytes: byte -> [token id or None, children]."""
+        root: dict = {}
+        for tid, bs in enumerate(self.tokenizer.vocab):
+            node = root
+            for b in bs[:-1]:
+                node = node.setdefault(b, [None, {}])[1]
+            node.setdefault(bs[-1], [None, {}])[0] = tid
+        return root
 
     def open_session(self) -> "TokenSession":
         return TokenSession(self)
@@ -112,23 +124,25 @@ class TokenSession:
     def allowed_next_tokens(self) -> set[int]:
         """Exactly the token IDs that keep this session live.
 
-        Trial-advances a clone of the byte session per candidate token,
-        aborting that candidate at its first dead byte.  The parent
-        session is never touched.  A dead session allows nothing.
+        Walks the vocabulary's byte trie depth first, entering only the
+        bytes the chart expects.  A token whose last byte is expected is
+        allowed without advancing (a reduced grammar's chart never dies on
+        an expected byte); a prefix shared by longer tokens is advanced
+        once, on a clone, for all of them.  The parent session is never
+        touched.  A dead session allows nothing.
         """
         if not self.live:
             return set()
         allowed: set[int] = set()
-        for tid, bs in enumerate(self.recognizer.tokenizer.vocab):
-            trial = self.inner.clone()
-            ok = True
-            for b in bs:
-                trial.feed(b)
-                if not trial.live:
-                    ok = False
-                    break
-            if ok:
-                allowed.add(tid)
+        stack = [(self.inner, self.recognizer._trie)]
+        while stack:
+            session, node = stack.pop()
+            for b in session.expected():
+                tid, children = node.get(b, (None, None))
+                if tid is not None:
+                    allowed.add(tid)
+                if children:
+                    stack.append((session.clone().feed(b), children))
         return allowed
 
 

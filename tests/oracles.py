@@ -1,5 +1,6 @@
 """Brute-force reference implementations, deliberately independent of the
-package's chart recognizer and DP routines.  Only usable at toy scale."""
+package's chart recognizer and DP routines, except ``allowed_by_trial``, the
+per-token trial mask that the trie walk replaced.  Only usable at toy scale."""
 
 from __future__ import annotations
 
@@ -106,3 +107,19 @@ def all_strings(alphabet, max_len: int):
     """Every tuple over *alphabet* of length 0..max_len."""
     for length in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=length)
+
+
+def allowed_by_trial(session) -> set[int]:
+    """Next-token mask of a TokenSession by trial: advance a clone of its byte
+    session through each token's bytes, aborting at the first dead byte."""
+    if not session.live:
+        return set()
+    allowed: set[int] = set()
+    for tid, bs in enumerate(session.recognizer.tokenizer.vocab):
+        trial = session.inner.clone()
+        for b in bs:
+            if not trial.feed(b).live:
+                break
+        else:
+            allowed.add(tid)
+    return allowed

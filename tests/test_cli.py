@@ -138,6 +138,20 @@ def test_bos_id_is_rejected_where_no_ids_are_read(files, capsys, argv):
     assert "unrecognized arguments: --bos-id 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--bos-id", "1"),
+    ("--tokenizer", None),              # the bracket tokenizer
+    ("--tokenizer", "nonexistent.json"),
+])
+def test_token_flags_are_rejected_in_chars_mode(files, capsys, flag, value):
+    rc = main(["recognize", "--grammar", files["dyck"], "--alphabet", "byte",
+               flag, value or files["brackets"], "[]"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {flag} is only read in --mode tokens or proper"]
+
+
 def test_pipe_composition_matches_chars_mode(files, capsys):
     # tokenize | recognize --mode tokens agrees with recognize --mode chars
     for text in ["", "[]", "[[]]", "[][[]]", "[[", "]["]:

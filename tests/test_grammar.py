@@ -243,6 +243,16 @@ def test_dead_sessions_absorb(dyck):
     assert not s.live and s.died_at == 0 and s.consumed == 3
 
 
+def test_expected_terminals(dyck):
+    s = RecognitionSession(dyck)
+    assert s.expected() == {0x5B}
+    assert s.feed(0x5B).expected() == {0x5B, 0x5D}
+    dead = RecognitionSession(dyck).feed(0x5D).feed(0x5B)
+    assert dead.died_at == 0 and dead.expected() == {0x5B}
+    empty = RecognitionSession(reduce_grammar(parse_grammar("S -> S ;", "byte")))
+    assert empty.expected() == frozenset()
+
+
 def test_session_clone_is_independent(dyck):
     parent = RecognitionSession(dyck).feed(0x5B)
     child = parent.clone()
@@ -330,6 +340,10 @@ def test_chart_matches_oracles_on_generated_grammars(g):
         assert session.live == (prefix in viable)
         assert session.died_at == (None if cut is None else max(cut - 1, 0))
         assert session.accepts() == (prefix in members) == recognize(g, prefix)
+        # expected(): the terminals after the last live prefix that stay viable
+        live = prefix if session.live else prefix[:session.died_at]
+        if len(live) < 5:
+            assert session.expected() == {t for t in (_A, _B) if live + (t,) in viable}
         # no position refers to itself: an item's origin is None or earlier
         last = session._last
         assert all(o is None or o.index < last.index

@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toklang import (
     GrammarError,
+    RecognitionSession,
     TokenRecognizer,
     Tokenizer,
     TokenizerError,
@@ -20,7 +21,8 @@ from toklang.toys import (
     dyck_grammar,
 )
 
-from oracles import strings_up_to
+from oracles import allowed_by_trial, members_cut_at, strings_up_to
+from test_grammar import small_grammars
 
 toy_ids = st.lists(st.sampled_from([1, 2, 3, 4, 5]), max_size=6)
 
@@ -210,6 +212,74 @@ def test_allowed_next_tokens_equals_per_token_trials(rec):
             s.feed(rng.choice(options))
         brute = {tid for tid in range(vocab_size) if s.clone().feed(tid).live}
         assert s.allowed_next_tokens() == brute
+
+
+_WALK_BYTES = 3  # the longest prefix a walk reaches
+_OUTSIDE = 0x63   # a byte no generated grammar uses
+
+
+@st.composite
+def grammars_with_vocab(draw):
+    """A generated grammar and a byte-base tokenizer: the 256 single bytes plus
+    1-12 tokens of 2-5 bytes over its terminals and one byte outside them,
+    each with a prefix of at least 2 bytes that is a token too."""
+    g = draw(small_grammars())
+    alphabet = sorted(g.terminals_used | {_OUTSIDE})
+    words = draw(st.lists(
+        st.lists(st.sampled_from(alphabet), min_size=2, max_size=5).map(bytes),
+        min_size=1, max_size=6))
+    extra = [w[:draw(st.integers(2, len(w)))] for w in words] + words
+    vocab = [bytes([b]) for b in range(256)] + list(dict.fromkeys(extra))
+    return TokenRecognizer(g, Tokenizer(tuple(vocab)))
+
+
+@settings(max_examples=150)
+@given(grammars_with_vocab(), st.lists(st.integers(0, 2**16), max_size=6))
+def test_allowed_next_tokens_matches_trials_and_viable_prefixes(rec, picks):
+    vocab = rec.tokenizer.vocab
+    cuts = {}
+
+    def viable(data: bytes) -> bool:
+        if len(data) not in cuts:
+            cuts[len(data)] = members_cut_at(rec.grammar, len(data))
+        return tuple(data) in cuts[len(data)]  # a cut of full length is a prefix
+
+    def check(prefix: bytes, session):
+        mask = session.allowed_next_tokens()
+        assert mask == allowed_by_trial(session)
+        assert mask == {t for t, bs in enumerate(vocab) if viable(prefix + bs)}
+
+    prefix, session = b"", rec.open_session()
+    check(prefix, session)
+    for pick in picks:
+        options = [t for t in sorted(session.allowed_next_tokens())
+                   if len(prefix) + len(vocab[t]) <= _WALK_BYTES]
+        if not options:
+            break
+        tid = options[pick % len(options)]
+        prefix += vocab[tid]
+        check(prefix, session.feed(tid))
+    dead = session.feed(_OUTSIDE)  # the single-byte token of a byte no grammar uses
+    assert not dead.live
+    assert dead.allowed_next_tokens() == allowed_by_trial(dead) == set()
+
+
+def test_mask_advances_each_shared_prefix_once(monkeypatch):
+    # "[" * k for k = 2..32: the trie has 31 internal nodes, "[" to "[" * 31
+    vocab = [bytes([b]) for b in range(256)] + [b"[" * k for k in range(2, 33)]
+    session = TokenRecognizer(dyck_grammar(), Tokenizer(tuple(vocab))).open_session()
+    calls = []
+    feed = RecognitionSession.feed
+
+    def counted(self, terminal):
+        calls.append(terminal)
+        return feed(self, terminal)
+
+    monkeypatch.setattr(RecognitionSession, "feed", counted)
+    mask = session.allowed_next_tokens()
+    assert len(calls) <= 31  # trying each token's bytes took 783
+    monkeypatch.undo()
+    assert mask == allowed_by_trial(session) == {0x5B} | set(range(256, 287))
 
 
 def test_session_clone_forks(rec):
