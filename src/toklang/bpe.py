@@ -10,9 +10,10 @@ different token sequences for the same text.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 
@@ -109,6 +110,18 @@ class Tokenizer:
         return len(self.single_byte_ids) == 256
 
     @cached_property
+    def trie(self) -> dict[int, list]:
+        """The vocabulary by bytes: byte -> [token ID or None, children],
+        where children is a dict of the same shape."""
+        root: dict[int, list] = {}
+        for tid, bs in enumerate(self.vocab):
+            node = root
+            for b in bs[:-1]:
+                node = node.setdefault(b, [None, {}])[1]
+            node.setdefault(bs[-1], [None, {}])[0] = tid
+        return root
+
+    @cached_property
     def max_token_len(self) -> int:
         return max(len(bs) for bs in self.vocab)
 
@@ -127,29 +140,54 @@ class Tokenizer:
         Starting from single-byte tokens, repeatedly merge the leftmost
         occurrence of the lowest-ranked applicable pair until nothing
         applies.  Deterministic; empty input gives empty output.
+
+        The tokens form a linked list, and a heap holds (rank, offset) for
+        each mergeable pair, *offset* being the original byte offset of the
+        pair's left token: that offset orders the live tokens as their
+        current positions do, so the heap's minimum is the leftmost
+        occurrence of the lowest-ranked pair.  A merge pushes only the two
+        pairs it creates; entries it invalidated are skipped when popped.
+        O(n log n) for n bytes.
         """
         sb = self.single_byte_ids
-        ids = []
-        for b in data:
-            tid = sb.get(b)
-            if tid is None:
-                raise TokenizerError(f"no single-byte token for byte 0x{b:02x}")
-            ids.append(tid)
-        ranks = self.merge_ranks
-        while len(ids) > 1:
-            best = None
-            best_i = best_m = -1
-            prev = ids[0]
-            for i in range(len(ids) - 1):
-                cur = ids[i + 1]
-                hit = ranks.get((prev, cur))
-                if hit is not None and (best is None or hit[0] < best):
-                    best, best_i, best_m = hit[0], i, hit[1]
-                prev = cur
-            if best is None:
-                break
-            ids[best_i:best_i + 2] = [best_m]
-        return ids
+        try:
+            ids = [sb[b] for b in data]
+        except KeyError as e:
+            raise TokenizerError(f"no single-byte token for byte 0x{e.args[0]:02x}") from None
+        n = len(ids)
+        get = self.merge_ranks.get
+        heap = [(hit[0], i) for i, hit in enumerate(map(get, zip(ids, ids[1:])))
+                if hit is not None]
+        if not heap:
+            return ids
+        heapify(heap)
+        # lists, not arrays: the input is short-lived and lists index faster
+        nxt = list(range(1, n + 1))  # n: no right neighbour
+        prv = list(range(-1, n - 1))  # -1: no left neighbour
+        while heap:
+            rank, i = heappop(heap)
+            left = ids[i]
+            j = nxt[i]
+            if left < 0 or j == n:
+                continue  # the left token was merged away, or is now last
+            hit = get((left, ids[j]))
+            # a rank names one pair, so an equal rank means the same pair
+            if hit is None or hit[0] != rank:
+                continue
+            ids[i] = merged = hit[1]
+            ids[j] = -1
+            k = nxt[i] = nxt[j]
+            if k < n:
+                prv[k] = i
+                hit = get((merged, ids[k]))
+                if hit is not None:
+                    heappush(heap, (hit[0], i))
+            p = prv[i]
+            if p >= 0:
+                hit = get((ids[p], merged))
+                if hit is not None:
+                    heappush(heap, (hit[0], p))
+        return [t for t in ids if t >= 0]
 
     def detokenize(self, ids: Iterable[int]) -> bytes:
         """Concatenate token byte strings, nothing else.
@@ -164,37 +202,71 @@ class Tokenizer:
 def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
     """Learn a BPE tokenizer from scratch on a byte corpus.
 
-    Starts from the 256 byte tokens.  Each round finds the most frequent
-    adjacent token pair across the corpus, records it as the next merge,
-    and applies it everywhere; stops early once no pair occurs twice.
-    Ties break on earliest first occurrence (sample index, then offset),
-    then left ID, then right ID, so training is deterministic.
+    Starts from the 256 byte tokens.  Each round takes the adjacent token
+    pair with the most occurrences across the corpus (overlapping ones
+    included), records it as the next merge, and applies it left to right
+    in every sample; stops early once no pair occurs twice.  A pair is
+    chosen at most once: one whose merge already exists is not counted
+    again, and merged bytes that spell an existing token reuse its ID.
+    Among pairs with equal counts, the one whose first occurrence comes
+    earliest (sample index, then position in the sample) wins; no two
+    pairs share a first occurrence, so training is deterministic.
+
+    The counts are kept exactly and updated only around merged positions,
+    as in the reference code of Sennrich et al. (2016).  All samples lie
+    in one array, each after a sentinel, with a linked list over the live
+    tokens; each pair keeps the array offsets of its left tokens, stale
+    ones included, so a merge visits only the occurrences of its pair.
     """
     if num_merges < 0:
         raise TokenizerError("num_merges must be >= 0")
     vocab: list[bytes] = [bytes([i]) for i in range(256)]
     index: dict[bytes, int] = {bs: i for i, bs in enumerate(vocab)}
-    seqs = [list(sample) for sample in corpus]
     merges: list[tuple[int, int, int]] = []
     ruled: set[tuple[int, int]] = set()
+    # A token keeps its offset for life, and offsets order the tokens as
+    # (sample, position) does.  -1 marks a sentinel or a merged-away token.
+    seq = array("i", [-1])
+    for sample in corpus:
+        seq.extend(sample)
+        seq.append(-1)
+    n = len(seq)
+    nxt = array("i", range(1, n + 1))
+    prv = array("i", range(-1, n - 1))
+    counts: dict[tuple[int, int], int] = {}
+    where: dict[tuple[int, int], array] = {}  # pair -> offsets, stale ones too
+
+    def add(pair, i):
+        if pair not in ruled:
+            counts[pair] = counts.get(pair, 0) + 1
+            if pair in where:
+                where[pair].append(i)
+            else:
+                where[pair] = array("i", (i,))
+
+    def drop(pair):
+        if pair not in ruled:
+            c = counts[pair] - 1
+            if c:
+                counts[pair] = c
+            else:
+                del counts[pair], where[pair]
+
+    def first(pair):
+        left, right = pair
+        return min(i for i in where[pair] if seq[i] == left and seq[nxt[i]] == right)
+
+    for i in range(1, n - 1):
+        if seq[i] >= 0 and seq[i + 1] >= 0:
+            add((seq[i], seq[i + 1]), i)
 
     for _ in range(num_merges):
-        counts: Counter[tuple[int, int]] = Counter()
-        first: dict[tuple[int, int], tuple[int, int]] = {}
-        for si, seq in enumerate(seqs):
-            for i in range(len(seq) - 1):
-                pair = (seq[i], seq[i + 1])
-                if pair in ruled:
-                    continue
-                counts[pair] += 1
-                if pair not in first:
-                    first[pair] = (si, i)
-        if not counts:
+        top = max(counts.values(), default=0)
+        if top < 2:
             break
-        left, right = min(
-            counts, key=lambda p: (-counts[p], first[p], p[0], p[1]))
-        if counts[(left, right)] < 2:
-            break
+        tied = [pair for pair, c in counts.items() if c == top]
+        pair = tied[0] if len(tied) == 1 else min(tied, key=first)
+        left, right = pair
         new_bytes = vocab[left] + vocab[right]
         merged = index.get(new_bytes)
         if merged is None:
@@ -202,18 +274,25 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
             vocab.append(new_bytes)
             index[new_bytes] = merged
         merges.append((left, right, merged))
-        ruled.add((left, right))
-        for seq in seqs:
-            out = []
-            i = 0
-            while i < len(seq):
-                if i + 1 < len(seq) and seq[i] == left and seq[i + 1] == right:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(seq[i])
-                    i += 1
-            seq[:] = out
+        ruled.add(pair)
+        del counts[pair]
+        for i in sorted(where.pop(pair)):
+            j = nxt[i]
+            if seq[i] != left or seq[j] != right:
+                continue  # stale, or consumed by the merge just left of it
+            p, k = prv[i], nxt[j]
+            before, after = seq[p], seq[k]
+            if before >= 0:
+                drop((before, left))
+            if after >= 0:
+                drop((right, after))
+            seq[i] = merged
+            seq[j] = -1
+            nxt[i], prv[k] = k, i
+            if before >= 0:
+                add((before, merged), p)
+            if after >= 0:
+                add((merged, after), i)
 
     return Tokenizer(tuple(vocab), tuple(merges))
 

@@ -156,6 +156,8 @@ def cmd_detokenize(args) -> int:
 def cmd_recognize(args) -> int:
     mode = args.mode
     reason = None
+    if args.bytes and (mode != "chars" or args.alphabet != "byte"):
+        raise CliError("--bytes is only read in --mode chars with --alphabet byte")
 
     if mode == "chars":
         for flag, value in (("--tokenizer", args.tokenizer), ("--bos-id", args.bos_id)):
@@ -402,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_artifact_flags(p, grammar=True)
     p.add_argument("--count", type=_at_least(0), default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-expansions", type=int, default=200,
+    p.add_argument("--max-expansions", type=_at_least(1), default=200,
                    help="derivation budget per attempt (default: 200)")
     _add_io_flags(p, input_arg=False)
     p.set_defaults(func=cmd_sample)

@@ -13,7 +13,6 @@ multi-byte characters; bytes are bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .bpe import Tokenizer, TokenizerError
@@ -41,17 +40,6 @@ class TokenRecognizer:
             raise GrammarError("token recognition needs a reduced grammar")
         if not self.tokenizer.byte_base:
             raise TokenizerError("token recognition needs a byte-base tokenizer")
-
-    @cached_property
-    def _trie(self) -> dict:
-        """The vocabulary by bytes: byte -> [token id or None, children]."""
-        root: dict = {}
-        for tid, bs in enumerate(self.tokenizer.vocab):
-            node = root
-            for b in bs[:-1]:
-                node = node.setdefault(b, [None, {}])[1]
-            node.setdefault(bs[-1], [None, {}])[0] = tid
-        return root
 
     def open_session(self) -> "TokenSession":
         return TokenSession(self)
@@ -134,7 +122,7 @@ class TokenSession:
         if not self.live:
             return set()
         allowed: set[int] = set()
-        stack = [(self.inner, self.recognizer._trie)]
+        stack = [(self.inner, self.recognizer.tokenizer.trie)]
         while stack:
             session, node = stack.pop()
             for b in session.expected():

@@ -58,15 +58,7 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1 (or None for unlimited)")
-    ids = t.token_ids
     n = len(data)
-    cap = t.max_token_len
-
-    def cuts(pos: int) -> Iterator[tuple[int, int]]:
-        for ln in range(min(cap, n - pos), 0, -1):
-            tid = ids.get(data[pos:pos + ln])
-            if tid is not None:
-                yield tid, pos + ln
 
     def walk() -> Iterator[list[int]]:
         if n == 0:
@@ -75,7 +67,7 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
         # stack[k] is [start, cuts from start, whether one of them has led to
         # the end of the input] after path[:k], so len(stack) == len(path) + 1
         path: list[int] = []
-        stack = [[0, cuts(0), False]]
+        stack = [[0, _cuts(t, data, 0), False]]
         dead: set[int] = set()  # positions from which no walk reaches the end
         while stack:
             step = next(stack[-1][1], None)
@@ -97,7 +89,7 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
                 yield list(path)
                 path.pop()
             else:
-                stack.append([end, cuts(end), False])
+                stack.append([end, _cuts(t, data, end), False])
 
     gen = walk()
     return gen if limit is None else itertools.islice(gen, limit)
@@ -105,18 +97,40 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
 
 def count_tokenizations(t: Tokenizer, data: bytes) -> int:
     """Number of segmentations, by suffix DP in O(len · max token length)."""
-    ids = t.token_ids
     n = len(data)
-    cap = t.max_token_len
     counts = [0] * (n + 1)
     counts[n] = 1
+    trie = t.trie
     for pos in range(n - 1, -1, -1):
+        # the walk of _cuts, inlined: this loop is all the DP costs
         total = 0
-        for ln in range(1, min(cap, n - pos) + 1):
-            if data[pos:pos + ln] in ids:
-                total += counts[pos + ln]
+        node = trie
+        for end in range(pos + 1, n + 1):
+            hit = node.get(data[end - 1])
+            if hit is None:
+                break
+            tid, node = hit
+            if tid is not None:
+                total += counts[end]
         counts[pos] = total
     return counts[0]
+
+
+def _cuts(t: Tokenizer, data: bytes, pos: int) -> Iterator[tuple[int, int]]:
+    """(token ID, end) for each vocabulary token *data* has at *pos*,
+    longest first, by one walk down the vocabulary trie."""
+    found = []
+    node = t.trie
+    for end in range(pos + 1, len(data) + 1):
+        hit = node.get(data[end - 1])
+        if hit is None:
+            break
+        tid, node = hit
+        if tid is not None:
+            found.append((tid, end))
+        if not node:
+            break
+    return reversed(found)
 
 
 def find_mergeable_pair(t: Tokenizer, ids: Iterable[int]) -> int | None:

@@ -1,10 +1,16 @@
 """Brute-force reference implementations, deliberately independent of the
-package's chart recognizer and DP routines, except ``allowed_by_trial``, the
-per-token trial mask that the trie walk replaced.  Only usable at toy scale."""
+package's chart recognizer and DP routines, except the loops that faster
+code replaced: ``allowed_by_trial`` (the per-token trial mask that the trie
+walk replaced), ``tokenize_by_rescan`` and ``train_by_recount`` (the BPE
+loops that the heap merge and the incremental counts replaced).  Only
+usable at toy scale."""
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+
+from toklang import Tokenizer, TokenizerError
 
 
 def strings_up_to(g, max_len: int) -> set[tuple[int, ...]]:
@@ -123,3 +129,82 @@ def allowed_by_trial(session) -> set[int]:
         else:
             allowed.add(tid)
     return allowed
+
+
+def tokenize_by_rescan(t, data: bytes) -> list[int]:
+    """``Tokenizer.tokenize`` by rescanning every pair before each merge:
+    merge the leftmost occurrence of the lowest-ranked pair until none
+    applies.  Quadratic in the input length."""
+    sb = t.single_byte_ids
+    ids = []
+    for b in data:
+        tid = sb.get(b)
+        if tid is None:
+            raise TokenizerError(f"no single-byte token for byte 0x{b:02x}")
+        ids.append(tid)
+    ranks = t.merge_ranks
+    while len(ids) > 1:
+        best = None
+        best_i = best_m = -1
+        prev = ids[0]
+        for i in range(len(ids) - 1):
+            cur = ids[i + 1]
+            hit = ranks.get((prev, cur))
+            if hit is not None and (best is None or hit[0] < best):
+                best, best_i, best_m = hit[0], i, hit[1]
+            prev = cur
+        if best is None:
+            break
+        ids[best_i:best_i + 2] = [best_m]
+    return ids
+
+
+def train_by_recount(corpus, num_merges: int) -> Tokenizer:
+    """``train`` by recounting every pair of the corpus before each merge
+    and rewriting every sample after it.  Ties break on the highest count,
+    then the earliest first occurrence (sample index, then offset), then
+    left ID, then right ID."""
+    vocab: list[bytes] = [bytes([i]) for i in range(256)]
+    index: dict[bytes, int] = {bs: i for i, bs in enumerate(vocab)}
+    seqs = [list(sample) for sample in corpus]
+    merges: list[tuple[int, int, int]] = []
+    ruled: set[tuple[int, int]] = set()
+
+    for _ in range(num_merges):
+        counts: Counter[tuple[int, int]] = Counter()
+        first: dict[tuple[int, int], tuple[int, int]] = {}
+        for si, seq in enumerate(seqs):
+            for i in range(len(seq) - 1):
+                pair = (seq[i], seq[i + 1])
+                if pair in ruled:
+                    continue
+                counts[pair] += 1
+                if pair not in first:
+                    first[pair] = (si, i)
+        if not counts:
+            break
+        left, right = min(
+            counts, key=lambda p: (-counts[p], first[p], p[0], p[1]))
+        if counts[(left, right)] < 2:
+            break
+        new_bytes = vocab[left] + vocab[right]
+        merged = index.get(new_bytes)
+        if merged is None:
+            merged = len(vocab)
+            vocab.append(new_bytes)
+            index[new_bytes] = merged
+        merges.append((left, right, merged))
+        ruled.add((left, right))
+        for seq in seqs:
+            out = []
+            i = 0
+            while i < len(seq):
+                if i + 1 < len(seq) and seq[i] == left and seq[i + 1] == right:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(seq[i])
+                    i += 1
+            seq[:] = out
+
+    return Tokenizer(tuple(vocab), tuple(merges))

@@ -152,6 +152,22 @@ def test_token_flags_are_rejected_in_chars_mode(files, capsys, flag, value):
         f"error: {flag} is only read in --mode tokens or proper"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--grammar", "dyck", "--bytes", "[]"],
+    ["--grammar", "dyck", "--bytes", "--input-file", "dyck"],
+    ["--grammar", "dyck", "--alphabet", "byte", "--tokenizer", "brackets",
+     "--mode", "tokens", "--bytes", "4 5"],
+    ["--grammar", "dyck", "--alphabet", "byte", "--tokenizer", "brackets",
+     "--mode", "proper", "--bytes", "4 5"],
+], ids=["unicode_literal", "unicode_file", "tokens", "proper"])
+def test_bytes_is_rejected_where_it_is_not_read(files, capsys, argv):
+    rc = main(["recognize"] + [files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --bytes is only read in --mode chars with --alphabet byte"]
+
+
 def test_pipe_composition_matches_chars_mode(files, capsys):
     # tokenize | recognize --mode tokens agrees with recognize --mode chars
     for text in ["", "[]", "[[]]", "[][[]]", "[[", "]["]:
@@ -352,6 +368,7 @@ def test_crlf_files_read_as_text(files, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "partition", "--budget", "-1"],
     ["sample", "--count", "-1"],
+    ["sample", "--max-expansions", "0"],
     ["enumerate", "--limit", "0", "a"],
     ["enumerate", "--limit", "x", "a"],
 ])

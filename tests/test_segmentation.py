@@ -74,15 +74,17 @@ def _dead_ends_tokenizer() -> Tokenizer:
     return Tokenizer((b"b", b"ba", b"aa", b"aaaa", b"c"))
 
 
-class _CountedIds(dict):
-    """A ``token_ids`` map that counts its lookups."""
+class _CountedTrie(dict):
+    """A copy of a vocabulary trie whose nodes count their lookups in one
+    shared one-element list."""
 
-    def __init__(self, ids):
-        super().__init__(ids)
-        self.lookups = 0
+    def __init__(self, node, lookups):
+        super().__init__((b, [tid, _CountedTrie(children, lookups)])
+                         for b, (tid, children) in node.items())
+        self.lookups = lookups
 
     def get(self, key, default=None):
-        self.lookups += 1
+        self.lookups[0] += 1
         return super().get(key, default)
 
 
@@ -92,10 +94,11 @@ class _CountedIds(dict):
 ], ids=["no_segmentation", "late_first_item"])
 def test_enumerate_skips_dead_ends(make, data, total):
     t = make()
-    ids = t.__dict__["token_ids"] = _CountedIds(t.token_ids)  # the cached map
+    lookups = [0]
+    t.__dict__["trie"] = _CountedTrie(t.trie, lookups)  # the cached trie
     first = next(enumerate_tokenizations(t, data), None)
     # each position's cuts are tried at most once before the first item
-    assert ids.lookups <= (len(data) + 1) * t.max_token_len
+    assert lookups[0] <= (len(data) + 1) * t.max_token_len
     assert count_tokenizations(t, data) == total
     assert (first is None) == (total == 0)
     assert first is None or t.detokenize(first) == data
