@@ -10,6 +10,7 @@ different token sequences for the same text.
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,9 @@ def escape_bytes(data: bytes) -> str:
         chr(b) if 0x20 <= b <= 0x7E and b != 0x5C else f"\\x{b:02x}" for b in data)
 
 
+_HEX_ESCAPE = re.compile(r"\\x([0-9a-fA-F]{2})")
+
+
 def unescape_bytes(text: str) -> bytes:
     """Inverse of :func:`escape_bytes`."""
     out = bytearray()
@@ -34,12 +38,10 @@ def unescape_bytes(text: str) -> bytes:
     while i < len(text):
         c = text[i]
         if c == "\\":
-            if text[i + 1:i + 2] != "x" or len(text) < i + 4:
+            m = _HEX_ESCAPE.match(text, i)
+            if m is None:
                 raise TokenizerError(f"bad escape in token string {text!r}")
-            try:
-                out.append(int(text[i + 2:i + 4], 16))
-            except ValueError:
-                raise TokenizerError(f"bad escape in token string {text!r}") from None
+            out.append(int(m[1], 16))
             i += 4
         else:
             o = ord(c)
@@ -330,7 +332,8 @@ def _vocab_from_map(vocab_map: dict, decode) -> list[bytes]:
     n = len(vocab_map)
     vocab: list[bytes | None] = [None] * n
     for key, tid in vocab_map.items():
-        if not isinstance(tid, int) or not 0 <= tid < n:
+        # JSON true and false load as bool, a subclass of int
+        if type(tid) is not int or not 0 <= tid < n:
             raise TokenizerError(f"token id {tid!r} outside 0..{n - 1}")
         if vocab[tid] is not None:
             raise TokenizerError(f"duplicate token id {tid}")
@@ -358,10 +361,13 @@ def loads_tokenizer(text: str) -> Tokenizer:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise TokenizerError(f"tokenizer file is not valid JSON: {e}") from None
+    except RecursionError:
+        raise TokenizerError("tokenizer file is nested too deeply") from None
     if not isinstance(data, dict):
         raise TokenizerError("tokenizer file must be a JSON object")
-    if data.get("version") != FORMAT_VERSION:
-        raise TokenizerError(f"unsupported tokenizer format version {data.get('version')!r}")
+    version = data.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise TokenizerError(f"unsupported tokenizer format version {version!r}")
     vocab_map = data.get("vocab")
     merge_list = data.get("merges", [])
     if not isinstance(vocab_map, dict) or not isinstance(merge_list, list):
@@ -434,6 +440,8 @@ def load_gpt2_tokenizer(vocab_path, merges_path) -> Tokenizer:
             raw_vocab = json.load(fh)
         except json.JSONDecodeError as e:
             raise TokenizerError(f"vocab file is not valid JSON: {e}") from None
+        except RecursionError:
+            raise TokenizerError("vocab file is nested too deeply") from None
     if not isinstance(raw_vocab, dict):
         raise TokenizerError("vocab file must map token strings to ids")
     vocab = _vocab_from_map(raw_vocab, _gpt2_str_to_bytes)

@@ -101,10 +101,11 @@ def _read_byte_input(args) -> bytes:
 
 def _parse_ids(args) -> list[int]:
     text = _read_text_input(args)
-    try:
-        ids = [int(f) for f in text.split()]
-    except ValueError:
-        raise CliError(f"token ids must be space-separated decimals, got {text!r}") from None
+    fields = text.split()
+    # int() would also read signs, underscores and other scripts' digits
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        raise CliError(f"token ids must be space-separated decimals, got {text!r}")
+    ids = list(map(int, fields))
     if args.bos_id is not None and ids[:1] == [args.bos_id]:
         ids = ids[1:]
     return ids
@@ -321,17 +322,16 @@ def _add_artifact_flags(p, *, grammar=False, tokenizer=False, token_ids=False):
     if tokenizer:
         p.add_argument("--tokenizer", metavar="FILE", help="tokenizer file (native format)")
     if token_ids:
-        p.add_argument("--bos-id", type=int, default=None, metavar="ID",
+        p.add_argument("--bos-id", type=_at_least(0), default=None, metavar="ID",
                        help="strip this leading id from token input")
 
 
 def _at_least(low: int):
-    """argparse type for an integer count that must be >= *low*."""
+    """argparse type for an integer in ASCII digits that must be >= *low*."""
     def parse(text: str) -> int:
-        try:
-            n = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        n = int(text)
         if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
         return n
@@ -395,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="learn a BPE tokenizer from a corpus")
     p.add_argument("--corpus", required=True, metavar="FILE",
                    help="training corpus, one sample per line")
-    p.add_argument("--merges", required=True, type=int, help="number of merges to learn")
+    p.add_argument("--merges", required=True, type=_at_least(0),
+                   help="number of merges to learn")
     p.add_argument("--output", metavar="FILE", help="write tokenizer here (default: stdout)")
     p.add_argument("--bytes", action="store_true", help="corpus file is one raw-byte sample")
     p.set_defaults(func=cmd_train)

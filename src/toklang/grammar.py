@@ -11,6 +11,7 @@ usable as an oracle for token-level recognition.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal, NamedTuple
@@ -370,101 +371,67 @@ def add_leading_space(g: Grammar) -> Grammar:
 # may additionally write bare \xHH terminals.  The first rule's head is the
 # start symbol.
 
-_NAME_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_REST = _NAME_FIRST | set("0123456789'")
+_TOKEN = re.compile(r"""
+    (?P<SKIP> \s+ | \#[^\n]* )
+  | (?P<SEP> [|;] )
+  | (?P<ARROW> -> )
+  | (?P<NAME> [A-Za-z_][A-Za-z0-9_']* )
+  | (?P<STRING> " (?P<units> (?: [^"\\\n] | \\. )* ) "? )
+  | (?P<BYTE> \\x[0-9a-fA-F]{2} )
+  | (?P<OTHER> . )
+""", re.VERBOSE | re.DOTALL)
+_UNIT = re.compile(r"\\x([0-9a-fA-F]{2}) | \\(.) | (.)", re.VERBOSE | re.DOTALL)
 _STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
-def _scan(text: str):
-    """Lex grammar source into (kind, value, line, col) tuples."""
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+def _parse_error(text: str, offset: int, message: str) -> GrammarParseError:
+    """The error at *offset* of *text*, placed by 1-based line and column."""
+    return GrammarParseError(message, text.count("\n", 0, offset) + 1,
+                             offset - text.rfind("\n", 0, offset))
 
-    def bump(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
 
-    def hex_escape(el, ec) -> int:
-        # text[i] is the "x" of a \xHH escape whose backslash is at (el, ec)
-        bump()
-        hexpart = text[i:i + 2]
-        if len(hexpart) < 2 or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
-            raise GrammarParseError("\\x needs two hex digits", el, ec)
-        bump(2)
-        return int(hexpart, 16)
+def _string_units(text: str, m: re.Match) -> list[tuple[str, object]]:
+    """The units of the string literal *m*, ("ch", character) or ("esc", HH),
+    or its first fault; *m* lacks a closing quote where the text does."""
+    units: list[tuple[str, object]] = []
+    for u in _UNIT.finditer(text, m.start("units"), m.end("units")):
+        hexpair, escaped, plain = u.groups()
+        if hexpair:
+            units.append(("esc", int(hexpair, 16)))
+        elif plain is not None:
+            units.append(("ch", plain))
+        elif escaped in _STRING_ESCAPES:
+            units.append(("ch", _STRING_ESCAPES[escaped]))
+        else:
+            raise _parse_error(text, u.start(), "\\x needs two hex digits" if escaped == "x"
+                               else f"unknown escape \\{escaped}")
+    end = m.end()
+    if end == m.end("units"):
+        if text.startswith("\n", end):
+            raise _parse_error(text, end, "newline inside string literal")
+        if text.startswith("\\", end):
+            raise _parse_error(text, end, "dangling escape")
+        raise _parse_error(text, m.start(), "unterminated string literal")
+    return units
 
-    while i < n:
-        c = text[i]
-        if c == "#":
-            while i < n and text[i] != "\n":
-                bump()
-            continue
-        if c.isspace():
-            bump()
-            continue
-        if c in "|;":
-            toks.append((c, c, line, col))
-            bump()
-            continue
-        if text.startswith("->", i):
-            toks.append(("ARROW", "->", line, col))
-            bump(2)
-            continue
-        if c == '"':
-            sl, sc = line, col
-            bump()
-            units: list[tuple[str, object]] = []
-            while True:
-                if i >= n:
-                    raise GrammarParseError("unterminated string literal", sl, sc)
-                c = text[i]
-                if c == '"':
-                    bump()
-                    break
-                if c == "\\":
-                    el, ec = line, col
-                    bump()
-                    if i >= n:
-                        raise GrammarParseError("dangling escape", el, ec)
-                    e = text[i]
-                    if e == "x":
-                        units.append(("esc", hex_escape(el, ec)))
-                    elif e in _STRING_ESCAPES:
-                        bump()
-                        units.append(("ch", _STRING_ESCAPES[e]))
-                    else:
-                        raise GrammarParseError(f"unknown escape \\{e}", el, ec)
-                elif c == "\n":
-                    raise GrammarParseError("newline inside string literal", line, col)
-                else:
-                    units.append(("ch", c))
-                    bump()
-            toks.append(("STRING", units, sl, sc))
-            continue
-        if c == "\\":
-            sl, sc = line, col
-            bump()
-            if i < n and text[i] == "x":
-                toks.append(("BYTE", hex_escape(sl, sc), sl, sc))
-                continue
-            raise GrammarParseError("stray backslash", sl, sc)
-        if c in _NAME_FIRST:
-            sl, sc = line, col
-            j = i
-            while j < n and text[j] in _NAME_REST:
-                j += 1
-            toks.append(("NAME", text[i:j], sl, sc))
-            bump(j - i)
-            continue
-        raise GrammarParseError(f"unexpected character {c!r}", line, col)
-    toks.append(("EOF", "", line, col))
+
+def _lex(text: str) -> list[tuple[str, object, int]]:
+    """Grammar source as (kind, value, start offset) tokens, ending in EOF."""
+    toks: list[tuple[str, object, int]] = []
+    for m in _TOKEN.finditer(text):
+        kind, value, at = m.lastgroup, m[0], m.start()
+        if kind == "OTHER":
+            if value != "\\":
+                raise _parse_error(text, at, f"unexpected character {value!r}")
+            raise _parse_error(text, at, "\\x needs two hex digits"
+                               if text.startswith("x", at + 1) else "stray backslash")
+        if kind == "STRING":
+            value = _string_units(text, m)
+        elif kind == "BYTE":
+            value = int(value[2:], 16)
+        if kind != "SKIP":
+            toks.append((kind, value, at))
+    toks.append(("EOF", "", len(text)))
     return toks
 
 
@@ -472,85 +439,67 @@ def parse_grammar(text: str, alphabet_mode: AlphabetMode = "unicode") -> Grammar
     """Parse grammar source text.  The result is not yet reduced."""
     if alphabet_mode not in ("unicode", "byte"):
         raise GrammarError(f"unknown alphabet mode {alphabet_mode!r}")
-    toks = _scan(text)
-    pos = 0
+    toks = _lex(text)
+    if len(toks) == 1:
+        raise _parse_error(text, 0, "expected at least one rule")
+    i = 0
 
-    def peek():
-        return toks[pos]
-
-    def take(kind):
-        nonlocal pos
-        k, v, ln, cl = toks[pos]
-        if k != kind:
-            raise GrammarParseError(f"expected {kind}, found {v!r}", ln, cl)
-        pos += 1
-        return v, ln, cl
-
-    def literal_terms(units) -> list[int]:
-        terms: list[int] = []
-        for tag, val in units:
-            if tag == "esc":
-                terms.append(val)  # code point U+00HH or byte HH
-            elif alphabet_mode == "byte":
-                terms.extend(val.encode("utf-8"))
-            else:
-                terms.append(ord(val))
-        return terms
+    def expect(kind: str):
+        nonlocal i
+        found, value, at = toks[i]
+        if found != kind:
+            raise _parse_error(text, at, f"expected {kind}, found {value!r}")
+        i += 1
+        return value
 
     productions: list[Production] = []
-    heads: list[str] = []
-    refs: list[tuple[str, int, int]] = []
-
-    if peek()[0] == "EOF":
-        raise GrammarParseError("expected at least one rule", 1, 1)
-    while peek()[0] != "EOF":
-        head, _, _ = take("NAME")
-        if head not in heads:
-            heads.append(head)
-        take("ARROW")
+    heads: dict[str, None] = {}
+    refs: list[tuple[str, int]] = []
+    while toks[i][0] != "EOF":
+        head = expect("NAME")
+        heads[head] = None
+        expect("ARROW")
         body: list[str | int] = []
-        saw_symbol = False
+        alt_start = i
         while True:
-            k, v, ln, cl = peek()
-            if k == "NAME":
-                body.append(v)
-                refs.append((v, ln, cl))
-                saw_symbol = True
-                pos += 1
-            elif k == "STRING":
-                body.extend(literal_terms(v))
-                saw_symbol = True
-                pos += 1
-            elif k == "BYTE":
+            kind, value, at = toks[i]
+            i += 1
+            if kind == "NAME":
+                body.append(value)
+                refs.append((value, at))
+            elif kind == "STRING":
+                for tag, unit in value:
+                    if tag == "esc":
+                        body.append(unit)  # code point U+00HH or byte HH
+                    elif alphabet_mode == "byte":
+                        body.extend(unit.encode("utf-8"))
+                    else:
+                        body.append(ord(unit))
+            elif kind == "BYTE":
                 if alphabet_mode != "byte":
-                    raise GrammarParseError(
-                        "bare \\xHH terminals need byte alphabet mode", ln, cl)
-                body.append(v)
-                saw_symbol = True
-                pos += 1
-            elif k in ("|", ";"):
-                if not saw_symbol:
-                    raise GrammarParseError(
-                        'empty alternative; write "" for epsilon', ln, cl)
+                    raise _parse_error(
+                        text, at, "bare \\xHH terminals need byte alphabet mode")
+                body.append(value)
+            elif kind == "SEP":
+                if i - 1 == alt_start:
+                    raise _parse_error(text, at, 'empty alternative; write "" for epsilon')
                 productions.append(Production(head, tuple(body)))
                 body = []
-                saw_symbol = False
-                pos += 1
-                if k == ";":
+                alt_start = i
+                if value == ";":
                     break
             else:
-                raise GrammarParseError(f"unexpected {v!r} in rule body", ln, cl)
+                raise _parse_error(text, at, f"unexpected {value!r} in rule body")
 
-    declared = set(heads)
-    for name, ln, cl in refs:
-        if name not in declared:
-            raise GrammarParseError(f"undefined nonterminal {name}", ln, cl)
+    for name, at in refs:
+        if name not in heads:
+            raise _parse_error(text, at, f"undefined nonterminal {name}")
 
     return Grammar(
-        frozenset(declared),
+        frozenset(heads),
         alphabet_mode,
         tuple(dict.fromkeys(productions)),
-        heads[0],
+        next(iter(heads)),
     )
 
 

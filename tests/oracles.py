@@ -2,15 +2,24 @@
 package's chart recognizer and DP routines, except the loops that faster
 code replaced: ``allowed_by_trial`` (the per-token trial mask that the trie
 walk replaced), ``tokenize_by_rescan`` and ``train_by_recount`` (the BPE
-loops that the heap merge and the incremental counts replaced).  Only
-usable at toy scale."""
+loops that the heap merge and the incremental counts replaced), and
+``parse_grammar_by_scan`` (the character-by-character grammar reader that
+the regex lexer replaced).  Only usable at toy scale."""
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
 
-from toklang import Tokenizer, TokenizerError
+from toklang import (
+    Grammar,
+    GrammarError,
+    GrammarParseError,
+    Production,
+    Tokenizer,
+    TokenizerError,
+)
+from toklang.grammar import AlphabetMode
 
 
 def strings_up_to(g, max_len: int) -> set[tuple[int, ...]]:
@@ -208,3 +217,190 @@ def train_by_recount(corpus, num_merges: int) -> Tokenizer:
             seq[:] = out
 
     return Tokenizer(tuple(vocab), tuple(merges))
+
+
+# --- the grammar-file reader that tracked a line and column per character ---
+
+
+_NAME_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NAME_REST = _NAME_FIRST | set("0123456789'")
+_STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+
+
+def _scan(text: str):
+    """Lex grammar source into (kind, value, line, col) tuples."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def bump(k=1):
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    def hex_escape(el, ec) -> int:
+        # text[i] is the "x" of a \xHH escape whose backslash is at (el, ec)
+        bump()
+        hexpart = text[i:i + 2]
+        if len(hexpart) < 2 or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
+            raise GrammarParseError("\\x needs two hex digits", el, ec)
+        bump(2)
+        return int(hexpart, 16)
+
+    while i < n:
+        c = text[i]
+        if c == "#":
+            while i < n and text[i] != "\n":
+                bump()
+            continue
+        if c.isspace():
+            bump()
+            continue
+        if c in "|;":
+            toks.append((c, c, line, col))
+            bump()
+            continue
+        if text.startswith("->", i):
+            toks.append(("ARROW", "->", line, col))
+            bump(2)
+            continue
+        if c == '"':
+            sl, sc = line, col
+            bump()
+            units: list[tuple[str, object]] = []
+            while True:
+                if i >= n:
+                    raise GrammarParseError("unterminated string literal", sl, sc)
+                c = text[i]
+                if c == '"':
+                    bump()
+                    break
+                if c == "\\":
+                    el, ec = line, col
+                    bump()
+                    if i >= n:
+                        raise GrammarParseError("dangling escape", el, ec)
+                    e = text[i]
+                    if e == "x":
+                        units.append(("esc", hex_escape(el, ec)))
+                    elif e in _STRING_ESCAPES:
+                        bump()
+                        units.append(("ch", _STRING_ESCAPES[e]))
+                    else:
+                        raise GrammarParseError(f"unknown escape \\{e}", el, ec)
+                elif c == "\n":
+                    raise GrammarParseError("newline inside string literal", line, col)
+                else:
+                    units.append(("ch", c))
+                    bump()
+            toks.append(("STRING", units, sl, sc))
+            continue
+        if c == "\\":
+            sl, sc = line, col
+            bump()
+            if i < n and text[i] == "x":
+                toks.append(("BYTE", hex_escape(sl, sc), sl, sc))
+                continue
+            raise GrammarParseError("stray backslash", sl, sc)
+        if c in _NAME_FIRST:
+            sl, sc = line, col
+            j = i
+            while j < n and text[j] in _NAME_REST:
+                j += 1
+            toks.append(("NAME", text[i:j], sl, sc))
+            bump(j - i)
+            continue
+        raise GrammarParseError(f"unexpected character {c!r}", line, col)
+    toks.append(("EOF", "", line, col))
+    return toks
+
+
+def parse_grammar_by_scan(text: str, alphabet_mode: AlphabetMode = "unicode") -> Grammar:
+    """Parse grammar source text.  The result is not yet reduced."""
+    if alphabet_mode not in ("unicode", "byte"):
+        raise GrammarError(f"unknown alphabet mode {alphabet_mode!r}")
+    toks = _scan(text)
+    pos = 0
+
+    def peek():
+        return toks[pos]
+
+    def take(kind):
+        nonlocal pos
+        k, v, ln, cl = toks[pos]
+        if k != kind:
+            raise GrammarParseError(f"expected {kind}, found {v!r}", ln, cl)
+        pos += 1
+        return v, ln, cl
+
+    def literal_terms(units) -> list[int]:
+        terms: list[int] = []
+        for tag, val in units:
+            if tag == "esc":
+                terms.append(val)  # code point U+00HH or byte HH
+            elif alphabet_mode == "byte":
+                terms.extend(val.encode("utf-8"))
+            else:
+                terms.append(ord(val))
+        return terms
+
+    productions: list[Production] = []
+    heads: list[str] = []
+    refs: list[tuple[str, int, int]] = []
+
+    if peek()[0] == "EOF":
+        raise GrammarParseError("expected at least one rule", 1, 1)
+    while peek()[0] != "EOF":
+        head, _, _ = take("NAME")
+        if head not in heads:
+            heads.append(head)
+        take("ARROW")
+        body: list[str | int] = []
+        saw_symbol = False
+        while True:
+            k, v, ln, cl = peek()
+            if k == "NAME":
+                body.append(v)
+                refs.append((v, ln, cl))
+                saw_symbol = True
+                pos += 1
+            elif k == "STRING":
+                body.extend(literal_terms(v))
+                saw_symbol = True
+                pos += 1
+            elif k == "BYTE":
+                if alphabet_mode != "byte":
+                    raise GrammarParseError(
+                        "bare \\xHH terminals need byte alphabet mode", ln, cl)
+                body.append(v)
+                saw_symbol = True
+                pos += 1
+            elif k in ("|", ";"):
+                if not saw_symbol:
+                    raise GrammarParseError(
+                        'empty alternative; write "" for epsilon', ln, cl)
+                productions.append(Production(head, tuple(body)))
+                body = []
+                saw_symbol = False
+                pos += 1
+                if k == ";":
+                    break
+            else:
+                raise GrammarParseError(f"unexpected {v!r} in rule body", ln, cl)
+
+    declared = set(heads)
+    for name, ln, cl in refs:
+        if name not in declared:
+            raise GrammarParseError(f"undefined nonterminal {name}", ln, cl)
+
+    return Grammar(
+        frozenset(declared),
+        alphabet_mode,
+        tuple(dict.fromkeys(productions)),
+        heads[0],
+    )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +19,15 @@ from toklang import (
     train,
     unescape_bytes,
 )
-from toklang.toys import AAB_TOKENIZER_JSON, aab_tokenizer, byte_identity_tokenizer
+from toklang.bpe import _gpt2_byte_table
+from toklang.toys import (
+    AAB_TOKENIZER_JSON,
+    aab_tokenizer,
+    byte_identity_tokenizer,
+    letter_bracket_tokenizer,
+)
+
+DEEP_JSON = "[" * 100000 + "]" * 100000
 
 
 # --- construction and validation ----------------------------------------------
@@ -172,10 +184,10 @@ def test_escape_round_trip(data):
 def test_escape_specifics():
     assert escape_bytes(b"a\\b\x00") == "a\\x5cb\\x00"
     assert unescape_bytes("\\x41a") == b"Aa"
-    with pytest.raises(TokenizerError):
-        unescape_bytes("\\y00")
-    with pytest.raises(TokenizerError):
-        unescape_bytes("café")
+    # int(h, 16) reads the last four as 0x0f, 0x0f (eating the space) and 0x00
+    for text in ("\\y00", "café", "\\x f", "\\x+f", "\\xf ", "\\x-0"):
+        with pytest.raises(TokenizerError, match="escape|non-ASCII"):
+            unescape_bytes(text)
 
 
 # --- native file format ----------------------------------------------------------
@@ -199,13 +211,24 @@ def test_loads_rejects_bad_json():
 
 
 def test_loads_rejects_wrong_version():
-    with pytest.raises(TokenizerError, match="version"):
-        loads_tokenizer('{"version": 99, "vocab": {"a": 0}, "merges": []}')
+    for version in ("99", "true", "1.0"):  # true == 1.0 == 1 in Python
+        with pytest.raises(TokenizerError, match="version"):
+            loads_tokenizer(f'{{"version": {version}, "vocab": {{"a": 0}}, "merges": []}}')
+
+
+def test_loads_rejects_deep_nesting():
+    with pytest.raises(TokenizerError, match="^tokenizer file is nested too deeply$"):
+        loads_tokenizer(DEEP_JSON)
 
 
 def test_loads_rejects_noncontiguous_ids():
     with pytest.raises(TokenizerError, match="outside"):
         loads_tokenizer('{"version": 1, "vocab": {"a": 0, "b": 7}, "merges": []}')
+
+
+def test_loads_rejects_boolean_ids():
+    with pytest.raises(TokenizerError, match="token id False outside"):
+        loads_tokenizer('{"version": 1, "vocab": {"a": false, "b": true}, "merges": []}')
 
 
 def test_loads_rejects_duplicate_byte_spellings():
@@ -238,7 +261,6 @@ def test_loads_accepts_explicit_merge_output():
 
 
 def _write_gpt2_fixture(tmp_path):
-    from toklang.bpe import _gpt2_byte_table
     table = _gpt2_byte_table()
     vocab = {table[b]: b for b in range(256)}
     vocab[table[97] + table[98]] = 256                # "ab"
@@ -277,8 +299,14 @@ def test_gpt2_loader_rejects_bad_merge_line(tmp_path):
         load_gpt2_tokenizer(vocab_path, merges_path)
 
 
+def test_gpt2_loader_rejects_deep_nesting(tmp_path):
+    vocab_path, merges_path = _write_gpt2_fixture(tmp_path)
+    vocab_path.write_text(DEEP_JSON, encoding="utf-8")
+    with pytest.raises(TokenizerError, match="^vocab file is nested too deeply$"):
+        load_gpt2_tokenizer(vocab_path, merges_path)
+
+
 def test_gpt2_loader_rejects_merge_with_unknown_token(tmp_path):
-    from toklang.bpe import _gpt2_byte_table
     table = _gpt2_byte_table()
     vocab_path, merges_path = _write_gpt2_fixture(tmp_path)
     # "bc" is not in the fixture's vocabulary
@@ -288,3 +316,26 @@ def test_gpt2_loader_rejects_merge_with_unknown_token(tmp_path):
     with pytest.raises(TokenizerError,
                        match="merges line 3 references a token not in the vocabulary: 'bc'"):
         load_gpt2_tokenizer(vocab_path, merges_path)
+
+
+def test_real_vocab_demo_runs(tmp_path):
+    table = _gpt2_byte_table()
+    t = letter_bracket_tokenizer()
+
+    def spell(token_id):
+        return "".join(table[b] for b in t.vocab[token_id])
+
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_text(json.dumps({spell(i): i for i in range(len(t.vocab))}),
+                          encoding="utf-8")
+    merges_path = tmp_path / "merges.txt"
+    merges_path.write_text(
+        "#version: 0.2\n" + "".join(f"{spell(left)} {spell(right)}\n"
+                                    for left, right, _ in t.merges),
+        encoding="utf-8")
+    script = Path(__file__).parents[1] / "scripts" / "real_vocab_demo.py"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, str(script), str(vocab_path), str(merges_path)],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert proc.stdout.startswith(b"loaded 263 tokens, 7 merges\n")

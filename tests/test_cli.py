@@ -70,6 +70,34 @@ def test_detokenize_bad_ids_exit_2(files, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["detokenize", "\u0660"],            # ARABIC-INDIC DIGIT ZERO
+    ["detokenize", "0_0"],
+    ["detokenize", "+0"],
+    ["detokenize", "--bos-id", "\u0660", "0"],
+    ["detokenize", "--bos-id", "0_0", "0"],
+    ["detokenize", "--bos-id", "-1", "0"],
+], ids=["arabic_digit", "underscore", "sign", "bos_arabic_digit", "bos_underscore",
+        "bos_negative"])
+def test_ids_are_ascii_decimal_digits_only(files, capsys, argv):
+    try:
+        rc = main(argv + ["--tokenizer", files["aab"]])
+    except SystemExit as e:
+        rc = e.code
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.count("error: ") == 1
+
+
+def test_deeply_nested_tokenizer_file_exits_2(files, capsys):
+    deep = files["dir"] / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    rc = main(["tokenize", "--tokenizer", str(deep), "ab"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: tokenizer file is nested too deeply\n"
+
+
 # --- recognize -------------------------------------------------------------------
 
 
@@ -371,6 +399,8 @@ def test_crlf_files_read_as_text(files, capsys):
     ["sample", "--max-expansions", "0"],
     ["enumerate", "--limit", "0", "a"],
     ["enumerate", "--limit", "x", "a"],
+    ["train", "--corpus", os.devnull, "--merges", "-1"],
+    ["enumerate", "--limit", "\u0663", "a"],  # ARABIC-INDIC DIGIT THREE
 ])
 def test_out_of_range_counts_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as e:

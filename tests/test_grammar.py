@@ -24,6 +24,7 @@ from oracles import (
     balanced_brackets,
     bracket_prefix_viable,
     members_cut_at,
+    parse_grammar_by_scan,
     prefixes_of,
     strings_up_to,
 )
@@ -100,6 +101,50 @@ def test_parse_dedupes_and_allows_multiline():
 def test_parse_empty_alternative_is_an_error():
     with pytest.raises(GrammarParseError, match="epsilon"):
         parse_grammar('S -> | "a" ;')
+
+
+# The reader against the one it replaced: lexical pieces in any order, and
+# well-formed rule groups with one character inserted, replaced or deleted.
+
+_PIECES = ("->", "-", "|", ";", '"', "\\", "\\x", "\\x4", "\\x41", "\\q", "#", "\n", "\r",
+           "\xa0", " ", "S", "A", "b_1'", "你")
+_SYMBOLS = ("S", "A", "b_1'", '""', '"a"', '"\\x41\\n"', '"你\\""', "\\xff", "# note\n")
+
+
+def _rule_groups():
+    """One group for each name in _SYMBOLS, so that none is undefined."""
+    alternative = st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3).map(" ".join)
+    alternatives = st.lists(alternative, min_size=1, max_size=3).map(" | ".join)
+    return st.tuples(alternatives, alternatives, alternatives).map(lambda groups: "\n".join(
+        f"{head} -> {alts} ;" for head, alts in zip(("S", "A", "b_1'"), groups)))
+
+
+@st.composite
+def _edited_rule_groups(draw):
+    text = draw(_rule_groups())
+    at = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from(sorted(set("".join(_PIECES)))))
+    return draw(st.sampled_from(
+        [text[:at] + char + text[at:], text[:at] + char + text[at + 1:], text[:at] + text[at + 1:]]))
+
+
+def _outcome(parse, text, alphabet):
+    try:
+        return parse(text, alphabet)
+    except GrammarError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+                 _edited_rule_groups()))
+@example('S -> "a\\')                          # dangling escape
+@example('S -> "a\\\n" ;')                    # a backslash before a newline
+@example('S -> A ;\nA -> "\\x4" | \\x4 ;')     # \x4 in and out of a literal
+def test_parse_matches_the_scanning_reader(text):
+    for alphabet in ("unicode", "byte"):
+        assert _outcome(parse_grammar, text, alphabet) == \
+            _outcome(parse_grammar_by_scan, text, alphabet)
 
 
 def test_grammar_validation():
