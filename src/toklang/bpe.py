@@ -359,7 +359,7 @@ def _tokenizer_from(vocab: list[bytes], merges, source: str) -> Tokenizer:
 def loads_tokenizer(text: str) -> Tokenizer:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or a number past the digit limit
         raise TokenizerError(f"tokenizer file is not valid JSON: {e}") from None
     except RecursionError:
         raise TokenizerError("tokenizer file is nested too deeply") from None
@@ -436,12 +436,13 @@ def load_gpt2_tokenizer(vocab_path, merges_path) -> Tokenizer:
     original tokenizer's output on inputs its regex would have split.
     """
     with open(vocab_path, encoding="utf-8") as fh:
-        try:
-            raw_vocab = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise TokenizerError(f"vocab file is not valid JSON: {e}") from None
-        except RecursionError:
-            raise TokenizerError("vocab file is nested too deeply") from None
+        text = fh.read()
+    try:
+        raw_vocab = json.loads(text)
+    except ValueError as e:  # JSONDecodeError, or a number past the digit limit
+        raise TokenizerError(f"vocab file is not valid JSON: {e}") from None
+    except RecursionError:
+        raise TokenizerError("vocab file is nested too deeply") from None
     if not isinstance(raw_vocab, dict):
         raise TokenizerError("vocab file must map token strings to ids")
     vocab = _vocab_from_map(raw_vocab, _gpt2_str_to_bytes)

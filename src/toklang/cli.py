@@ -101,11 +101,9 @@ def _read_byte_input(args) -> bytes:
 
 def _parse_ids(args) -> list[int]:
     text = _read_text_input(args)
-    fields = text.split()
-    # int() would also read signs, underscores and other scripts' digits
-    if not all(f.isascii() and f.isdigit() for f in fields):
+    ids = [_ascii_int(f) for f in text.split()]
+    if None in ids:
         raise CliError(f"token ids must be space-separated decimals, got {text!r}")
-    ids = list(map(int, fields))
     if args.bos_id is not None and ids[:1] == [args.bos_id]:
         ids = ids[1:]
     return ids
@@ -326,14 +324,21 @@ def _add_artifact_flags(p, *, grammar=False, tokenizer=False, token_ids=False):
                        help="strip this leading id from token input")
 
 
+def _ascii_int(text: str) -> int | None:
+    """*text* as an int if it is ASCII decimal digits only, else None: int()
+    alone reads signs, spaces, underscores and other scripts' digits."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # past int()'s digit limit
+        return None
+
+
 def _at_least(low: int):
-    """argparse type for an integer in ASCII digits that must be >= *low*."""
+    """argparse type for an integer in ASCII digits that must be >= *low* >= 0."""
     def parse(text: str) -> int:
-        if not (text.isascii() and text.removeprefix("-").isdigit()):
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        n = int(text)
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        n = _ascii_int(text)
+        if n is None or n < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return n
     return parse
 

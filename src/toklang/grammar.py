@@ -14,6 +14,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Literal, NamedTuple
 
 AlphabetMode = Literal["unicode", "byte"]
@@ -532,17 +533,8 @@ def format_grammar(g: Grammar) -> str:
         if not body:
             return '""'
         parts: list[str] = []
-        run: list[int] = []
-        for sym in body:
-            if isinstance(sym, int):
-                run.append(sym)
-            else:
-                if run:
-                    parts.append(_quote_terminals(run, g.alphabet))
-                    run = []
-                parts.append(sym)
-        if run:
-            parts.append(_quote_terminals(run, g.alphabet))
+        for terminals, run in groupby(body, key=lambda sym: isinstance(sym, int)):
+            parts.extend([_quote_terminals(run, g.alphabet)] if terminals else run)
         return " ".join(parts)
 
     lines = []

@@ -221,6 +221,11 @@ def test_loads_rejects_deep_nesting():
         loads_tokenizer(DEEP_JSON)
 
 
+def test_loads_rejects_number_past_digit_limit():
+    with pytest.raises(TokenizerError, match="^tokenizer file is not valid JSON: "):
+        loads_tokenizer(f'{{"version": {"1" * 5000}, "vocab": {{"a": 0}}, "merges": []}}')
+
+
 def test_loads_rejects_noncontiguous_ids():
     with pytest.raises(TokenizerError, match="outside"):
         loads_tokenizer('{"version": 1, "vocab": {"a": 0, "b": 7}, "merges": []}')
@@ -303,6 +308,13 @@ def test_gpt2_loader_rejects_deep_nesting(tmp_path):
     vocab_path, merges_path = _write_gpt2_fixture(tmp_path)
     vocab_path.write_text(DEEP_JSON, encoding="utf-8")
     with pytest.raises(TokenizerError, match="^vocab file is nested too deeply$"):
+        load_gpt2_tokenizer(vocab_path, merges_path)
+
+
+def test_gpt2_loader_rejects_number_past_digit_limit(tmp_path):
+    vocab_path, merges_path = _write_gpt2_fixture(tmp_path)
+    vocab_path.write_text(f'{{"a": {"1" * 5000}}}', encoding="utf-8")
+    with pytest.raises(TokenizerError, match="^vocab file is not valid JSON: "):
         load_gpt2_tokenizer(vocab_path, merges_path)
 
 

@@ -77,8 +77,10 @@ def test_detokenize_bad_ids_exit_2(files, capsys):
     ["detokenize", "--bos-id", "\u0660", "0"],
     ["detokenize", "--bos-id", "0_0", "0"],
     ["detokenize", "--bos-id", "-1", "0"],
+    ["detokenize", "--bos-id", "-0", "0"],
+    ["detokenize", "1" * 5000],          # past int()'s digit limit
 ], ids=["arabic_digit", "underscore", "sign", "bos_arabic_digit", "bos_underscore",
-        "bos_negative"])
+        "bos_negative", "bos_minus_zero", "past_digit_limit"])
 def test_ids_are_ascii_decimal_digits_only(files, capsys, argv):
     try:
         rc = main(argv + ["--tokenizer", files["aab"]])
@@ -401,6 +403,8 @@ def test_crlf_files_read_as_text(files, capsys):
     ["enumerate", "--limit", "x", "a"],
     ["train", "--corpus", os.devnull, "--merges", "-1"],
     ["enumerate", "--limit", "\u0663", "a"],  # ARABIC-INDIC DIGIT THREE
+    ["sample", "--count", "-0"],
+    ["train", "--corpus", os.devnull, "--merges", "-0"],
 ])
 def test_out_of_range_counts_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as e:
