@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw member strings from a grammar")
     _add_artifact_flags(p, grammar=True)
     p.add_argument("--count", type=_at_least(0), default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--max-expansions", type=_at_least(1), default=200,
                    help="derivation budget per attempt (default: 200)")
     _add_io_flags(p, input_arg=False)
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_at_least(0), default=None,
                    help="random pairs (homomorphism, default 10000) or max length "
                         "(equivalence 5, partition 8)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     _add_io_flags(p, input_arg=False)
     p.set_defaults(func=cmd_verify)
 

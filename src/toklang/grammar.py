@@ -94,6 +94,10 @@ class Grammar:
         return frozenset(_deriving(self.productions, terminals=False))
 
     @cached_property
+    def _predictions(self) -> "_Predictions":
+        return _Predictions(self)
+
+    @cached_property
     def terminals_used(self) -> frozenset[int]:
         """Terminal values appearing in some production body."""
         return frozenset(
@@ -109,6 +113,38 @@ class Grammar:
         if not self.reduced:
             raise GrammarError("emptiness is only decided on reduced grammars")
         return not self._rules_by_head[self.start]
+
+
+class _Predictions(dict):
+    """For each nonterminal X, the nonterminals that predicting X reaches,
+    X included, each as ``(nonterminal, wait entries)``; an entry is
+    ``(symbol, (rule, dot, None))``, dots stepped over a nullable prefix and
+    completed items left out.  A closure is computed on its first lookup, so
+    a grammar pays only for the nonterminals its inputs predict."""
+
+    def __init__(self, g: Grammar):
+        super().__init__()
+        self._entries: dict[str, tuple] = {}
+        self._calls: dict[str, list[str]] = {}
+        for n, rules in g._rules_by_head.items():
+            own: list[tuple[str | int, tuple]] = []
+            for r in rules:
+                for dot, sym in enumerate(g.productions[r].body):
+                    own.append((sym, (r, dot, None)))
+                    if sym not in g._nullable:
+                        break
+            self._entries[n] = (n, tuple(own))
+            self._calls[n] = [sym for sym, _ in own if isinstance(sym, str)]
+
+    def __missing__(self, n: str) -> tuple:
+        order, reached = [n], {n}
+        for m in order:  # grows while it is walked
+            for c in self._calls[m]:
+                if c not in reached:
+                    reached.add(c)
+                    order.append(c)
+        closure = self[n] = tuple(self._entries[m] for m in order)
+        return closure
 
 
 def as_terminals(g: Grammar, w) -> tuple[int, ...]:
@@ -138,65 +174,133 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # position never refers to itself, so it is freed by reference counting once
 # no pending item names it.  A finalized position keeps its index, its items
 # keyed by the symbol after their dot, and an accept flag.  Positions never
-# mutate once built, so clones share them.
+# mutate once built, except for a memo that only caches what they imply, so
+# clones share them.
+#
+# Two shortcuts cut the work per position.  The items predicted at a
+# position (origin None) depend only on the nonterminals predicted there, so
+# each nonterminal's prediction closure is computed once per grammar
+# (``Grammar._predictions``, after Aycock and Horspool, "Practical Earley
+# Parsing", 2002) and merged into ``wait`` whole; only kernel items, those
+# with an origin, are processed one by one.  And a completion whose origin
+# has exactly one item waiting on the head, as the last symbol of its body
+# and with an origin of its own, would complete that item in turn: the
+# completer follows such a deterministic reduction path to its topmost item
+# at once and adds that item alone (J. Leo, TCS 1991), so right recursion
+# costs a constant per terminal instead of the depth of the open spine.
+# Each step of a path moves to a strictly earlier origin and position 0
+# holds only predicted items, so paths end, and a topmost item carries the
+# real origin the accept test reads.  The plain chart without either
+# shortcut is kept in tests/oracles.py as the reference the property tests
+# compare with.
 
 
 class _Position:
-    __slots__ = ("index", "wait", "accepting")
+    __slots__ = ("index", "wait", "accepting", "leo")
 
     def __init__(self, index: int):
         self.index = index
         self.wait: dict[str | int, list[tuple]] = {}
         self.accepting = False
+        # nonterminal -> topmost item of its reduction path from here, or ()
+        self.leo: dict[str, tuple] = {}
 
 
-def _close(g: Grammar, pos: _Position, seeds) -> None:
-    """Fill *pos* with the predictor/completer closure of *seeds*; a nullable
-    is stepped over as it is predicted (Aycock–Horspool), so a completion
-    that starts at *pos* adds nothing."""
+def _close(g: Grammar, pos: _Position, seeds) -> int:
+    """Fill *pos* with the closure of the kernel items *seeds* and return
+    how many kernel items it processed.  Predicted items come in whole from
+    ``g._predictions``, nullables stepped over and completed ones left out:
+    a completion that starts at *pos* adds nothing."""
     rules = g.productions
-    by_head = g._rules_by_head
+    predictions = g._predictions
     nullable = g._nullable
     start = g.start
 
-    items: list[tuple] = []
-    seen: set[tuple] = set()
+    items = list(seeds)
+    seen = set(items)
+    predicted: set[str] = set()
     wait = pos.wait
 
-    def add(item):
-        if item not in seen:
-            seen.add(item)
-            items.append(item)
-
-    for s in seeds:
-        add(s)
-
-    i = 0
-    while i < len(items):
-        item = items[i]
-        i += 1
+    for item in items:
         rule, dot, origin = item
-        body = rules[rule].body
+        head, body = rules[rule]
         if dot < len(body):
             sym = body[dot]
-            wait.setdefault(sym, []).append(item)
-            if isinstance(sym, str):
-                for r2 in by_head[sym]:
-                    add((r2, 0, None))
+            waiters = wait.get(sym)
+            if waiters is None:
+                wait[sym] = [item]
+            else:
+                waiters.append(item)
+            if sym.__class__ is str:
+                if sym not in predicted:
+                    _predict(wait, predicted, predictions[sym])
                 if sym in nullable:
-                    add((rule, dot + 1, origin))
-        elif origin is not None:
-            head = rules[rule].head
-            # a waiter with origin None was predicted at *origin*
-            for r2, d2, o2 in origin.wait.get(head, ()):
-                add((r2, d2 + 1, origin if o2 is None else o2))
-            if head == start and origin.index == 0:
-                pos.accepting = True
+                    item = (rule, dot + 1, origin)
+                    if item not in seen:
+                        seen.add(item)
+                        items.append(item)
+            continue
+        top = origin.leo.get(head)
+        if top is None:
+            top = _leo_top(rules, origin, head)
+        if top:
+            if top not in seen:
+                seen.add(top)
+                items.append(top)
+            continue
+        # a waiter with origin None was predicted at *origin*
+        for r2, d2, o2 in origin.wait.get(head, ()):
+            item = (r2, d2 + 1, origin if o2 is None else o2)
+            if item not in seen:
+                seen.add(item)
+                items.append(item)
+        if head == start and origin.index == 0:
+            pos.accepting = True
+    return len(items)
+
+
+def _predict(wait: dict, predicted: set[str], closure) -> None:
+    """Merge the wait entries of a prediction closure into *wait*, skipping
+    the nonterminals already in *predicted*."""
+    for n, entries in closure:
+        if n not in predicted:
+            predicted.add(n)
+            for sym, item in entries:
+                waiters = wait.get(sym)
+                if waiters is None:
+                    wait[sym] = [item]
+                else:
+                    waiters.append(item)
+
+
+def _leo_top(rules, pos: _Position, head: str) -> tuple:
+    """The topmost item of the deterministic reduction path that completing
+    *head* from *pos* starts, or () if there is none; memoized along the
+    path on each position's ``leo``."""
+    path = []
+    while True:
+        top = pos.leo.get(head)
+        if top is not None:
+            break
+        waiters = pos.wait.get(head, ())
+        if len(waiters) == 1:
+            rule, dot, origin = waiters[0]
+            above, body = rules[rule]
+            if origin is not None and dot + 1 == len(body):
+                path.append((pos, head, (rule, dot + 1, origin)))
+                pos, head = origin, above
+                continue
+        top = pos.leo[head] = ()
+        break
+    for pos, head, item in reversed(path):
+        top = top or item
+        pos.leo[head] = top
+    return top
 
 
 def _initial_position(g: Grammar) -> _Position:
     pos = _Position(0)
-    _close(g, pos, [(r, 0, None) for r in g._rules_by_head[g.start]])
+    _predict(pos.wait, set(), g._predictions[g.start])
     pos.accepting = g.start in g._nullable
     return pos
 

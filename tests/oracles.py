@@ -2,9 +2,12 @@
 package's chart recognizer and DP routines, except the loops that faster
 code replaced: ``allowed_by_trial`` (the per-token trial mask that the trie
 walk replaced), ``tokenize_by_rescan`` and ``train_by_recount`` (the BPE
-loops that the heap merge and the incremental counts replaced), and
+loops that the heap merge and the incremental counts replaced),
 ``parse_grammar_by_scan`` (the character-by-character grammar reader that
-the regex lexer replaced).  Only usable at toy scale."""
+the regex lexer replaced), and the reference chart ``initial_position`` /
+``advance`` (the Earley closure that predicts item by item and walks every
+completion's waiters, which the per-grammar prediction closures and Leo
+items replaced).  Only usable at toy scale."""
 
 from __future__ import annotations
 
@@ -217,6 +220,88 @@ def train_by_recount(corpus, num_merges: int) -> Tokenizer:
             seq[:] = out
 
     return Tokenizer(tuple(vocab), tuple(merges))
+
+
+# --- the chart that predicted item by item and walked every completion ---
+#
+# Items and positions as in toklang.grammar: an item is (rule index, dot,
+# origin), origin None while the item sits at the position that predicted it.
+
+
+class _Position:
+    __slots__ = ("index", "wait", "accepting")
+
+    def __init__(self, index: int):
+        self.index = index
+        self.wait: dict[str | int, list[tuple]] = {}
+        self.accepting = False
+
+
+def _close(g: Grammar, pos: _Position, seeds) -> None:
+    """Fill *pos* with the predictor/completer closure of *seeds*; a nullable
+    is stepped over as it is predicted (Aycock–Horspool), so a completion
+    that starts at *pos* adds nothing."""
+    rules = g.productions
+    by_head = g._rules_by_head
+    nullable = g._nullable
+    start = g.start
+
+    items: list[tuple] = []
+    seen: set[tuple] = set()
+    wait = pos.wait
+
+    def add(item):
+        if item not in seen:
+            seen.add(item)
+            items.append(item)
+
+    for s in seeds:
+        add(s)
+
+    i = 0
+    while i < len(items):
+        item = items[i]
+        i += 1
+        rule, dot, origin = item
+        body = rules[rule].body
+        if dot < len(body):
+            sym = body[dot]
+            wait.setdefault(sym, []).append(item)
+            if isinstance(sym, str):
+                for r2 in by_head[sym]:
+                    add((r2, 0, None))
+                if sym in nullable:
+                    add((rule, dot + 1, origin))
+        elif origin is not None:
+            head = rules[rule].head
+            # a waiter with origin None was predicted at *origin*
+            for r2, d2, o2 in origin.wait.get(head, ()):
+                add((r2, d2 + 1, origin if o2 is None else o2))
+            if head == start and origin.index == 0:
+                pos.accepting = True
+
+
+def initial_position(g: Grammar) -> _Position:
+    pos = _Position(0)
+    _close(g, pos, [(r, 0, None) for r in g._rules_by_head[g.start]])
+    pos.accepting = g.start in g._nullable
+    return pos
+
+
+def advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
+    waiters = last.wait.get(terminal)
+    if not waiters:
+        return None
+    pos = _Position(last.index + 1)
+    _close(g, pos, [(r, d + 1, last if o is None else o) for r, d, o in waiters])
+    return pos
+
+
+def wait_sets(pos) -> dict[str | int, set[tuple]]:
+    """A position's wait map with each item's origin read as its index (the
+    position itself for None), so the positions of two charts compare."""
+    return {sym: {(r, d, pos.index if o is None else o.index) for r, d, o in items}
+            for sym, items in pos.wait.items()}
 
 
 # --- the grammar-file reader that tracked a line and column per character ---

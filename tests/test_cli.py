@@ -405,6 +405,10 @@ def test_crlf_files_read_as_text(files, capsys):
     ["enumerate", "--limit", "\u0663", "a"],  # ARABIC-INDIC DIGIT THREE
     ["sample", "--count", "-0"],
     ["train", "--corpus", os.devnull, "--merges", "-0"],
+    ["sample", "--seed", "\u0663"],
+    ["sample", "--seed", "1_0"],
+    ["verify", "--suite", "partition", "--seed", "+3"],
+    ["verify", "--suite", "partition", "--seed", "-0"],
 ])
 def test_out_of_range_counts_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as e:

@@ -5,6 +5,8 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import toklang.grammar
+
 from toklang import (
     Grammar,
     GrammarError,
@@ -21,12 +23,15 @@ from toklang import (
 from toklang.toys import DYCK_GRAMMAR_TEXT, dyck_grammar, dyck_letters_grammar
 
 from oracles import (
+    advance,
     balanced_brackets,
     bracket_prefix_viable,
+    initial_position,
     members_cut_at,
     parse_grammar_by_scan,
     prefixes_of,
     strings_up_to,
+    wait_sets,
 )
 
 
@@ -255,6 +260,46 @@ def test_recognize_left_recursion_with_epsilon():
     assert not recognize(g2, "+n")
 
 
+def test_recognize_deep_right_recursion():
+    # 5000 nested completions, followed by a loop rather than by recursion
+    g = reduce_grammar(parse_grammar('S -> "a" S | "b" ;', "byte"))
+    assert recognize(g, b"a" * 5000 + b"b")
+    assert not recognize(g, b"a" * 5000)
+
+
+def kernel_items(monkeypatch) -> list[int]:
+    """Record, from now on, how many kernel items each chart position took."""
+    counts: list[int] = []
+    close = toklang.grammar._close
+
+    def counted(g, pos, seeds):
+        counts.append(close(g, pos, seeds))
+        return counts[-1]
+
+    monkeypatch.setattr(toklang.grammar, "_close", counted)
+    return counts
+
+
+def test_dyck_chart_work_per_byte_is_flat(monkeypatch):
+    # completing a "]" jumps to the top of the open spine instead of walking it
+    counts = kernel_items(monkeypatch)
+    per_advance = []
+    for n in (100, 1000):
+        counts.clear()
+        assert recognize(dyck_grammar(), b"[]" * n)
+        per_advance.append((max(counts), counts[-2:]))
+    assert per_advance[0] == per_advance[1]
+
+
+def test_prediction_closures_are_built_on_demand():
+    # a left-corner chain of 2000 nonterminals: one closure, the start's, is used
+    n = 2000
+    g = _grammar(" ".join(f'A{i} -> A{i + 1} "x" | "y" ;' for i in range(n)) + f' A{n} -> "z" ;')
+    assert recognize(g, b"y" + b"x" * 5)
+    assert recognize(g, b"z" + b"x" * n)
+    assert list(g._predictions) == ["A0"]
+
+
 # --- sessions ----------------------------------------------------------------
 
 
@@ -373,9 +418,29 @@ def _grammar(text):
 @example(_grammar('S -> A | "a" ; A -> B | "b" ; B -> S ;'))    # unit cycle
 @example(_grammar('S -> "a" A ; A -> "b" B B ; B -> "a" "b" "b" ;'))  # long completions
 @example(_grammar("S -> S ;"))                                   # empty language
+@example(_grammar('S -> "a" S | "" ;'))         # the accept sits on a Leo top at origin 0
+@example(_grammar('S -> A ; A -> "a" A | B ; B -> "b" B | "" ;'))  # chained right recursion
 def test_chart_matches_oracles_on_generated_grammars(g):
     members = strings_up_to(g, 5)
     viable = prefixes_of(members_cut_at(g, 5))
+
+    def step(ref, t, consumed):
+        # a reference walk is its last position and died_at, as in a session
+        last, died = ref
+        if died is not None:
+            return ref
+        nxt = advance(g, last, t)
+        return (last, consumed) if nxt is None else (nxt, None)
+
+    def check_reference(session, ref):
+        # the reference chart: the same verdicts and the same items
+        ref_last, ref_died = ref
+        assert session.live == (ref_died is None)
+        assert session.died_at == ref_died
+        assert session.accepts() == (ref_died is None and ref_last.accepting)
+        assert session.expected() == {k for k in ref_last.wait if isinstance(k, int)}
+        assert session._last.accepting == ref_last.accepting
+        assert wait_sets(session._last) == wait_sets(ref_last)
 
     def check(prefix, session):
         # the first cut of the prefix that is not viable: died_at is the byte
@@ -394,14 +459,17 @@ def test_chart_matches_oracles_on_generated_grammars(g):
         assert all(o is None or o.index < last.index
                    for items in last.wait.values() for _, _, o in items)
 
-    def walk(prefix, session):
+    def walk(prefix, session, ref):
         check(prefix, session)
+        check_reference(session, ref)
         if len(prefix) < 5:
             for t in (_A, _B):
-                walk(prefix + (t,), session.clone().feed(t))
+                walk(prefix + (t,), session.clone().feed(t), step(ref, t, len(prefix)))
             check(prefix, session)  # its clones took other suffixes; it did not move
+            check_reference(session, ref)
 
-    walk((), RecognitionSession(g))
+    walk((), RecognitionSession(g),
+         (initial_position(g), 0 if g.is_empty_language else None))
 
 
 def _retained_bytes(g, data: bytes, collect: bool = True) -> int:

@@ -22,7 +22,7 @@ from toklang.toys import (
 )
 
 from oracles import allowed_by_trial, members_cut_at, strings_up_to
-from test_grammar import small_grammars
+from test_grammar import kernel_items, small_grammars
 
 toy_ids = st.lists(st.sampled_from([1, 2, 3, 4, 5]), max_size=6)
 
@@ -280,6 +280,20 @@ def test_mask_advances_each_shared_prefix_once(monkeypatch):
     assert len(calls) <= 31  # trying each token's bytes took 783
     monkeypatch.undo()
     assert mask == allowed_by_trial(session) == {0x5B} | set(range(256, 287))
+
+
+def test_mask_chart_work_is_flat_in_the_prefix(rec, monkeypatch):
+    # "]" and "]]" close the last "[": each advance costs the same at any depth
+    costs = []
+    for n in (2000, 8000):
+        session = rec.open_session()
+        for tid in [1, 2] * n + [1]:  # "[" and "]"
+            session.feed(tid)
+        counts = kernel_items(monkeypatch)
+        assert session.allowed_next_tokens() == {1, 2, 3, 4}  # not "]]"
+        costs.append(sum(counts))
+        monkeypatch.undo()
+    assert costs[0] == costs[1]
 
 
 def test_session_clone_forks(rec):
