@@ -98,6 +98,10 @@ class Grammar:
         return _Predictions(self)
 
     @cached_property
+    def _tables(self) -> "_PredictionTables":
+        return _PredictionTables(self)
+
+    @cached_property
     def terminals_used(self) -> frozenset[int]:
         """Terminal values appearing in some production body."""
         return frozenset(
@@ -120,7 +124,8 @@ class _Predictions(dict):
     X included, each as ``(nonterminal, wait entries)``; an entry is
     ``(symbol, (rule, dot, None))``, dots stepped over a nullable prefix and
     completed items left out.  A closure is computed on its first lookup, so
-    a grammar pays only for the nonterminals its inputs predict."""
+    a grammar pays only for the nonterminals its inputs predict; the
+    prediction tables of chart positions are built from them."""
 
     def __init__(self, g: Grammar):
         super().__init__()
@@ -147,18 +152,44 @@ class _Predictions(dict):
         return closure
 
 
+class _PredictionTables(dict):
+    """For each set of nonterminals that the kernel items of a chart position
+    wait on, the items predicted there, the union of their closures in
+    ``Grammar._predictions``, as one read-only table ``{symbol: tuple of
+    (rule, dot, None)}`` that every position with that set shares.  A table
+    is built on its first lookup, so a grammar holds one per set its inputs
+    meet."""
+
+    def __init__(self, g: Grammar):
+        super().__init__()
+        self._predictions = g._predictions
+
+    def __missing__(self, key: frozenset) -> dict:
+        table: dict[str | int, list[tuple]] = {}
+        reached: set[str] = set()
+        for n in sorted(key):
+            for m, entries in self._predictions[n]:
+                if m not in reached:
+                    reached.add(m)
+                    for sym, item in entries:
+                        table.setdefault(sym, []).append(item)
+        frozen = self[key] = {sym: tuple(items) for sym, items in table.items()}
+        return frozen
+
+
 def as_terminals(g: Grammar, w) -> tuple[int, ...]:
     """Coerce *w* to a tuple of terminal ints for *g*'s alphabet.
 
     Accepts str (code points in unicode mode, UTF-8 bytes in byte mode),
-    bytes, or any iterable of ints; validates every terminal.
+    bytes, or any iterable of ints; validates every terminal that is not a
+    byte given to a byte grammar.
     """
-    if isinstance(w, str):
-        terms = tuple(w.encode("utf-8")) if g.alphabet == "byte" else tuple(map(ord, w))
-    elif isinstance(w, (bytes, bytearray)):
+    if isinstance(w, (bytes, bytearray)):
         if g.alphabet != "byte":
             raise GrammarError("byte input given to a unicode-alphabet grammar")
-        terms = tuple(w)
+        return tuple(w)  # byte terminals by construction
+    if isinstance(w, str):
+        terms = tuple(w.encode("utf-8")) if g.alphabet == "byte" else tuple(map(ord, w))
     else:
         terms = tuple(w)
     for t in terms:
@@ -178,11 +209,14 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # clones share them.
 #
 # Two shortcuts cut the work per position.  The items predicted at a
-# position (origin None) depend only on the nonterminals predicted there, so
-# each nonterminal's prediction closure is computed once per grammar
-# (``Grammar._predictions``, after Aycock and Horspool, "Practical Earley
-# Parsing", 2002) and merged into ``wait`` whole; only kernel items, those
-# with an origin, are processed one by one.  And a completion whose origin
+# position (origin None) depend only on the nonterminals its kernel items,
+# those with an origin, wait on.  So a position keeps its kernel items in
+# ``wait`` and points ``pred`` at a read-only table of the predicted ones,
+# shared by every position that predicts the same nonterminals and built
+# once per grammar from the nonterminals' prediction closures
+# (``Grammar._tables`` and ``Grammar._predictions``, after Aycock and
+# Horspool, "Practical Earley Parsing", 2002); only kernel items are
+# processed one by one, and none is copied.  And a completion whose origin
 # has exactly one item waiting on the head, as the last symbol of its body
 # and with an origin of its own, would complete that item in turn: the
 # completer follows such a deterministic reduction path to its topmost item
@@ -196,11 +230,12 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 
 
 class _Position:
-    __slots__ = ("index", "wait", "accepting", "leo")
+    __slots__ = ("index", "wait", "pred", "accepting", "leo")
 
     def __init__(self, index: int):
         self.index = index
-        self.wait: dict[str | int, list[tuple]] = {}
+        self.wait: dict[str | int, list[tuple]] = {}  # kernel items only
+        self.pred: dict[str | int, tuple] = {}  # a shared table, never mutated
         self.accepting = False
         # nonterminal -> topmost item of its reduction path from here, or ()
         self.leo: dict[str, tuple] = {}
@@ -208,11 +243,11 @@ class _Position:
 
 def _close(g: Grammar, pos: _Position, seeds) -> int:
     """Fill *pos* with the closure of the kernel items *seeds* and return
-    how many kernel items it processed.  Predicted items come in whole from
-    ``g._predictions``, nullables stepped over and completed ones left out:
-    a completion that starts at *pos* adds nothing."""
+    how many kernel items it processed.  The predicted items are those of
+    the table for the nonterminals the kernel items wait on, nullables
+    stepped over and completed ones left out: a completion that starts at
+    *pos* adds nothing, so none here reads *pos*'s own table."""
     rules = g.productions
-    predictions = g._predictions
     nullable = g._nullable
     start = g.start
 
@@ -232,8 +267,7 @@ def _close(g: Grammar, pos: _Position, seeds) -> int:
             else:
                 waiters.append(item)
             if sym.__class__ is str:
-                if sym not in predicted:
-                    _predict(wait, predicted, predictions[sym])
+                predicted.add(sym)
                 if sym in nullable:
                     item = (rule, dot + 1, origin)
                     if item not in seen:
@@ -248,29 +282,20 @@ def _close(g: Grammar, pos: _Position, seeds) -> int:
                 seen.add(top)
                 items.append(top)
             continue
-        # a waiter with origin None was predicted at *origin*
         for r2, d2, o2 in origin.wait.get(head, ()):
-            item = (r2, d2 + 1, origin if o2 is None else o2)
+            item = (r2, d2 + 1, o2)
+            if item not in seen:
+                seen.add(item)
+                items.append(item)
+        for r2, d2, _ in origin.pred.get(head, ()):  # predicted at *origin*
+            item = (r2, d2 + 1, origin)
             if item not in seen:
                 seen.add(item)
                 items.append(item)
         if head == start and origin.index == 0:
             pos.accepting = True
+    pos.pred = g._tables[frozenset(predicted)]
     return len(items)
-
-
-def _predict(wait: dict, predicted: set[str], closure) -> None:
-    """Merge the wait entries of a prediction closure into *wait*, skipping
-    the nonterminals already in *predicted*."""
-    for n, entries in closure:
-        if n not in predicted:
-            predicted.add(n)
-            for sym, item in entries:
-                waiters = wait.get(sym)
-                if waiters is None:
-                    wait[sym] = [item]
-                else:
-                    waiters.append(item)
 
 
 def _leo_top(rules, pos: _Position, head: str) -> tuple:
@@ -283,10 +308,10 @@ def _leo_top(rules, pos: _Position, head: str) -> tuple:
         if top is not None:
             break
         waiters = pos.wait.get(head, ())
-        if len(waiters) == 1:
+        if len(waiters) == 1 and head not in pos.pred:
             rule, dot, origin = waiters[0]
             above, body = rules[rule]
-            if origin is not None and dot + 1 == len(body):
+            if dot + 1 == len(body):
                 path.append((pos, head, (rule, dot + 1, origin)))
                 pos, head = origin, above
                 continue
@@ -300,17 +325,21 @@ def _leo_top(rules, pos: _Position, head: str) -> tuple:
 
 def _initial_position(g: Grammar) -> _Position:
     pos = _Position(0)
-    _predict(pos.wait, set(), g._predictions[g.start])
+    pos.pred = g._tables[frozenset((g.start,))]
     pos.accepting = g.start in g._nullable
     return pos
 
 
 def _advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
-    waiters = last.wait.get(terminal)
-    if not waiters:
+    kernel = last.wait.get(terminal, ())
+    predicted = last.pred.get(terminal, ())
+    if not (kernel or predicted):
         return None
     pos = _Position(last.index + 1)
-    _close(g, pos, [(r, d + 1, last if o is None else o) for r, d, o in waiters])
+    seeds = [(r, d + 1, o) for r, d, o in kernel]
+    if predicted:
+        seeds += [(r, d + 1, last) for r, d, _ in predicted]
+    _close(g, pos, seeds)
     return pos
 
 
@@ -358,7 +387,8 @@ class RecognitionSession:
     def expected(self) -> frozenset[int]:
         """The terminals ``feed`` would accept next; once dead, those it
         expected at ``died_at``."""
-        return frozenset(k for k in self._last.wait if isinstance(k, int))
+        last = self._last
+        return frozenset((last.wait.keys() | last.pred.keys()) - self.grammar.nonterminals)
 
     def feed(self, terminal: int) -> "RecognitionSession":
         if not _valid_terminal(terminal, self.grammar.alphabet):
@@ -546,14 +576,20 @@ def parse_grammar(text: str, alphabet_mode: AlphabetMode = "unicode") -> Grammar
         raise GrammarError(f"unknown alphabet mode {alphabet_mode!r}")
     toks = _lex(text)
     if len(toks) == 1:
-        raise _parse_error(text, 0, "expected at least one rule")
+        raise _parse_error(text, len(text), "expected at least one rule")
     i = 0
+
+    def unexpected(kind: str, at: int, wanted: str) -> GrammarParseError:
+        # the offending source text, quoted, or the end of the input
+        if kind == "EOF":
+            return _parse_error(text, at, f"unexpected end of input{wanted}")
+        return _parse_error(text, at, f"unexpected {_TOKEN.match(text, at)[0]!r}{wanted}")
 
     def expect(kind: str):
         nonlocal i
         found, value, at = toks[i]
         if found != kind:
-            raise _parse_error(text, at, f"expected {kind}, found {value!r}")
+            raise unexpected(found, at, f", expected {kind}")
         i += 1
         return value
 
@@ -594,7 +630,7 @@ def parse_grammar(text: str, alphabet_mode: AlphabetMode = "unicode") -> Grammar
                 if value == ";":
                     break
             else:
-                raise _parse_error(text, at, f"unexpected {value!r} in rule body")
+                raise unexpected(kind, at, " in rule body")
 
     for name, at in refs:
         if name not in heads:

@@ -6,7 +6,7 @@ loops that the heap merge and the incremental counts replaced),
 ``parse_grammar_by_scan`` (the character-by-character grammar reader that
 the regex lexer replaced), and the reference chart ``initial_position`` /
 ``advance`` (the Earley closure that predicts item by item and walks every
-completion's waiters, which the per-grammar prediction closures and Leo
+completion's waiters, which the shared prediction tables and Leo
 items replaced).  Only usable at toy scale."""
 
 from __future__ import annotations
@@ -298,10 +298,16 @@ def advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
 
 
 def wait_sets(pos) -> dict[str | int, set[tuple]]:
-    """A position's wait map with each item's origin read as its index (the
-    position itself for None), so the positions of two charts compare."""
-    return {sym: {(r, d, pos.index if o is None else o.index) for r, d, o in items}
-            for sym, items in pos.wait.items()}
+    """A position's items by the symbol after their dot, from its wait map
+    and, in toklang.grammar's chart, its shared prediction table, with each
+    item's origin read as its index (the position itself for None), so the
+    positions of two charts compare."""
+    out: dict[str | int, set[tuple]] = {}
+    for table in (pos.wait, getattr(pos, "pred", {})):
+        for sym, items in table.items():
+            out.setdefault(sym, set()).update(
+                (r, d, pos.index if o is None else o.index) for r, d, o in items)
+    return out
 
 
 # --- the grammar-file reader that tracked a line and column per character ---
@@ -313,7 +319,7 @@ _STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
 def _scan(text: str):
-    """Lex grammar source into (kind, value, line, col) tuples."""
+    """Lex grammar source into (kind, value, line, col, source text) tuples."""
     toks = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -347,15 +353,15 @@ def _scan(text: str):
             bump()
             continue
         if c in "|;":
-            toks.append((c, c, line, col))
+            toks.append((c, c, line, col, c))
             bump()
             continue
         if text.startswith("->", i):
-            toks.append(("ARROW", "->", line, col))
+            toks.append(("ARROW", "->", line, col, "->"))
             bump(2)
             continue
         if c == '"':
-            sl, sc = line, col
+            si, sl, sc = i, line, col
             bump()
             units: list[tuple[str, object]] = []
             while True:
@@ -383,13 +389,13 @@ def _scan(text: str):
                 else:
                     units.append(("ch", c))
                     bump()
-            toks.append(("STRING", units, sl, sc))
+            toks.append(("STRING", units, sl, sc, text[si:i]))
             continue
         if c == "\\":
-            sl, sc = line, col
+            si, sl, sc = i, line, col
             bump()
             if i < n and text[i] == "x":
-                toks.append(("BYTE", hex_escape(sl, sc), sl, sc))
+                toks.append(("BYTE", hex_escape(sl, sc), sl, sc, text[si:i]))
                 continue
             raise GrammarParseError("stray backslash", sl, sc)
         if c in _NAME_FIRST:
@@ -397,11 +403,11 @@ def _scan(text: str):
             j = i
             while j < n and text[j] in _NAME_REST:
                 j += 1
-            toks.append(("NAME", text[i:j], sl, sc))
+            toks.append(("NAME", text[i:j], sl, sc, text[i:j]))
             bump(j - i)
             continue
         raise GrammarParseError(f"unexpected character {c!r}", line, col)
-    toks.append(("EOF", "", line, col))
+    toks.append(("EOF", "", line, col, ""))
     return toks
 
 
@@ -415,11 +421,16 @@ def parse_grammar_by_scan(text: str, alphabet_mode: AlphabetMode = "unicode") ->
     def peek():
         return toks[pos]
 
+    def unexpected(tok, wanted: str) -> GrammarParseError:
+        k, _, ln, cl, source = tok
+        found = "end of input" if k == "EOF" else repr(source)
+        return GrammarParseError(f"unexpected {found}{wanted}", ln, cl)
+
     def take(kind):
         nonlocal pos
-        k, v, ln, cl = toks[pos]
+        k, v, ln, cl, _ = toks[pos]
         if k != kind:
-            raise GrammarParseError(f"expected {kind}, found {v!r}", ln, cl)
+            raise unexpected(toks[pos], f", expected {kind}")
         pos += 1
         return v, ln, cl
 
@@ -439,7 +450,8 @@ def parse_grammar_by_scan(text: str, alphabet_mode: AlphabetMode = "unicode") ->
     refs: list[tuple[str, int, int]] = []
 
     if peek()[0] == "EOF":
-        raise GrammarParseError("expected at least one rule", 1, 1)
+        _, _, ln, cl, _ = peek()
+        raise GrammarParseError("expected at least one rule", ln, cl)
     while peek()[0] != "EOF":
         head, _, _ = take("NAME")
         if head not in heads:
@@ -448,7 +460,7 @@ def parse_grammar_by_scan(text: str, alphabet_mode: AlphabetMode = "unicode") ->
         body: list[str | int] = []
         saw_symbol = False
         while True:
-            k, v, ln, cl = peek()
+            k, v, ln, cl, _ = peek()
             if k == "NAME":
                 body.append(v)
                 refs.append((v, ln, cl))
@@ -476,7 +488,7 @@ def parse_grammar_by_scan(text: str, alphabet_mode: AlphabetMode = "unicode") ->
                 if k == ";":
                     break
             else:
-                raise GrammarParseError(f"unexpected {v!r} in rule body", ln, cl)
+                raise unexpected(peek(), " in rule body")
 
     declared = set(heads)
     for name, ln, cl in refs:

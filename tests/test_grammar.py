@@ -13,7 +13,10 @@ from toklang import (
     GrammarParseError,
     Production,
     RecognitionSession,
+    UTF8,
     add_leading_space,
+    as_terminals,
+    encode_grammar,
     format_grammar,
     parse_grammar,
     recognize,
@@ -106,6 +109,21 @@ def test_parse_dedupes_and_allows_multiline():
 def test_parse_empty_alternative_is_an_error():
     with pytest.raises(GrammarParseError, match="epsilon"):
         parse_grammar('S -> | "a" ;')
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    # a misplaced token is quoted as written in the source
+    ('S -> "a" ; "b" -> S ;', """unexpected '"b"', expected NAME""", 1, 12),
+    # a rule cut off by the end of the text
+    ('S -> "a"', "unexpected end of input in rule body", 1, 9),
+    ("S -> A ;\nA", "unexpected end of input, expected ARROW", 2, 2),
+    # no rule at all: the error sits where the text ends
+    ("# a comment\n  # and another", "expected at least one rule", 2, 16),
+])
+def test_parse_error_messages_quote_the_source(text, message, line, column):
+    with pytest.raises(GrammarParseError) as e:
+        parse_grammar(text)
+    assert str(e.value) == f"line {line}, column {column}: {message}"
 
 
 # The reader against the one it replaced: lexical pieces in any order, and
@@ -231,6 +249,19 @@ def test_recognize_rejects_foreign_terminal(dyck):
         recognize(dyck, [999])
 
 
+def test_as_terminals_checks_all_but_bytes_on_a_byte_grammar(dyck):
+    assert as_terminals(dyck, bytearray(b"[]")) == as_terminals(dyck, [0x5B, 0x5D]) == (0x5B, 0x5D)
+    for ints in ([256], [-1], [0x5B, 0.5]):
+        with pytest.raises(GrammarError, match="outside the byte alphabet"):
+            as_terminals(dyck, ints)
+    unicode = reduce_grammar(parse_grammar('S -> "[" "]" ;'))
+    for data in (b"[]", bytearray(b"[]")):
+        with pytest.raises(GrammarError, match="byte input"):
+            as_terminals(unicode, data)
+    with pytest.raises(GrammarError, match="outside the unicode alphabet"):
+        as_terminals(unicode, [0xD800])
+
+
 def test_recognize_matches_brute_force(dyck):
     want = strings_up_to(dyck, 8)
     import itertools
@@ -298,6 +329,71 @@ def test_prediction_closures_are_built_on_demand():
     assert recognize(g, b"y" + b"x" * 5)
     assert recognize(g, b"z" + b"x" * n)
     assert list(g._predictions) == ["A0"]
+
+
+# A copy of the grammar of the validate_docs benchmark: lines of bracketed
+# lists of words, whose characters take one to three UTF-8 bytes.
+_DOC_GRAMMAR = r"""
+Doc -> "" | Line Doc ;
+Line -> Value "\n" ;
+Value -> Word | "[" Elems "]" ;
+Elems -> "" | Value More ;
+More -> "" | "," Value More ;
+Word -> Ch | Ch Word ;
+Ch -> "a" | "b" | "c" | "x" | "y" | "é" | "ü" | "ß" | "你" | "好" ;
+"""
+
+
+def _doc_grammar() -> Grammar:
+    return encode_grammar(UTF8, reduce_grammar(parse_grammar(_DOC_GRAMMAR)))
+
+
+def _doc(rng: random.Random, n: int) -> bytes:
+    """A member of _DOC_GRAMMAR of at least *n* bytes."""
+    def value(depth):
+        if depth == 3 or rng.random() < 0.5:
+            return "".join(rng.choices("abcxyéüß你好", k=rng.randint(1, 5)))
+        return "[" + ",".join(value(depth + 1) for _ in range(rng.randrange(4))) + "]"
+
+    out = b""
+    while len(out) < n:
+        out += (value(0) + "\n").encode()
+    return out
+
+
+def test_prediction_tables_are_shared_and_built_on_demand():
+    g = _doc_grammar()
+    data = _doc(random.Random(1), 2048)
+    session = RecognitionSession(g)
+    tables = [session._last.pred]
+    for b in data:
+        tables.append(session.feed(b)._last.pred)
+    assert session.accepts()
+    # every position points at a cached table, and every cached table is used
+    assert {id(t) for t in tables} == {id(t) for t in g._tables.values()}
+    assert len(g._tables) <= 8  # for 2,116 positions
+
+
+def test_kernel_items_alone_are_stored_in_wait(monkeypatch):
+    # a predicted item (origin None) lives only in the shared tables
+    stored = []
+    close = toklang.grammar._close
+
+    def counted(g, pos, seeds):
+        kernel = close(g, pos, seeds)
+        stored.extend(o for items in pos.wait.values() for _, _, o in items)
+        return kernel
+
+    monkeypatch.setattr(toklang.grammar, "_close", counted)
+    cases = [(dyck_grammar(), b"[[][[]]]" * 20), (dyck_letters_grammar(), b"[a[b]ab]" * 20),
+             (_grammar('S -> A A "b" S | "" ; A -> "" | "a" ;'), b"aabb" * 20),
+             (_grammar('S -> S "a" | "a" S | "" ;'), b"a" * 40),
+             (_doc_grammar(), _doc(random.Random(2), 512))]
+    for g, data in cases:
+        assert recognize(g, data)
+        assert not toklang.grammar._initial_position(g).wait
+    assert len(stored) > 1000
+    assert stored.count(None) == 0
 
 
 # --- sessions ----------------------------------------------------------------
@@ -454,10 +550,12 @@ def test_chart_matches_oracles_on_generated_grammars(g):
         live = prefix if session.live else prefix[:session.died_at]
         if len(live) < 5:
             assert session.expected() == {t for t in (_A, _B) if live + (t,) in viable}
-        # no position refers to itself: an item's origin is None or earlier
+        # no position refers to itself: wait holds kernel items, each with an
+        # earlier origin, and the predicted items sit in the shared table
         last = session._last
-        assert all(o is None or o.index < last.index
+        assert all(o is not None and o.index < last.index
                    for items in last.wait.values() for _, _, o in items)
+        assert all(o is None for items in last.pred.values() for _, _, o in items)
 
     def walk(prefix, session, ref):
         check(prefix, session)

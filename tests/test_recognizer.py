@@ -4,12 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toklang.grammar
+
 from toklang import (
     GrammarError,
+    Kind,
     RecognitionSession,
     TokenRecognizer,
     Tokenizer,
     TokenizerError,
+    classify,
     parse_grammar,
     recognize,
     reduce_grammar,
@@ -143,6 +147,28 @@ def test_proper_implies_extended(ids):
     r = TokenRecognizer(dyck_grammar(), bracket_tokenizer())
     if r.accepts_proper(ids):
         assert r.accepts_tokens(ids)
+
+
+@given(toy_ids)
+def test_proper_is_extended_and_classified_proper(ids):
+    r = TokenRecognizer(dyck_grammar(), bracket_tokenizer())
+    assert r.accepts_proper(ids) == (
+        r.accepts_tokens(ids) and classify(r.tokenizer, ids).kind is Kind.PROPER)
+
+
+def test_accepts_proper_retokenizes_before_the_chart(rec, monkeypatch):
+    steps = []
+    advance = toklang.grammar._advance
+
+    def counted(g, last, terminal):
+        steps.append(terminal)
+        return advance(g, last, terminal)
+
+    monkeypatch.setattr(toklang.grammar, "_advance", counted)
+    assert not rec.accepts_proper([1, 3, 2])  # "[[]]", tokenized as [4, 5]
+    assert steps == []
+    assert rec.accepts_proper([4, 5])
+    assert steps == list(b"[[]]")
 
 
 @given(toy_ids)
