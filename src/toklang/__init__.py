@@ -4,9 +4,9 @@ Context-free grammars over characters or bytes, byte-level BPE tokenizers,
 and the bridge between them: because detokenization is a concatenation
 homomorphism, a token-ID sequence belongs to the token image of a language
 exactly when its detokenization belongs to the language.  The package
-decides that membership streamingly, enumerates and classifies the full
-tokenization space of a string, and ships executable property suites for
-the structural claims it relies on.
+decides that membership, at once or token by token while decoding,
+enumerates and classifies the full tokenization space of a string, and
+ships executable property suites for the structural claims it relies on.
 """
 
 from .bpe import (

@@ -81,7 +81,7 @@ class Tokenizer:
         n = len(self.vocab)
         for rank, (left, right, merged) in enumerate(self.merges):
             for t in (left, right, merged):
-                if not isinstance(t, int) or not 0 <= t < n:
+                if type(t) is not int or not 0 <= t < n:
                     raise TokenizerError(f"merge {rank} references unknown token {t}")
             if self.vocab[merged] != self.vocab[left] + self.vocab[right]:
                 raise TokenizerError(
@@ -129,7 +129,7 @@ class Tokenizer:
 
     def check_id(self, t: int) -> int:
         """*t*, if it is a token ID of this tokenizer; else TokenizerError."""
-        if not isinstance(t, int) or not 0 <= t < len(self.vocab):
+        if type(t) is not int or not 0 <= t < len(self.vocab):  # bool is no id
             raise TokenizerError(f"unknown token id {t!r}")
         return t
 

@@ -167,19 +167,16 @@ def cmd_recognize(args) -> int:
             terms = _read_byte_input(args)
         else:
             terms = [ord(c) for c in _read_text_input(args)]
-        session = RecognitionSession(g)
-        for t in terms:
-            session.feed(t)
-            if not session.live:
-                break
     else:
         rec = TokenRecognizer(_byte_grammar(args), _tokenizer(args))
-        ids = _parse_ids(args)
-        session = rec.open_session()
-        for tid in ids:
-            session.feed(tid)
+        g, ids = rec.grammar, _parse_ids(args)
+        terms = rec.tokenizer.detokenize(ids)  # died_at is a byte offset into it
+    session = RecognitionSession(g)
+    for t in terms:
+        session.feed(t)
+        if not session.live:
+            break
     accept = session.accepts()
-    died_at = session.died_at
     if mode == "proper" and accept:
         c = classify(rec.tokenizer, ids)
         if c.kind is not Kind.PROPER:
@@ -191,7 +188,7 @@ def cmd_recognize(args) -> int:
         "command": "recognize",
         "mode": mode,
         "accept": accept,
-        "died_at": died_at,
+        "died_at": session.died_at,
         "reason": reason,
     })
     return 0 if accept else 1

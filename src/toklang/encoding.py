@@ -19,7 +19,7 @@ class EncodingError(ValueError):
 
 
 def _utf8_char(cp: int) -> bytes:
-    if not isinstance(cp, int) or not 0 <= cp <= 0x10FFFF or 0xD800 <= cp <= 0xDFFF:
+    if type(cp) is not int or not 0 <= cp <= 0x10FFFF or 0xD800 <= cp <= 0xDFFF:
         raise EncodingError(f"cannot UTF-8 encode scalar value {cp!r}")
     return chr(cp).encode("utf-8")
 

@@ -41,7 +41,7 @@ class Production(NamedTuple):
 
 
 def _valid_terminal(t: object, alphabet: str) -> bool:
-    if not isinstance(t, int):
+    if type(t) is not int:  # bool is an int subclass, and no terminal
         return False
     if alphabet == "byte":
         return 0 <= t <= 0xFF
@@ -94,10 +94,6 @@ class Grammar:
         return frozenset(_deriving(self.productions, terminals=False))
 
     @cached_property
-    def _predictions(self) -> "_Predictions":
-        return _Predictions(self)
-
-    @cached_property
     def _tables(self) -> "_PredictionTables":
         return _PredictionTables(self)
 
@@ -119,60 +115,33 @@ class Grammar:
         return not self._rules_by_head[self.start]
 
 
-class _Predictions(dict):
-    """For each nonterminal X, the nonterminals that predicting X reaches,
-    X included, each as ``(nonterminal, wait entries)``; an entry is
-    ``(symbol, (rule, dot, None))``, dots stepped over a nullable prefix and
-    completed items left out.  A closure is computed on its first lookup, so
-    a grammar pays only for the nonterminals its inputs predict; the
-    prediction tables of chart positions are built from them."""
-
-    def __init__(self, g: Grammar):
-        super().__init__()
-        self._entries: dict[str, tuple] = {}
-        self._calls: dict[str, list[str]] = {}
-        for n, rules in g._rules_by_head.items():
-            own: list[tuple[str | int, tuple]] = []
-            for r in rules:
-                for dot, sym in enumerate(g.productions[r].body):
-                    own.append((sym, (r, dot, None)))
-                    if sym not in g._nullable:
-                        break
-            self._entries[n] = (n, tuple(own))
-            self._calls[n] = [sym for sym, _ in own if isinstance(sym, str)]
-
-    def __missing__(self, n: str) -> tuple:
-        order, reached = [n], {n}
-        for m in order:  # grows while it is walked
-            for c in self._calls[m]:
-                if c not in reached:
-                    reached.add(c)
-                    order.append(c)
-        closure = self[n] = tuple(self._entries[m] for m in order)
-        return closure
-
-
 class _PredictionTables(dict):
     """For each set of nonterminals that the kernel items of a chart position
-    wait on, the items predicted there, the union of their closures in
-    ``Grammar._predictions``, as one read-only table ``{symbol: tuple of
-    (rule, dot, None)}`` that every position with that set shares.  A table
-    is built on its first lookup, so a grammar holds one per set its inputs
-    meet."""
+    wait on, the items predicted there, as one read-only table ``{symbol:
+    tuple of (rule, dot, None)}`` shared by every position with that set:
+    the own entries of each nonterminal that predicting the set reaches,
+    dots stepped over a nullable prefix and completed items left out.  A
+    table is built on its first lookup, one per set the inputs meet."""
 
     def __init__(self, g: Grammar):
         super().__init__()
-        self._predictions = g._predictions
+        self._own: dict[str, list[tuple]] = {n: [] for n in g.nonterminals}
+        for rule, (head, body) in enumerate(g.productions):
+            for dot, sym in enumerate(body):
+                self._own[head].append((sym, (rule, dot, None)))
+                if sym not in g._nullable:
+                    break
 
     def __missing__(self, key: frozenset) -> dict:
+        order = sorted(key)
+        reached = set(order)
         table: dict[str | int, list[tuple]] = {}
-        reached: set[str] = set()
-        for n in sorted(key):
-            for m, entries in self._predictions[n]:
-                if m not in reached:
-                    reached.add(m)
-                    for sym, item in entries:
-                        table.setdefault(sym, []).append(item)
+        for n in order:  # grows while it is walked
+            for sym, item in self._own[n]:
+                table.setdefault(sym, []).append(item)
+                if sym.__class__ is str and sym not in reached:
+                    reached.add(sym)
+                    order.append(sym)
         frozen = self[key] = {sym: tuple(items) for sym, items in table.items()}
         return frozen
 
@@ -189,7 +158,10 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
             raise GrammarError("byte input given to a unicode-alphabet grammar")
         return tuple(w)  # byte terminals by construction
     if isinstance(w, str):
-        terms = tuple(w.encode("utf-8")) if g.alphabet == "byte" else tuple(map(ord, w))
+        try:
+            terms = tuple(w.encode("utf-8")) if g.alphabet == "byte" else tuple(map(ord, w))
+        except UnicodeEncodeError as e:  # a lone surrogate has no UTF-8 bytes
+            raise GrammarError(f"character {w[e.start]!r} has no UTF-8 encoding") from None
     else:
         terms = tuple(w)
     for t in terms:
@@ -213,15 +185,15 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # those with an origin, wait on.  So a position keeps its kernel items in
 # ``wait`` and points ``pred`` at a read-only table of the predicted ones,
 # shared by every position that predicts the same nonterminals and built
-# once per grammar from the nonterminals' prediction closures
-# (``Grammar._tables`` and ``Grammar._predictions``, after Aycock and
-# Horspool, "Practical Earley Parsing", 2002); only kernel items are
-# processed one by one, and none is copied.  And a completion whose origin
-# has exactly one item waiting on the head, as the last symbol of its body
-# and with an origin of its own, would complete that item in turn: the
-# completer follows such a deterministic reduction path to its topmost item
-# at once and adds that item alone (J. Leo, TCS 1991), so right recursion
-# costs a constant per terminal instead of the depth of the open spine.
+# once per grammar by walking the nonterminals that predicting them reaches
+# (``Grammar._tables``, after Aycock and Horspool, "Practical Earley
+# Parsing", 2002); only kernel items are processed one by one, and none is
+# copied.  And a completion whose origin has exactly one item waiting on the
+# head, as the last symbol of its body and with an origin of its own, would
+# complete that item in turn: the completer follows such a deterministic
+# reduction path to its topmost item at once and adds that item alone
+# (J. Leo, TCS 1991), so right recursion costs a constant per terminal
+# instead of the depth of the open spine.
 # Each step of a path moves to a strictly earlier origin and position 0
 # holds only predicted items, so paths end, and a topmost item carries the
 # real origin the accept test reads.  The plain chart without either

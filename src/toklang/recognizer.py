@@ -1,12 +1,11 @@
-"""Streaming recognition of token-ID sequences against a byte grammar.
+"""Recognition of token-ID sequences against a byte grammar.
 
 Detokenization is a homomorphism from token IDs to bytes, so a token
 sequence belongs to the token image of a language exactly when its
-detokenization belongs to the language.  The recognizer exploits that
-directly: each incoming token's bytes are drained, in order, into an
-incremental byte-level recognition session — nothing is ever buffered
-across token boundaries, and only the proper-tokenization check, which
-retokenizes it, materializes the full byte string.  Tokens may split
+detokenization belongs to the language.  The batch checks decide just
+that, by ``recognize`` of ``detokenize``.  For decoding, a ``TokenSession``
+drains each token's bytes, in order, into an incremental byte-level
+session, so its next-token mask is read off the chart.  Tokens may split
 multi-byte characters; bytes are bytes.
 """
 
@@ -45,14 +44,8 @@ class TokenRecognizer:
         return TokenSession(self)
 
     def accepts_tokens(self, ids: Iterable[int]) -> bool:
-        """True iff detokenize(ids) is in the grammar's language, streamed."""
-        seq = self.tokenizer.check_ids(ids)
-        session = self.open_session()
-        for tid in seq:
-            session.feed(tid)
-            if not session.live:
-                return False
-        return session.accepts()
+        """True iff detokenize(ids), the one check of the ids, is a member."""
+        return recognize(self.grammar, self.tokenizer.detokenize(ids))
 
     def accepts_proper(self, ids: Iterable[int]) -> bool:
         """accepts_tokens, and the sequence is a proper tokenization.
@@ -98,9 +91,8 @@ class TokenSession:
 
     def feed(self, token_id: int) -> "TokenSession":
         tokenizer = self.recognizer.tokenizer
-        inner = self.inner
         for b in tokenizer.vocab[tokenizer.check_id(token_id)]:
-            inner.feed(b)
+            self.inner.feed(b)
         self.tokens_consumed += 1
         return self
 

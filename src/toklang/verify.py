@@ -6,9 +6,9 @@ Each suite checks one structural claim about tokenization:
 * homomorphism — detokenization distributes over concatenation (random
   pairs), while tokenization itself does not (a concrete witness must
   exist whenever there is at least one merge);
-* equivalence — token-sequence acceptance agrees with the character-level
-  recognizer on the detokenized string, exhaustively over short sequences
-  of grammar-relevant tokens;
+* equivalence — a token stream (a session fed token by token) accepts
+  exactly when the character-level recognizer accepts the detokenized
+  string, exhaustively over short sequences of grammar-relevant tokens;
 * partition — enumeration of a string's tokenization space matches the
   DP count, contains the tokenizer's own output exactly once, and every
   point classifies into exactly one kind.
@@ -88,11 +88,15 @@ def run_equivalence_suite(rec: TokenRecognizer, max_len: int = 5) -> SuiteReport
     ids = relevant_token_ids(rec)
     for length in range(max_len + 1):
         for seq in itertools.product(ids, repeat=length):
-            got = rec.accepts_tokens(seq)
+            session = rec.open_session()
+            for tid in seq:
+                if not session.feed(tid).live:
+                    break
+            got = session.accepts()
             want = recognize(rec.grammar, rec.tokenizer.detokenize(seq))
             if got != want:
                 report.failures.append(
-                    f"tokens {list(seq)}: token-space={got}, character oracle={want}")
+                    f"tokens {list(seq)}: token stream={got}, character oracle={want}")
             report.cases += 1
     return report
 

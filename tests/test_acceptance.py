@@ -36,6 +36,8 @@ from toklang.toys import (
     unicode_mix_grammar,
 )
 
+from test_recognizer import streamed
+
 
 class _Budget:
     def __init__(self, name: str, seconds: float):
@@ -122,7 +124,7 @@ def test_criterion_4_tokenize_witness(trained_300):
 
 def test_criterion_5_oracle_equivalence_exhaustive():
     """All 3,906 bracket-token sequences of length <= 5 agree with the
-    character-level recognizer."""
+    character-level recognizer, checked at once and fed token by token."""
     with _Budget("5 oracle equivalence x3906", 30.0):
         g = dyck_grammar()
         t = bracket_tokenizer()
@@ -130,14 +132,15 @@ def test_criterion_5_oracle_equivalence_exhaustive():
         checked = 0
         for length in range(6):
             for seq in itertools.product([1, 2, 3, 4, 5], repeat=length):
-                assert rec.accepts_tokens(seq) == recognize(g, t.detokenize(seq))
+                assert rec.accepts_tokens(seq) == recognize(
+                    g, t.detokenize(seq)) == streamed(rec, seq)
                 checked += 1
         assert checked == 3906
 
 
 def test_criterion_6_membership_through_token_space():
-    """String membership is decidable through token space: all strings
-    over {a, b, [, ]} up to length 8."""
+    """String membership is decidable through token space, at once and
+    token by token: all strings over {a, b, [, ]} up to length 8."""
     with _Budget("6 membership through tokens x87381", 60.0):
         g = dyck_letters_grammar()
         t = letter_bracket_tokenizer()
@@ -146,7 +149,8 @@ def test_criterion_6_membership_through_token_space():
         for length in range(9):
             for combo in itertools.product(b"ab[]", repeat=length):
                 w = bytes(combo)
-                assert recognize(g, w) == rec.accepts_tokens(t.tokenize(w))
+                ids = t.tokenize(w)
+                assert recognize(g, w) == rec.accepts_tokens(ids) == streamed(rec, ids)
                 checked += 1
         assert checked == 87381
 

@@ -65,6 +65,12 @@ def test_merge_unknown_token_rejected():
         Tokenizer((b"a",), ((0, 0, 7),))
 
 
+def test_merge_with_bool_ids_rejected():
+    # False and True would read as ids 0 and 1, whose bytes do make b"ab"
+    with pytest.raises(TokenizerError, match="merge 0 references unknown token False"):
+        Tokenizer((b"a", b"b", b"ab"), ((False, True, 2),))
+
+
 # --- tokenize / detokenize ------------------------------------------------------
 
 
@@ -99,6 +105,15 @@ def test_detokenize_examples(aab):
 def test_detokenize_unknown_id(aab):
     with pytest.raises(TokenizerError, match="unknown token id"):
         aab.detokenize([6])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda t: t.detokenize([True, False]),
+    lambda t: t.check_id(True),
+], ids=["detokenize", "check_id"])
+def test_bool_is_not_a_token_id(aab, entry):
+    with pytest.raises(TokenizerError, match="unknown token id True"):
+        entry(aab)
 
 
 @given(st.binary(max_size=64))

@@ -149,6 +149,16 @@ def test_recognize_structured_reports_death_offset(files, capsys):
     assert data["schema"] == 1 and data["accept"] is False and data["died_at"] == 0
 
 
+@pytest.mark.parametrize("mode", ["tokens", "proper"])
+def test_recognize_token_modes_report_death_offset_in_bytes(files, capsys, mode):
+    # ids 3 2 detokenize to "[]]", which dies at its byte 2, inside token 2
+    rc, out = run(capsys, "recognize", "--grammar", files["dyck"], "--alphabet", "byte",
+                  "--tokenizer", files["brackets"], "--mode", mode, "--structured", "3 2")
+    assert rc == 1
+    assert json.loads(out) == {"command": "recognize", "mode": mode, "accept": False,
+                               "died_at": 2, "reason": None, "schema": 1}
+
+
 def test_recognize_bos_strip(files, capsys):
     rc, _ = run(capsys, "recognize", "--grammar", files["dyck"], "--alphabet", "byte",
                 "--tokenizer", files["brackets"], "--mode", "tokens",

@@ -39,6 +39,12 @@ def test_encode_rejects_surrogates():
         encode_string(UTF8, [0x110000])
 
 
+def test_encode_rejects_bool():
+    # bool is an int subclass; True would encode as b"\x01"
+    with pytest.raises(EncodingError, match="scalar value True"):
+        encode_string(UTF8, [True])
+
+
 @given(st.text())
 def test_encode_matches_standard_utf8(s):
     assert encode_string(UTF8, s) == s.encode("utf-8")

@@ -262,6 +262,24 @@ def test_as_terminals_checks_all_but_bytes_on_a_byte_grammar(dyck):
         as_terminals(unicode, [0xD800])
 
 
+def test_as_terminals_refuses_a_lone_surrogate_on_a_byte_grammar(dyck):
+    # str on a byte grammar is UTF-8 encoded, which a lone surrogate is not
+    with pytest.raises(GrammarError, match="no UTF-8 encoding"):
+        recognize(dyck, "[\udcff]")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda g: recognize(g, [True]),
+    lambda g: RecognitionSession(g).feed(True),
+    lambda g: Grammar(g.nonterminals, "byte", (Production("S", (True,)),), "S"),
+], ids=["recognize", "feed", "Grammar"])
+def test_bool_is_not_a_terminal(entry):
+    # bool is an int subclass; True would read as the terminal 1
+    g = reduce_grammar(parse_grammar(r"S -> \x01 ;", "byte"))
+    with pytest.raises(GrammarError, match="terminal True outside the byte alphabet"):
+        entry(g)
+
+
 def test_recognize_matches_brute_force(dyck):
     want = strings_up_to(dyck, 8)
     import itertools
@@ -323,12 +341,13 @@ def test_dyck_chart_work_per_byte_is_flat(monkeypatch):
 
 
 def test_prediction_closures_are_built_on_demand():
-    # a left-corner chain of 2000 nonterminals: one closure, the start's, is used
+    # a left-corner chain of 2000 nonterminals: two tables are built, the
+    # start's and the empty set's, as kernel items only ever wait on "x"
     n = 2000
     g = _grammar(" ".join(f'A{i} -> A{i + 1} "x" | "y" ;' for i in range(n)) + f' A{n} -> "z" ;')
     assert recognize(g, b"y" + b"x" * 5)
     assert recognize(g, b"z" + b"x" * n)
-    assert list(g._predictions) == ["A0"]
+    assert list(g._tables) == [frozenset({"A0"}), frozenset()]
 
 
 # A copy of the grammar of the validate_docs benchmark: lines of bracketed
@@ -592,12 +611,20 @@ def _retained_bytes(g, data: bytes, collect: bool = True) -> int:
 
 
 def test_session_frees_positions_of_closed_groups():
+    # 40 more closed groups hold no more memory when each is 60 bytes wide
+    # than when it is empty.  Each side is a difference of two runs with
+    # groups of one width, so what CPython's free lists keep cancels out: it
+    # grows with the widest group, not with the number of groups
     g = dyck_letters_grammar()
     assert recognize(g, b"[a]")  # builds the grammar's cached tables first
     for collect in (True, False):
-        groups = _retained_bytes(g, (b"[" + b"a" * 60 + b"]") * 40, collect)
-        flat = _retained_bytes(g, b"[]" * 40, collect)
-        assert groups <= 2 * flat, (collect, groups, flat)
+        def forty_more(width: int) -> int:
+            group = b"[" + b"a" * width + b"]"
+            return (_retained_bytes(g, group * 80, collect)
+                    - _retained_bytes(g, group * 40, collect))
+
+        wide, flat = forty_more(60), forty_more(0)
+        assert wide <= 2 * flat, (collect, wide, flat)
 
 
 # --- sampling ----------------------------------------------------------------

@@ -36,6 +36,15 @@ def rec():
     return TokenRecognizer(dyck_grammar(), bracket_tokenizer())
 
 
+def streamed(rec: TokenRecognizer, ids) -> bool:
+    """Whether a session fed *ids* token by token, until it dies, accepts."""
+    session = rec.open_session()
+    for tid in ids:
+        if not session.feed(tid).live:
+            break
+    return session.accepts()
+
+
 # --- construction ---------------------------------------------------------------
 
 
@@ -118,6 +127,30 @@ def test_accepts_tokens_validates_all_ids_first(rec):
         rec.accepts_tokens([2, 999])  # prefix already dead, id still checked
 
 
+def test_accepts_tokens_checks_ids_once(rec, monkeypatch):
+    calls = []
+    check_id = Tokenizer.check_id
+
+    def counted(self, t):
+        calls.append(t)
+        return check_id(self, t)
+
+    monkeypatch.setattr(Tokenizer, "check_id", counted)
+    assert rec.accepts_tokens([4, 5])
+    assert calls == [4, 5]
+
+
+@pytest.mark.parametrize("entry", [
+    lambda r: r.accepts_tokens([True, 2]),
+    lambda r: r.accepts_proper([True, 2]),
+    lambda r: r.open_session().feed(True),
+], ids=["accepts_tokens", "accepts_proper", "feed"])
+def test_bool_is_not_a_token_id(rec, entry):
+    # True would read as id 1, "[", and [1, 2] is the member "[]"
+    with pytest.raises(TokenizerError, match="unknown token id True"):
+        entry(rec)
+
+
 def test_accepts_proper_checks_ids_once(rec, monkeypatch):
     calls = []
     check_ids = Tokenizer.check_ids
@@ -183,14 +216,15 @@ def test_streaming_matches_batch(ids):
 @given(toy_ids)
 def test_accepts_tokens_equals_character_oracle(ids):
     r = TokenRecognizer(dyck_grammar(), bracket_tokenizer())
-    assert r.accepts_tokens(ids) == recognize(r.grammar, r.tokenizer.detokenize(ids))
+    assert r.accepts_tokens(ids) == recognize(
+        r.grammar, r.tokenizer.detokenize(ids)) == streamed(r, ids)
 
 
 def test_exhaustive_oracle_agreement_short(rec):
     for n in range(4):
         for seq in itertools.product([1, 2, 3, 4, 5], repeat=n):
             assert rec.accepts_tokens(seq) == recognize(
-                rec.grammar, rec.tokenizer.detokenize(seq))
+                rec.grammar, rec.tokenizer.detokenize(seq)) == streamed(rec, seq)
 
 
 def test_membership_decidable_through_token_space(rec):
