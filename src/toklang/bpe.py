@@ -220,8 +220,8 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
     tokens; each pair keeps the array offsets of its left tokens, stale
     ones included, so a merge visits only the occurrences of its pair.
     """
-    if num_merges < 0:
-        raise TokenizerError("num_merges must be >= 0")
+    if type(num_merges) is not int or num_merges < 0:  # bool is no count
+        raise TokenizerError(f"num_merges must be an int >= 0, got {num_merges!r}")
     vocab: list[bytes] = [bytes([i]) for i in range(256)]
     index: dict[bytes, int] = {bs: i for i, bs in enumerate(vocab)}
     merges: list[tuple[int, int, int]] = []

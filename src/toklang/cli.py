@@ -20,6 +20,7 @@ from .bpe import (
     dumps_tokenizer,
     escape_bytes,
     loads_tokenizer,
+    save_tokenizer,
     train,
 )
 from .encoding import UTF8, EncodingError, encode_grammar
@@ -70,10 +71,10 @@ def _read_text(path: str | None) -> str:
 
 
 def _grammar(args) -> Grammar:
-    """The reduced grammar named by --grammar, read in --alphabet mode."""
+    """The grammar named by --grammar, read in --alphabet mode."""
     if not args.grammar:
         raise CliError("this command needs --grammar")
-    return reduce_grammar(parse_grammar(_read_text(args.grammar), args.alphabet))
+    return parse_grammar(_read_text(args.grammar), args.alphabet)
 
 
 def _tokenizer(args) -> Tokenizer:
@@ -226,9 +227,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    g = _grammar(args)
+    # reduced before and after add_leading_space: the fresh start avoids only
+    # the names kept, and what is printed reads back
+    g = reduce_grammar(_grammar(args))
     if args.leading_space:
-        g = add_leading_space(g)
+        g = reduce_grammar(add_leading_space(g))
     if args.encode_utf8:
         if g.alphabet != "unicode":
             raise CliError("--encode-utf8 needs a unicode-alphabet grammar")
@@ -244,13 +247,11 @@ def cmd_train(args) -> int:
         lines = io.StringIO(_read_text(args.corpus))
         corpus = [line.rstrip("\n").encode("utf-8") for line in lines]
     t = train(corpus, args.merges)
-    out = dumps_tokenizer(t) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        save_tokenizer(t, args.output)
         print(f"{len(t.vocab)} tokens, {len(t.merges)} merges -> {args.output}")
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(dumps_tokenizer(t) + "\n")
     return 0
 
 

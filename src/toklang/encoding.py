@@ -50,8 +50,8 @@ def encode_string(scheme: EncodingScheme, s) -> bytes:
 
 def encode_grammar(scheme: EncodingScheme, g: Grammar) -> Grammar:
     """Replace every character terminal by its byte sequence, in place in
-    each production body.  Nonterminal structure is untouched, so a reduced
-    input stays reduced."""
+    each production body.  Nonterminal structure is untouched, so the
+    result is reduced exactly when the input is."""
     if g.alphabet != "unicode":
         raise GrammarError("encode_grammar expects a unicode-alphabet grammar")
     productions = []
@@ -68,5 +68,4 @@ def encode_grammar(scheme: EncodingScheme, g: Grammar) -> Grammar:
         "byte",
         tuple(dict.fromkeys(productions)),
         g.start,
-        reduced=g.reduced,
     )

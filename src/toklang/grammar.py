@@ -3,9 +3,9 @@
 Terminals are plain ints: Unicode scalar values in ``unicode`` mode, byte
 values in ``byte`` mode.  Nonterminals are names.  Recognition runs on an
 incremental Earley chart, so epsilon productions, left recursion, and
-ambiguity are all fine.  For reduced grammars, liveness of a streaming
-session is exactly viable-prefix membership, which is what makes sessions
-usable as an oracle for token-level recognition.
+ambiguity are all fine.  It runs on the reduced form of any grammar given,
+so liveness of a streaming session is exactly viable-prefix membership,
+which is what makes sessions usable as an oracle for token-level recognition.
 """
 
 from __future__ import annotations
@@ -52,16 +52,14 @@ def _valid_terminal(t: object, alphabet: str) -> bool:
 class Grammar:
     """A context-free grammar; immutable and freely shareable once built.
 
-    ``reduced`` is set by :func:`reduce_grammar` and certifies that every
-    nonterminal is generating and reachable, which the recognizer relies
-    on for its liveness guarantee.
+    Recognition, sampling and the emptiness test read its reduced form,
+    computed once on first use; a reduced grammar is its own reduced form.
     """
 
     nonterminals: frozenset[str]
     alphabet: AlphabetMode
     productions: tuple[Production, ...]
     start: str
-    reduced: bool = False
 
     def __post_init__(self):
         if self.alphabet not in ("unicode", "byte"):
@@ -94,6 +92,10 @@ class Grammar:
         return frozenset(_deriving(self.productions, terminals=False))
 
     @cached_property
+    def _reduced(self) -> "Grammar":
+        return reduce_grammar(self)
+
+    @cached_property
     def _tables(self) -> "_PredictionTables":
         return _PredictionTables(self)
 
@@ -105,14 +107,9 @@ class Grammar:
 
     @property
     def is_empty_language(self) -> bool:
-        """True iff the grammar generates no string at all.
-
-        Only decided on reduced grammars, where it is equivalent to the
-        start symbol having no productions left.
-        """
-        if not self.reduced:
-            raise GrammarError("emptiness is only decided on reduced grammars")
-        return not self._rules_by_head[self.start]
+        """True iff the grammar generates no string at all: its reduced
+        form has no productions left."""
+        return not self._reduced.productions
 
 
 class _PredictionTables(dict):
@@ -316,9 +313,8 @@ def _advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
 
 
 def recognize(g: Grammar, w) -> bool:
-    """Decide w ∈ L(g) in one batch pass.  Requires a reduced grammar."""
-    if not g.reduced:
-        raise GrammarError("recognize requires a reduced grammar")
+    """Decide w ∈ L(g) in one batch pass."""
+    g = g._reduced
     terms = as_terminals(g, w)
     pos = _initial_position(g)
     for t in terms:
@@ -341,12 +337,10 @@ class RecognitionSession:
     __slots__ = ("grammar", "consumed", "died_at", "_last")
 
     def __init__(self, grammar: Grammar):
-        if not grammar.reduced:
-            raise GrammarError("recognition sessions require a reduced grammar")
-        self.grammar = grammar
+        self.grammar = grammar._reduced
         self.consumed = 0
-        self.died_at: int | None = 0 if grammar.is_empty_language else None
-        self._last = _initial_position(grammar)
+        self.died_at: int | None = 0 if self.grammar.is_empty_language else None
+        self._last = _initial_position(self.grammar)
 
     @property
     def live(self) -> bool:
@@ -398,14 +392,11 @@ def _deriving(productions, terminals: bool) -> set[str]:
 def reduce_grammar(g: Grammar) -> Grammar:
     """Strip non-generating and unreachable nonterminals.
 
-    Returns an equivalent grammar marked ``reduced``.  A start symbol that
-    generates nothing yields the canonical empty-language grammar (the
-    start alone, no productions) — a legal value, not an error.
+    Returns an equivalent grammar, *g* itself when nothing is stripped.  A
+    start symbol that generates nothing yields the canonical empty-language
+    grammar (the start alone, no productions) — a legal value, not an error.
     """
     generating = _deriving(g.productions, terminals=True)
-    if g.start not in generating:
-        return Grammar(frozenset({g.start}), g.alphabet, (), g.start, reduced=True)
-
     kept = [p for p in g.productions
             if p.head in generating
             and all(not isinstance(s, str) or s in generating for s in p.body)]
@@ -423,7 +414,8 @@ def reduce_grammar(g: Grammar) -> Grammar:
                     frontier.append(s)
 
     productions = tuple(dict.fromkeys(p for p in kept if p.head in reachable))
-    return Grammar(frozenset(reachable), g.alphabet, productions, g.start, reduced=True)
+    out = Grammar(frozenset(reachable), g.alphabet, productions, g.start)
+    return g if out == g else out
 
 
 def sample(g: Grammar, max_expansions: int, seed: int | random.Random = 0):
@@ -432,8 +424,9 @@ def sample(g: Grammar, max_expansions: int, seed: int | random.Random = 0):
     Uniform choice among a nonterminal's productions; deterministic for a
     fixed seed.  Returns str for unicode grammars, bytes for byte grammars.
     """
-    if not g.reduced:
-        raise GrammarError("sample requires a reduced grammar")
+    if type(max_expansions) is not int or max_expansions < 0:  # bool is no count
+        raise GrammarError(f"max_expansions must be an int >= 0, got {max_expansions!r}")
+    g = g._reduced
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     by_head = g._rules_by_head
     out: list[int] = []
@@ -460,13 +453,12 @@ def add_leading_space(g: Grammar) -> Grammar:
     new_start = g.start + "'"
     while new_start in g.nonterminals:
         new_start += "'"
-    out = Grammar(
+    return Grammar(
         g.nonterminals | {new_start},
         g.alphabet,
         (Production(new_start, (SPACE, g.start)),) + g.productions,
         new_start,
     )
-    return reduce_grammar(out) if g.reduced else out
 
 
 # --- Grammar file format ----------------------------------------------------
@@ -506,6 +498,8 @@ def _string_units(text: str, m: re.Match) -> list[tuple[str, object]]:
         if hexpair:
             units.append(("esc", int(hexpair, 16)))
         elif plain is not None:
+            if "\ud800" <= plain <= "\udfff":  # neither a character nor UTF-8
+                raise _parse_error(text, u.start(), f"lone surrogate {plain!r} in string literal")
             units.append(("ch", plain))
         elif escaped in _STRING_ESCAPES:
             units.append(("ch", _STRING_ESCAPES[escaped]))
@@ -543,7 +537,7 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
 
 
 def parse_grammar(text: str, alphabet_mode: AlphabetMode = "unicode") -> Grammar:
-    """Parse grammar source text.  The result is not yet reduced."""
+    """Parse grammar source text, every rule kept; recognition reduces it."""
     if alphabet_mode not in ("unicode", "byte"):
         raise GrammarError(f"unknown alphabet mode {alphabet_mode!r}")
     toks = _lex(text)

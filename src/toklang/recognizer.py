@@ -20,12 +20,13 @@ from .grammar import Grammar, GrammarError, RecognitionSession, recognize
 
 @dataclass(frozen=True)
 class TokenRecognizer:
-    """A reduced byte-alphabet grammar paired with a byte-base tokenizer.
+    """A byte-alphabet grammar paired with a byte-base tokenizer.
 
     Immutable and shareable.  Decides membership in the extended token
     language (any segmentation of a member string) and, with the
     classification check, in the proper token language (the tokenizer's
-    own segmentations only).
+    own segmentations only).  Recognition runs on the grammar's reduced
+    form, so any grammar may be given.
     """
 
     grammar: Grammar
@@ -35,8 +36,6 @@ class TokenRecognizer:
         if self.grammar.alphabet != "byte":
             raise GrammarError(
                 "token recognition needs a byte-alphabet grammar; encode it first")
-        if not self.grammar.reduced:
-            raise GrammarError("token recognition needs a reduced grammar")
         if not self.tokenizer.byte_base:
             raise TokenizerError("token recognition needs a byte-base tokenizer")
 
@@ -108,10 +107,10 @@ class TokenSession:
 
         Walks the vocabulary's byte trie depth first, entering only the
         bytes the chart expects.  A token whose last byte is expected is
-        allowed without advancing (a reduced grammar's chart never dies on
-        an expected byte); a prefix shared by longer tokens is advanced
-        once, on a clone, for all of them.  The parent session is never
-        touched.  A dead session allows nothing.
+        allowed without advancing (the chart runs on the reduced grammar,
+        where an expected byte always leaves it live); a prefix shared by
+        longer tokens is advanced once, on a clone, for all of them.  The
+        parent session is never touched.  A dead session allows nothing.
         """
         if not self.live:
             return set()
@@ -135,6 +134,6 @@ def relevant_token_ids(rec: TokenRecognizer) -> list[int]:
     kills every session instantly; exhaustive suites only need to range
     over these.
     """
-    terms = rec.grammar.terminals_used
+    terms = rec.grammar._reduced.terminals_used
     return [i for i, bs in enumerate(rec.tokenizer.vocab)
             if all(b in terms for b in bs)]

@@ -56,8 +56,8 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
     positions it has already left without reaching the end, so the time
     to each next item is polynomial.
     """
-    if limit is not None and limit < 1:
-        raise ValueError("limit must be >= 1 (or None for unlimited)")
+    if limit is not None and (type(limit) is not int or limit < 1):  # bool is no count
+        raise TokenizerError(f"limit must be an int >= 1 or None, got {limit!r}")
     n = len(data)
 
     def walk() -> Iterator[list[int]]:

@@ -65,7 +65,13 @@ def find_tokenize_witness(t: Tokenizer) -> tuple[bytes, bytes] | None:
     return None
 
 
+def _check_count(name: str, n: int) -> None:
+    if type(n) is not int or n < 0:  # bool is no count
+        raise TokenizerError(f"{name} must be an int >= 0, got {n!r}")
+
+
 def run_homomorphism_suite(t: Tokenizer, pairs: int = 10000, seed: int = 0) -> SuiteReport:
+    _check_count("pairs", pairs)
     report = SuiteReport("homomorphism", 0)
     rng = random.Random(seed)
     n = len(t.vocab)
@@ -84,6 +90,7 @@ def run_homomorphism_suite(t: Tokenizer, pairs: int = 10000, seed: int = 0) -> S
 
 
 def run_equivalence_suite(rec: TokenRecognizer, max_len: int = 5) -> SuiteReport:
+    _check_count("max_len", max_len)
     report = SuiteReport("equivalence", 0)
     ids = relevant_token_ids(rec)
     for length in range(max_len + 1):
@@ -103,6 +110,7 @@ def run_equivalence_suite(rec: TokenRecognizer, max_len: int = 5) -> SuiteReport
 
 def run_partition_suite(t: Tokenizer, max_len: int = 8,
                         alphabet: bytes | None = None) -> SuiteReport:
+    _check_count("max_len", max_len)
     report = SuiteReport("partition", 0)
     if alphabet is None:
         alphabet = bytes(sorted(t.single_byte_ids))

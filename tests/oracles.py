@@ -386,6 +386,8 @@ def _scan(text: str):
                         raise GrammarParseError(f"unknown escape \\{e}", el, ec)
                 elif c == "\n":
                     raise GrammarParseError("newline inside string literal", line, col)
+                elif "\ud800" <= c <= "\udfff":
+                    raise GrammarParseError(f"lone surrogate {c!r} in string literal", line, col)
                 else:
                     units.append(("ch", c))
                     bump()
@@ -412,7 +414,7 @@ def _scan(text: str):
 
 
 def parse_grammar_by_scan(text: str, alphabet_mode: AlphabetMode = "unicode") -> Grammar:
-    """Parse grammar source text.  The result is not yet reduced."""
+    """Parse grammar source text.  The result keeps every rule as written."""
     if alphabet_mode not in ("unicode", "byte"):
         raise GrammarError(f"unknown alphabet mode {alphabet_mode!r}")
     toks = _scan(text)

@@ -176,6 +176,12 @@ def test_train_tie_break_prefers_earlier_occurrence():
     assert t.merges == ((97, 97, 256),)
 
 
+@pytest.mark.parametrize("count", [True, False, 1.0, "1", -1])
+def test_train_refuses_a_count_that_is_no_int_or_negative(count):
+    with pytest.raises(TokenizerError, match="num_merges must be an int >= 0"):
+        train([b"aaab"], count)
+
+
 def test_train_is_deterministic():
     corpus = [b"the cat sat on the mat", b"the bat sat on the rat"]
     assert train(corpus, 8) == train(corpus, 8)

@@ -296,6 +296,23 @@ def test_transform_leading_space(files, capsys, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flag", ["--leading-space", "--encode-utf8"])
+def test_transform_of_an_empty_language_exits_2(capsys, tmp_path, flag):
+    # the output is reduced: S' -> " " S would name an S with no rules
+    g = tmp_path / "empty.g"
+    g.write_text("S -> S ;", encoding="utf-8")
+    rc, out = run(capsys, "transform", "--grammar", str(g), flag)
+    assert rc == 2 and out == ""
+
+
+def test_transform_leading_space_names_the_start_after_reducing(capsys, tmp_path):
+    # S' is unreachable and dropped first, so the fresh start may take its name
+    g = tmp_path / "taken.g"
+    g.write_text('S -> "a" ; S\' -> "b" ;', encoding="utf-8")
+    rc, out = run(capsys, "transform", "--grammar", str(g), "--leading-space")
+    assert rc == 0 and out == 'S\' -> " " S ;\nS -> "a" ;\n'
+
+
 def test_train_and_use(files, capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("ab\nab\n", encoding="utf-8")

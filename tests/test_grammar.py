@@ -164,10 +164,19 @@ def _outcome(parse, text, alphabet):
 @example('S -> "a\\')                          # dangling escape
 @example('S -> "a\\\n" ;')                    # a backslash before a newline
 @example('S -> A ;\nA -> "\\x4" | \\x4 ;')     # \x4 in and out of a literal
+@example('S -> "a\udcff" ;')                   # a lone surrogate in a literal
 def test_parse_matches_the_scanning_reader(text):
     for alphabet in ("unicode", "byte"):
         assert _outcome(parse_grammar, text, alphabet) == \
             _outcome(parse_grammar_by_scan, text, alphabet)
+
+
+@pytest.mark.parametrize("alphabet", ["unicode", "byte"])
+def test_parse_refuses_a_lone_surrogate_in_a_literal(alphabet):
+    # no character and no UTF-8 bytes; the error points at the surrogate
+    with pytest.raises(GrammarParseError, match="lone surrogate") as e:
+        parse_grammar('S -> "a" ;\nA -> "b\udcff" ;', alphabet)
+    assert (e.value.line, e.value.column) == (2, 8)
 
 
 def test_grammar_validation():
@@ -185,6 +194,18 @@ def test_grammar_validation():
 def test_reduce_keeps_a_reduced_grammar():
     g = reduce_grammar(parse_grammar(DYCK_GRAMMAR_TEXT, "byte"))
     assert set(reduce_grammar(g).productions) == set(g.productions)
+
+
+def test_a_reduced_grammar_is_its_own_reduced_form():
+    # so recognition builds its chart tables on the grammar it was given
+    for text in (DYCK_GRAMMAR_TEXT, "S -> S ;"):
+        g = reduce_grammar(parse_grammar(text, "byte"))
+        assert reduce_grammar(g) is g
+        RecognitionSession(g)
+        assert "_tables" in vars(g)
+    junk = parse_grammar('S -> "a" ; B -> "b" ;')
+    assert reduce_grammar(junk) is not junk and recognize(junk, "a")
+    assert "_tables" not in vars(junk)
 
 
 def test_reduce_drops_nongenerating():
@@ -238,10 +259,16 @@ def test_recognize_literal_string_grammar():
     assert not recognize(g, "aaabbb")
 
 
-def test_recognize_requires_reduced():
+def test_recognize_takes_an_unreduced_grammar():
     g = parse_grammar('S -> "a" ;')
-    with pytest.raises(GrammarError, match="reduced"):
-        recognize(g, "a")
+    assert [recognize(g, w) for w in ("a", "", "aa")] == [True, False, False]
+    assert not g.is_empty_language
+    # B derives no string, so "b" must not keep a session live
+    g = parse_grammar('S -> "a" | "b" B ; B -> B "b" ;')
+    assert not recognize(g, "b") and not RecognitionSession(g).feed(ord("b")).live
+    empty = parse_grammar("S -> S ;")
+    assert empty.is_empty_language and not RecognitionSession(empty).live
+    assert sample(empty, 100, 0) is None
 
 
 def test_recognize_rejects_foreign_terminal(dyck):
@@ -510,15 +537,20 @@ _A, _B = 0x61, 0x62
 
 
 @st.composite
-def small_grammars(draw):
-    """Reduced byte grammars: up to 3 nonterminals, bodies of up to 3 symbols
-    over a, b and the nonterminals, epsilon allowed."""
+def unreduced_small_grammars(draw):
+    """Byte grammars: up to 3 nonterminals, bodies of up to 3 symbols over a,
+    b and the nonterminals, epsilon allowed."""
     names = _NAMES[:draw(st.integers(1, 3))]
     symbol = st.sampled_from((_A, _B) + names)
     rules = draw(st.lists(
         st.builds(Production, st.sampled_from(names), st.lists(symbol, max_size=3).map(tuple)),
         min_size=1, max_size=7))
-    return reduce_grammar(Grammar(frozenset(names), "byte", tuple(rules), "S"))
+    return Grammar(frozenset(names), "byte", tuple(rules), "S")
+
+
+def small_grammars():
+    """The same grammars, reduced."""
+    return unreduced_small_grammars().map(reduce_grammar)
 
 
 def _grammar(text):
@@ -646,6 +678,12 @@ def test_sample_unique_string_grammar():
 def test_sample_empty_language_returns_none():
     g = reduce_grammar(parse_grammar("S -> S ;"))
     assert sample(g, 100, 0) is None
+
+
+@pytest.mark.parametrize("budget", [True, False, 1.0, "1", -1])
+def test_sample_refuses_a_budget_that_is_no_int_or_negative(dyck, budget):
+    with pytest.raises(GrammarError, match="max_expansions must be an int >= 0"):
+        sample(dyck, budget, 0)
 
 
 def test_sample_budget_exhaustion_returns_none():

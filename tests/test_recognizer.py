@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 import toklang.grammar
 
 from toklang import (
+    Grammar,
     GrammarError,
     Kind,
+    Production,
     RecognitionSession,
     TokenRecognizer,
     Tokenizer,
@@ -18,6 +20,7 @@ from toklang import (
     recognize,
     reduce_grammar,
     relevant_token_ids,
+    sample,
 )
 from toklang.toys import (
     aab_tokenizer,
@@ -25,8 +28,8 @@ from toklang.toys import (
     dyck_grammar,
 )
 
-from oracles import allowed_by_trial, members_cut_at, strings_up_to
-from test_grammar import kernel_items, small_grammars
+from oracles import allowed_by_trial, members_cut_at, prefixes_of, strings_up_to
+from test_grammar import kernel_items, small_grammars, unreduced_small_grammars
 
 toy_ids = st.lists(st.sampled_from([1, 2, 3, 4, 5]), max_size=6)
 
@@ -54,10 +57,11 @@ def test_build_rejects_unicode_grammar(brackets):
         TokenRecognizer(g, brackets)
 
 
-def test_build_rejects_unreduced_grammar(brackets):
-    g = parse_grammar('S -> "[]" ;', "byte")
-    with pytest.raises(GrammarError, match="reduced"):
-        TokenRecognizer(g, brackets)
+def test_build_takes_an_unreduced_grammar(brackets):
+    r = TokenRecognizer(parse_grammar('S -> "[]" ;', "byte"), brackets)
+    assert r.accepts_tokens([3]) and r.accepts_tokens([1, 2]) and r.accepts_proper([3])
+    assert not r.accepts_tokens([1]) and not r.accepts_proper([1, 2])
+    assert r.open_session().allowed_next_tokens() == {1, 3}
 
 
 def test_build_rejects_non_byte_base_tokenizer(dyck):
@@ -354,6 +358,72 @@ def test_mask_chart_work_is_flat_in_the_prefix(rec, monkeypatch):
         costs.append(sum(counts))
         monkeypatch.undo()
     assert costs[0] == costs[1]
+
+
+def test_mask_skips_a_branch_that_derives_nothing(brackets):
+    # "]" is only the start of "]" B, and B derives no string
+    g = parse_grammar('S -> "[" | "]" B ; B -> B "[" ;', "byte")
+    session = TokenRecognizer(g, brackets).open_session()
+    assert session.allowed_next_tokens() == allowed_by_trial(session) == {1}
+    assert not session.clone().feed(2).live
+
+
+# --- grammars that are not reduced ------------------------------------------------
+
+_JUNK = 0x63  # "c": a byte that only the junk rules use
+_JUNK_TOKENIZER = Tokenizer(tuple(bytes([b]) for b in range(256)) + tuple(
+    bytes(w) for n in (2, 3) for w in itertools.product(b"abc", repeat=n)))
+
+
+@st.composite
+def grammars_with_junk(draw):
+    """A generated grammar before reduction, and the same grammar with junk
+    rules after its own: U is unreachable, N derives no string, and S and
+    some drawn heads get alternatives that go on into N."""
+    g = draw(unreduced_small_grammars())
+    names = sorted(g.nonterminals)
+    heads = ["S"] + draw(st.lists(st.sampled_from(names), max_size=2))
+    into_n = [Production(h, (draw(st.sampled_from(names + [_JUNK])), "N")) for h in heads]
+    junk = [Production("U", (_JUNK,)), Production("U", ("S", "U")),
+            Production("N", (_JUNK, "N")), Production("N", ("S", "N"))] + into_n
+    return g, Grammar(g.nonterminals | {"U", "N"}, "byte",
+                      g.productions + tuple(dict.fromkeys(junk)), "S")
+
+
+@settings(max_examples=100)
+@given(grammars_with_junk())
+def test_junk_rules_change_nothing(pair):
+    base, g = pair
+    reduced = reduce_grammar(base)
+    assert reduce_grammar(g) == reduced
+    assert g.is_empty_language == reduced.is_empty_language
+    for seed in range(3):
+        w = sample(g, 30, seed)
+        assert w == sample(reduced, 30, seed)
+        assert w is None or recognize(reduced, w)
+    members = strings_up_to(base, 3)
+    viable = prefixes_of(members_cut_at(base, 6))
+    recs = TokenRecognizer(g, _JUNK_TOKENIZER), TokenRecognizer(reduced, _JUNK_TOKENIZER)
+    assert relevant_token_ids(recs[0]) == relevant_token_ids(recs[1])
+    vocab = _JUNK_TOKENIZER.vocab
+
+    def walk(prefix, sessions):
+        junk, clean = sessions
+        assert junk.live == clean.live == (prefix in viable)
+        assert junk.accepts() == clean.accepts() == (prefix in members)
+        assert recognize(g, prefix) == recognize(reduced, prefix) == (prefix in members)
+        assert junk.inner.expected() == clean.inner.expected()
+        if junk.live:
+            assert junk.inner.expected() == {t for t in b"abc" if prefix + (t,) in viable}
+        mask = junk.allowed_next_tokens()
+        assert mask == clean.allowed_next_tokens() == allowed_by_trial(junk)
+        assert mask == {t for t, bs in enumerate(vocab)
+                        if junk.live and prefix + tuple(bs) in viable}
+        if len(prefix) < 3:
+            for t in b"abc":
+                walk(prefix + (t,), (junk.clone().feed(t), clean.clone().feed(t)))
+
+    walk((), tuple(r.open_session() for r in recs))
 
 
 def test_session_clone_forks(rec):

@@ -47,6 +47,12 @@ def test_enumerate_limit(aab):
         enumerate_tokenizations(aab, b"a", limit=0)
 
 
+@pytest.mark.parametrize("limit", [True, False, 2.0, "2", -1])
+def test_enumerate_refuses_a_limit_that_is_no_int_or_negative(aab, limit):
+    with pytest.raises(TokenizerError, match="limit must be an int >= 1 or None"):
+        enumerate_tokenizations(aab, b"aaa", limit=limit)
+
+
 def test_enumerate_is_lazy(aab):
     gen = enumerate_tokenizations(aab, b"a" * 400)  # astronomically many items
     first = next(iter(gen))

@@ -1,5 +1,8 @@
+import pytest
+
 from toklang import (
     TokenRecognizer,
+    TokenizerError,
     find_tokenize_witness,
     run_equivalence_suite,
     run_homomorphism_suite,
@@ -47,6 +50,19 @@ def test_partition_suite_passes(aab):
     report = run_partition_suite(aab, max_len=5)
     assert report.passed
     assert report.cases == 2 ** 6 - 1
+
+
+@pytest.mark.parametrize("count", [True, 2.0, "2", -3])
+@pytest.mark.parametrize("suite, name", [
+    (lambda n: run_homomorphism_suite(aab_tokenizer(), pairs=n), "pairs"),
+    (lambda n: run_partition_suite(aab_tokenizer(), max_len=n), "max_len"),
+    (lambda n: run_equivalence_suite(
+        TokenRecognizer(dyck_grammar(), bracket_tokenizer()), max_len=n), "max_len"),
+], ids=["homomorphism", "partition", "equivalence"])
+def test_suites_refuse_a_count_that_is_no_int_or_negative(suite, name, count):
+    # a refused count would otherwise check nothing and report "pass"
+    with pytest.raises(TokenizerError, match=f"{name} must be an int >= 0"):
+        suite(count)
 
 
 def test_partition_suite_defaults_to_single_byte_alphabet(aab):
