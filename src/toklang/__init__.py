@@ -7,96 +7,47 @@ exactly when its detokenization belongs to the language.  The package
 decides that membership, at once or token by token while decoding,
 enumerates and classifies the full tokenization space of a string, and
 ships executable property suites for the structural claims it relies on.
+
+``import toklang`` loads no submodule: each public name is imported from
+its module on first use, so a program, the command line included, loads
+only the modules it runs.  The value classes (``Grammar``, ``Tokenizer``,
+``TokenRecognizer``, ``EncodingScheme``, ``Classification``) are plain
+immutable classes that compare and hash by their fields; ``SuiteReport``
+compares the same way and stays mutable.
 """
 
-from .bpe import (
-    Tokenizer,
-    TokenizerError,
-    dumps_tokenizer,
-    escape_bytes,
-    load_gpt2_tokenizer,
-    load_tokenizer,
-    loads_tokenizer,
-    save_tokenizer,
-    train,
-    unescape_bytes,
-)
-from .encoding import UTF8, EncodingError, EncodingScheme, encode_grammar, encode_string
-from .grammar import (
-    Grammar,
-    GrammarError,
-    GrammarParseError,
-    Production,
-    RecognitionSession,
-    add_leading_space,
-    as_terminals,
-    format_grammar,
-    parse_grammar,
-    recognize,
-    reduce_grammar,
-    sample,
-)
-from .recognizer import TokenRecognizer, TokenSession, relevant_token_ids
-from .segmentation import (
-    Classification,
-    Kind,
-    classify,
-    count_tokenizations,
-    enumerate_tokenizations,
-    find_mergeable_pair,
-    unmerge,
-)
-from .verify import (
-    SuiteReport,
-    find_tokenize_witness,
-    run_equivalence_suite,
-    run_homomorphism_suite,
-    run_partition_suite,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Classification",
-    "EncodingError",
-    "EncodingScheme",
-    "Grammar",
-    "GrammarError",
-    "GrammarParseError",
-    "Kind",
-    "Production",
-    "RecognitionSession",
-    "SuiteReport",
-    "TokenRecognizer",
-    "TokenSession",
-    "Tokenizer",
-    "TokenizerError",
-    "UTF8",
-    "add_leading_space",
-    "as_terminals",
-    "classify",
-    "count_tokenizations",
-    "dumps_tokenizer",
-    "encode_grammar",
-    "encode_string",
-    "enumerate_tokenizations",
-    "escape_bytes",
-    "find_mergeable_pair",
-    "find_tokenize_witness",
-    "format_grammar",
-    "load_gpt2_tokenizer",
-    "load_tokenizer",
-    "loads_tokenizer",
-    "parse_grammar",
-    "recognize",
-    "reduce_grammar",
-    "relevant_token_ids",
-    "run_equivalence_suite",
-    "run_homomorphism_suite",
-    "run_partition_suite",
-    "sample",
-    "save_tokenizer",
-    "train",
-    "unescape_bytes",
-    "unmerge",
-]
+_EXPORTS = {
+    "bpe": ("Tokenizer", "TokenizerError", "dumps_tokenizer", "escape_bytes",
+            "load_gpt2_tokenizer", "load_tokenizer", "loads_tokenizer", "save_tokenizer",
+            "train", "unescape_bytes"),
+    "encoding": ("UTF8", "EncodingError", "EncodingScheme", "encode_grammar",
+                 "encode_string"),
+    "grammar": ("Grammar", "GrammarError", "GrammarParseError", "Production",
+                "RecognitionSession", "add_leading_space", "as_terminals", "format_grammar",
+                "parse_grammar", "recognize", "reduce_grammar", "sample"),
+    "recognizer": ("TokenRecognizer", "TokenSession", "relevant_token_ids"),
+    "segmentation": ("Classification", "Kind", "classify", "count_tokenizations",
+                     "enumerate_tokenizations", "find_mergeable_pair", "unmerge"),
+    "verify": ("SuiteReport", "find_tokenize_witness", "run_equivalence_suite",
+               "run_homomorphism_suite", "run_partition_suite"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(__all__))

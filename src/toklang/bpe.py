@@ -12,14 +12,23 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
+from ._value import Frozen
+
 
 class TokenizerError(ValueError):
     """Malformed tokenizer data or invalid token input."""
+
+
+def check_bytes(data, what: str):
+    """*data*, if it is bytes or a bytearray; else TokenizerError naming *what*
+    and the type given.  Once per input, so no loop over bytes checks them."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise TokenizerError(f"{what} must be bytes, got {type(data).__name__}")
+    return data
 
 
 def escape_bytes(data: bytes) -> str:
@@ -52,8 +61,7 @@ def unescape_bytes(text: str) -> bytes:
     return bytes(out)
 
 
-@dataclass(frozen=True)
-class Tokenizer:
+class Tokenizer(Frozen):
     """An ordered merge list over a byte-string vocabulary.
 
     ``vocab[i]`` is token i's byte string; token IDs are exactly
@@ -65,9 +73,11 @@ class Tokenizer:
     """
 
     vocab: tuple[bytes, ...]
-    merges: tuple[tuple[int, int, int], ...] = ()
+    merges: tuple[tuple[int, int, int], ...]
+    _fields = ("vocab", "merges")
 
-    def __post_init__(self):
+    def __init__(self, vocab, merges=()):
+        self.__dict__.update(vocab=vocab, merges=merges)
         if not self.vocab:
             raise TokenizerError("vocabulary must not be empty")
         seen: dict[bytes, int] = {}
@@ -153,7 +163,7 @@ class Tokenizer:
         """
         sb = self.single_byte_ids
         try:
-            ids = [sb[b] for b in data]
+            ids = [sb[b] for b in check_bytes(data, "tokenize input")]
         except KeyError as e:
             raise TokenizerError(f"no single-byte token for byte 0x{e.args[0]:02x}") from None
         n = len(ids)
@@ -230,7 +240,7 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
     # (sample, position) does.  -1 marks a sentinel or a merged-away token.
     seq = array("i", [-1])
     for sample in corpus:
-        seq.extend(sample)
+        seq.extend(check_bytes(sample, "a corpus sample"))
         seq.append(-1)
     n = len(seq)
     nxt = array("i", range(1, n + 1))

@@ -3,41 +3,17 @@
 Exit codes are uniform across subcommands: 0 accept/pass, 1 reject/fail,
 2 usage or data error.  ``--structured`` switches output to one JSON
 object (schema version 1) carrying the same decision as the plain text.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads only those: ``tokenize`` never reads the grammar module.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
-import random
 import sys
-
-from .bpe import (
-    Tokenizer,
-    TokenizerError,
-    dumps_tokenizer,
-    escape_bytes,
-    loads_tokenizer,
-    save_tokenizer,
-    train,
-)
-from .encoding import UTF8, EncodingError, encode_grammar
-from .grammar import (
-    Grammar,
-    GrammarError,
-    RecognitionSession,
-    add_leading_space,
-    format_grammar,
-    parse_grammar,
-    recognize,
-    reduce_grammar,
-    sample,
-)
-from .recognizer import TokenRecognizer
-from .segmentation import Kind, classify, count_tokenizations, enumerate_tokenizations
-from .verify import run_equivalence_suite, run_homomorphism_suite, run_partition_suite
 
 SCHEMA_VERSION = 1
 
@@ -70,15 +46,17 @@ def _read_text(path: str | None) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _grammar(args) -> Grammar:
+def _grammar(args):
     """The grammar named by --grammar, read in --alphabet mode."""
+    from .grammar import parse_grammar
     if not args.grammar:
         raise CliError("this command needs --grammar")
     return parse_grammar(_read_text(args.grammar), args.alphabet)
 
 
-def _tokenizer(args) -> Tokenizer:
+def _tokenizer(args):
     """The tokenizer named by --tokenizer."""
+    from .bpe import loads_tokenizer
     if not args.tokenizer:
         raise CliError("this command needs --tokenizer")
     return loads_tokenizer(_read_text(args.tokenizer))
@@ -112,15 +90,17 @@ def _parse_ids(args) -> list[int]:
 
 def _emit(args, plain: str, structured: dict) -> None:
     if args.structured:
+        import json
         structured["schema"] = SCHEMA_VERSION
         print(json.dumps(structured))
     else:
         print(plain)
 
 
-def _byte_grammar(args) -> Grammar:
+def _byte_grammar(args):
     g = _grammar(args)
     if g.alphabet == "unicode":
+        from .encoding import UTF8, encode_grammar
         g = encode_grammar(UTF8, g)  # auto byte transform when tokens are in play
     return g
 
@@ -135,6 +115,7 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_detokenize(args) -> int:
+    from .bpe import escape_bytes
     tokenizer = _tokenizer(args)
     data = tokenizer.detokenize(_parse_ids(args))
     if args.bytes and not args.structured:
@@ -154,6 +135,7 @@ def cmd_detokenize(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    from .grammar import RecognitionSession
     mode = args.mode
     reason = None
     if args.bytes and (mode != "chars" or args.alphabet != "byte"):
@@ -169,6 +151,7 @@ def cmd_recognize(args) -> int:
         else:
             terms = [ord(c) for c in _read_text_input(args)]
     else:
+        from .recognizer import TokenRecognizer
         rec = TokenRecognizer(_byte_grammar(args), _tokenizer(args))
         g, ids = rec.grammar, _parse_ids(args)
         terms = rec.tokenizer.detokenize(ids)  # died_at is a byte offset into it
@@ -179,6 +162,7 @@ def cmd_recognize(args) -> int:
             break
     accept = session.accepts()
     if mode == "proper" and accept:
+        from .segmentation import Kind, classify
         c = classify(rec.tokenizer, ids)
         if c.kind is not Kind.PROPER:
             accept = False
@@ -196,6 +180,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .segmentation import classify
     c = classify(_tokenizer(args), _parse_ids(args))
     _emit(args, str(c), {
         "command": "classify",
@@ -207,6 +192,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .segmentation import classify, count_tokenizations, enumerate_tokenizations
     tokenizer = _tokenizer(args)
     data = _read_byte_input(args)
     total = count_tokenizations(tokenizer, data)
@@ -227,6 +213,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .grammar import add_leading_space, format_grammar, reduce_grammar
     # reduced before and after add_leading_space: the fresh start avoids only
     # the names kept, and what is printed reads back
     g = reduce_grammar(_grammar(args))
@@ -235,12 +222,14 @@ def cmd_transform(args) -> int:
     if args.encode_utf8:
         if g.alphabet != "unicode":
             raise CliError("--encode-utf8 needs a unicode-alphabet grammar")
+        from .encoding import UTF8, encode_grammar
         g = encode_grammar(UTF8, g)
     sys.stdout.write(format_grammar(g))
     return 0
 
 
 def cmd_train(args) -> int:
+    from .bpe import dumps_tokenizer, save_tokenizer, train
     if args.bytes:
         corpus = [_read(args.corpus)]
     else:
@@ -256,6 +245,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    import random
+    from .grammar import recognize, sample
     g = _grammar(args)
     if g.is_empty_language:
         raise CliError("grammar generates the empty language; nothing to sample")
@@ -276,6 +267,7 @@ def cmd_sample(args) -> int:
             try:
                 lines.append(w.decode("utf-8"))
             except UnicodeDecodeError:
+                from .bpe import escape_bytes
                 lines.append(escape_bytes(w))
         else:
             lines.append(w)
@@ -288,11 +280,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_equivalence_suite, run_homomorphism_suite, run_partition_suite
     budget = args.budget
     if args.suite == "homomorphism":
         report = run_homomorphism_suite(
             _tokenizer(args), pairs=10000 if budget is None else budget, seed=args.seed)
     elif args.suite == "equivalence":
+        from .recognizer import TokenRecognizer
         rec = TokenRecognizer(_byte_grammar(args), _tokenizer(args))
         report = run_equivalence_suite(rec, max_len=5 if budget is None else budget)
     else:
@@ -427,12 +421,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _data_errors() -> tuple:
+    """The exceptions that exit 2: usage, I/O and text errors, and the data
+    errors of the toklang modules loaded.  A module never loaded raised
+    nothing, and looking its error up would load it."""
+    errors = [CliError, OSError, UnicodeError]
+    for module, name in (("bpe", "TokenizerError"), ("grammar", "GrammarError"),
+                         ("encoding", "EncodingError")):
+        loaded = sys.modules.get(f"toklang.{module}")
+        if loaded is not None:
+            errors.append(getattr(loaded, name))
+    return tuple(errors)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GrammarError, TokenizerError, EncodingError, OSError,
-            UnicodeError) as e:
+    except (CliError, OSError, ValueError) as e:  # each data error is one of these
+        if not isinstance(e, _data_errors()):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,9 @@ members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from ._value import Frozen
 from .grammar import Grammar, GrammarError, Production
 
 
@@ -24,8 +24,7 @@ def _utf8_char(cp: int) -> bytes:
     return chr(cp).encode("utf-8")
 
 
-@dataclass(frozen=True)
-class EncodingScheme:
+class EncodingScheme(Frozen):
     """Injective map from Unicode scalar values to nonempty byte sequences.
 
     Prefix-decodability is assumed, not verified; UTF-8 has it by design.
@@ -34,6 +33,10 @@ class EncodingScheme:
 
     name: str
     encode_char: Callable[[int], bytes]
+    _fields = ("name", "encode_char")
+
+    def __init__(self, name, encode_char):
+        self.__dict__.update(name=name, encode_char=encode_char)
 
 
 UTF8 = EncodingScheme("utf8", _utf8_char)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Literal, NamedTuple
+
+from ._value import Frozen
 
 AlphabetMode = Literal["unicode", "byte"]
 
@@ -48,8 +49,7 @@ def _valid_terminal(t: object, alphabet: str) -> bool:
     return 0 <= t <= 0x10FFFF and not 0xD800 <= t <= 0xDFFF
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(Frozen):
     """A context-free grammar; immutable and freely shareable once built.
 
     Recognition, sampling and the emptiness test read its reduced form,
@@ -60,8 +60,11 @@ class Grammar:
     alphabet: AlphabetMode
     productions: tuple[Production, ...]
     start: str
+    _fields = ("nonterminals", "alphabet", "productions", "start")
 
-    def __post_init__(self):
+    def __init__(self, nonterminals, alphabet, productions, start):
+        self.__dict__.update(nonterminals=nonterminals, alphabet=alphabet,
+                             productions=productions, start=start)
         if self.alphabet not in ("unicode", "byte"):
             raise GrammarError(f"unknown alphabet mode {self.alphabet!r}")
         if self.start not in self.nonterminals:

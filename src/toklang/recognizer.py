@@ -11,15 +11,14 @@ multi-byte characters; bytes are bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._value import Frozen
 from .bpe import Tokenizer, TokenizerError
 from .grammar import Grammar, GrammarError, RecognitionSession, recognize
 
 
-@dataclass(frozen=True)
-class TokenRecognizer:
+class TokenRecognizer(Frozen):
     """A byte-alphabet grammar paired with a byte-base tokenizer.
 
     Immutable and shareable.  Decides membership in the extended token
@@ -31,8 +30,10 @@ class TokenRecognizer:
 
     grammar: Grammar
     tokenizer: Tokenizer
+    _fields = ("grammar", "tokenizer")
 
-    def __post_init__(self):
+    def __init__(self, grammar, tokenizer):
+        self.__dict__.update(grammar=grammar, tokenizer=tokenizer)
         if self.grammar.alphabet != "byte":
             raise GrammarError(
                 "token recognition needs a byte-alphabet grammar; encode it first")

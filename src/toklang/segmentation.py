@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bpe import Tokenizer, TokenizerError
+from ._value import Frozen
+from .bpe import Tokenizer, TokenizerError, check_bytes
 
 
 class Kind(enum.Enum):
@@ -30,11 +30,14 @@ class Kind(enum.Enum):
     WRONG_MERGE_ORDER = "WrongMergeOrder"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Frozen):
     kind: Kind
-    mergeable_at: int | None = None          # Mergeable: first mergeable pair
-    proper_form: tuple[int, ...] | None = None  # WrongMergeOrder: what it should be
+    mergeable_at: int | None             # Mergeable: first mergeable pair
+    proper_form: tuple[int, ...] | None  # WrongMergeOrder: what it should be
+    _fields = ("kind", "mergeable_at", "proper_form")
+
+    def __init__(self, kind, mergeable_at=None, proper_form=None):
+        self.__dict__.update(kind=kind, mergeable_at=mergeable_at, proper_form=proper_form)
 
     def __str__(self) -> str:
         if self.kind is Kind.MERGEABLE:
@@ -58,7 +61,7 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
     """
     if limit is not None and (type(limit) is not int or limit < 1):  # bool is no count
         raise TokenizerError(f"limit must be an int >= 1 or None, got {limit!r}")
-    n = len(data)
+    n = len(check_bytes(data, "data"))
 
     def walk() -> Iterator[list[int]]:
         if n == 0:
@@ -97,7 +100,7 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
 
 def count_tokenizations(t: Tokenizer, data: bytes) -> int:
     """Number of segmentations, by suffix DP in O(len · max token length)."""
-    n = len(data)
+    n = len(check_bytes(data, "data"))
     counts = [0] * (n + 1)
     counts[n] = 1
     trie = t.trie

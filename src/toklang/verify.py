@@ -18,19 +18,24 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .bpe import Tokenizer, TokenizerError
 from .grammar import recognize
 from .recognizer import TokenRecognizer, relevant_token_ids
 from .segmentation import Kind, classify, count_tokenizations, enumerate_tokenizations
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(Value):
     suite: str
     cases: int
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
+    _fields = ("suite", "cases", "failures")
+
+    def __init__(self, suite, cases, failures=None):
+        self.suite = suite
+        self.cases = cases
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

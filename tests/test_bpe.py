@@ -182,6 +182,22 @@ def test_train_refuses_a_count_that_is_no_int_or_negative(count):
         train([b"aaab"], count)
 
 
+@pytest.mark.parametrize("data, name", [("aab", "str"), ([1.5], "list"), ([97, 97], "list"),
+                                        (memoryview(b"aab"), "memoryview")])
+def test_tokenize_refuses_input_that_is_no_bytes(aab, data, name):
+    with pytest.raises(TokenizerError, match=f"tokenize input must be bytes, got {name}$"):
+        aab.tokenize(data)
+    assert aab.tokenize(bytearray(b"aaabb")) == aab.tokenize(b"aaabb") == [4, 5]
+
+
+@pytest.mark.parametrize("corpus, name", [(["ab"], "str"), ([b"ab", "ab"], "str"),
+                                          (b"abab", "int"), ([[97, 98]], "list")])
+def test_train_refuses_a_sample_that_is_no_bytes(corpus, name):
+    with pytest.raises(TokenizerError, match=f"a corpus sample must be bytes, got {name}$"):
+        train(corpus, 1)
+    assert train([bytearray(b"abab")], 1) == train([b"abab"], 1)
+
+
 def test_train_is_deterministic():
     corpus = [b"the cat sat on the mat", b"the bat sat on the rat"]
     assert train(corpus, 8) == train(corpus, 8)

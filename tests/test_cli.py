@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toklang
 from toklang import save_tokenizer
 from toklang.cli import main
 from toklang.toys import (
@@ -357,6 +358,31 @@ def test_verify_suites(files, capsys):
 # --- error paths ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("error", [
+    toklang.cli.CliError("c"), toklang.GrammarError("g"), toklang.GrammarParseError("p", 1, 1),
+    toklang.TokenizerError("t"), toklang.EncodingError("e"), OSError("o"),
+    UnicodeDecodeError("utf-8", b"\xff", 0, 1, "u"),
+], ids=lambda e: type(e).__name__)
+def test_exactly_the_data_errors_exit_2(files, capsys, monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr("toklang.cli.cmd_tokenize", fail)
+    rc = main(["tokenize", "--tokenizer", files["aab"], "a"])
+    assert rc == 2 and capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("error", [ValueError("v"), KeyError("k"), RuntimeError("r")],
+                         ids=lambda e: type(e).__name__)
+def test_any_other_error_is_not_taken_for_a_data_error(files, monkeypatch, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr("toklang.cli.cmd_tokenize", fail)
+    with pytest.raises(type(error)):
+        main(["tokenize", "--tokenizer", files["aab"], "a"])
+
+
 def test_missing_file_exit_2(capsys):
     rc, _ = run(capsys, "tokenize", "--tokenizer", "/nonexistent.json", "x")
     assert rc == 2
@@ -410,6 +436,66 @@ def test_non_utf8_stdin_under_c_locale_exits_2(files):
         input=b"\xff", capture_output=True, env=env, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr == b"error: stdin is not UTF-8 text: invalid start byte at byte 0\n"
+
+
+# --- what one process loads ------------------------------------------------------
+
+# Runs the CLI as ``python -m toklang.cli`` does, then prints the exit code and
+# the modules loaded as the last line of stdout.
+_RUN_AND_LIST_MODULES = """\
+import runpy, sys
+try:
+    runpy.run_module("toklang.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print(code, *sorted(sys.modules))
+"""
+
+
+def _fresh_process(*argv):
+    """(exit code, stderr, modules loaded) of one CLI process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    return int(code), proc.stderr, set(modules)
+
+
+@pytest.fixture(scope="module")
+def bare_interpreter_modules():
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (["tokenize", "--tokenizer", "{aab}", "aaabb"], 0,
+     ["grammar", "recognizer", "encoding", "segmentation", "verify"]),
+    (["recognize", "--grammar", "{dyck}", "--alphabet", "byte", "--tokenizer", "{brackets}",
+      "--mode", "tokens", "4 5"], 0,
+     ["encoding", "segmentation", "verify"]),
+    (["classify", "--tokenizer", "{aab}", "0 0 0 1 1"], 0, ["grammar", "verify"]),
+])
+def test_a_command_loads_only_the_modules_it_runs(files, bare_interpreter_modules,
+                                                  argv, code, absent):
+    got, err, modules = _fresh_process(*(arg.format(**files) for arg in argv))
+    assert (got, err) == (code, "")
+    assert "toklang.bpe" in modules
+    assert not {f"toklang.{name}" for name in absent} & modules
+    if "dataclasses" not in bare_interpreter_modules:
+        assert "dataclasses" not in modules
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["tokenize", "--tokenizer", "{path}", "a"], "{}", "unsupported tokenizer format"),
+    (["recognize", "--grammar", "{path}", "a"], "S -> ;", "line 1, column 6"),
+])
+def test_a_fresh_process_exits_2_on_a_data_error(tmp_path, argv, text, message):
+    path = tmp_path / "artifact"
+    path.write_text(text, encoding="utf-8")
+    code, err, _ = _fresh_process(*(arg.format(path=path) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 def test_crlf_files_read_as_text(files, capsys):

@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from toklang import (
+    Classification,
     Kind,
     Tokenizer,
     TokenizerError,
@@ -11,6 +12,7 @@ from toklang import (
     count_tokenizations,
     enumerate_tokenizations,
     find_mergeable_pair,
+    train,
     unmerge,
 )
 from toklang.toys import aab_tokenizer, byte_identity_tokenizer
@@ -241,3 +243,81 @@ def test_partition_small_exhaustive(aab):
             assert all(
                 k in (Kind.PROPER, Kind.MERGEABLE, Kind.WRONG_MERGE_ORDER)
                 for k in kinds)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: count_tokenizations(t, "aab"),
+    lambda t: enumerate_tokenizations(t, "aab"),
+    lambda t: count_tokenizations(t, [97, 97]),
+    lambda t: enumerate_tokenizations(t, [97, 97], limit=1),
+], ids=["count-str", "enumerate-str", "count-list", "enumerate-list"])
+def test_segmentation_refuses_input_that_is_no_bytes(aab, call):
+    with pytest.raises(TokenizerError, match="data must be bytes, got (str|list)"):
+        call(aab)
+    assert count_tokenizations(aab, bytearray(b"aab")) == count_tokenizations(aab, b"aab")
+    assert list(enumerate_tokenizations(aab, bytearray(b"aa"))) == [[2], [0, 0]]
+
+
+# --- properness as a local property ---------------------------------------------------
+#
+# The conjecture: a sequence is Proper exactly when (a) every token tokenizes
+# to itself and (b) every adjacent pair (a, b) tokenizes to [a, b].  Checked
+# here with classify as the oracle; nothing in the package relies on it yet.
+
+
+def _bigram_proper(t: Tokenizer, seq: list[int]) -> tuple[bool, bool]:
+    """(every token is its own tokenization, every adjacent pair is)."""
+    own = all(t.tokenize(t.vocab[a]) == [a] for a in seq)
+    pairs = all(t.tokenize(t.vocab[a] + t.vocab[b]) == [a, b] for a, b in zip(seq, seq[1:]))
+    return own, pairs
+
+
+@st.composite
+def _merge_lists(draw) -> Tokenizer:
+    """A valid merge list in any order over a, b and c: each merge joins two
+    tokens already in the vocabulary, and its output may be one too."""
+    vocab = [b"a", b"b", b"c"]
+    merges = []
+    for _ in range(draw(st.integers(0, 8))):
+        left, right = draw(st.integers(0, len(vocab) - 1)), draw(st.integers(0, len(vocab) - 1))
+        joined = vocab[left] + vocab[right]
+        if joined not in vocab:
+            vocab.append(joined)
+        if all(m[:2] != (left, right) for m in merges):
+            merges.append((left, right, vocab.index(joined)))
+    return Tokenizer(tuple(vocab), tuple(merges))
+
+
+_trained = st.builds(
+    train,
+    st.lists(st.lists(st.sampled_from(b"abc"), max_size=16).map(bytes), max_size=4),
+    st.integers(0, 10))
+
+
+@st.composite
+def _tokenizer_and_sequence(draw):
+    t = draw(st.one_of(_trained, _merge_lists()))
+    pool = [i for i, bs in enumerate(t.vocab) if set(bs) <= set(b"abc")]
+    seq = draw(st.one_of(
+        st.lists(st.sampled_from(pool), max_size=6),
+        st.lists(st.sampled_from(b"abc"), max_size=12).map(lambda s: t.tokenize(bytes(s)))))
+    return t, seq
+
+
+ABAA = Tokenizer((b"a", b"b", b"ab", b"aba", b"aa", b"abaa"),
+                 ((0, 1, 2), (2, 0, 3), (0, 0, 4), (2, 4, 5)))
+
+
+@settings(max_examples=400)
+@given(_tokenizer_and_sequence())
+def test_proper_iff_every_token_and_every_pair_is_its_own_tokenization(case):
+    t, seq = case
+    assert all(_bigram_proper(t, seq)) == (classify(t, seq).kind is Kind.PROPER)
+
+
+def test_the_pair_condition_alone_is_not_enough():
+    # merges a+b, ab+a, a+a, ab+aa: abaa tokenizes to [aba, a], so the
+    # one-token sequence [abaa] has no pair to fail and is still improper
+    assert ABAA.tokenize(b"abaa") == [3, 0]
+    assert _bigram_proper(ABAA, [5]) == (False, True)
+    assert classify(ABAA, [5]) == Classification(Kind.WRONG_MERGE_ORDER, proper_form=(3, 0))
