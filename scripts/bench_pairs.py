@@ -2,13 +2,18 @@
 
     python3 scripts/bench_pairs.py PARENT CHANGE WORKLOAD SECONDS SEED [SEED ...]
 
-For each seed, runs the unmodified ``perfbench/run.py`` of both checkouts
-on WORKLOAD for SECONDS, one after the other, the parent first on even
-pairs and the change first on odd ones.  Every ``__pycache__`` under both
-``src/`` trees is deleted before every run, so each CLI process compiles
-what it imports, as in a fresh checkout.  Then prints, for each end-to-end
-metric of CHANGE's ``BENCHMARK.json``, the median and quartiles of each side
-and the share of pairs in which the change was better.  Standard library
+Refuses, with exit status 2, to compare checkouts whose ``BENCHMARK.json``
+or ``perfbench/**/*.py`` differ in any byte, naming the first such file: a
+gain must come from identical benchmark code.  Otherwise, for each seed,
+runs the unmodified ``perfbench/run.py`` of both checkouts on WORKLOAD for
+SECONDS, one after the other, the parent first on even pairs and the change
+first on odd ones.  Every ``__pycache__`` under both ``src/`` trees is
+deleted before every run, so each CLI process compiles what it imports, as
+in a fresh checkout.  Then prints, for each end-to-end metric of
+``BENCHMARK.json``, the median and quartiles of each side, the share of
+pairs in which the change was better, and whether the gain rule holds: the
+change is better in at least 9 of 10 pairs, and its median is better than
+the parent's by more than the parent's quartile spread.  Standard library
 only.
 """
 
@@ -34,6 +39,18 @@ def run(root: Path, roots: list[Path], workload: str, seconds: str, seed: int) -
     return {name: m["value"] for name, m in metrics.items()}
 
 
+def first_difference(parent: Path, change: Path) -> str | None:
+    """The first file, by path, of the benchmark code that is not the same
+    bytes in both checkouts, or None."""
+    def files(root: Path) -> dict[str, bytes]:
+        paths = [root / "BENCHMARK.json", *(root / "perfbench").rglob("*.py")]
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in paths if p.is_file()}
+
+    a, b = files(parent), files(change)
+    return next((name for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)),
+                None)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -45,6 +62,11 @@ def main() -> int:
     if len(args.seeds) < 2:
         parser.error("quartiles need at least two seeds")
     roots = [args.parent.resolve(), args.change.resolve()]
+    differing = first_difference(*roots)
+    if differing is not None:
+        print(f"error: the checkouts run different benchmark code: {differing}",
+              file=sys.stderr)
+        return 2
     runs: list[list[dict]] = [[], []]
     for k, seed in enumerate(args.seeds):
         for side in ((0, 1) if k % 2 == 0 else (1, 0)):
@@ -55,20 +77,22 @@ def main() -> int:
 
     spec = json.loads((roots[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
     print(f"{args.workload}, {len(args.seeds)} pairs of {args.seconds} s: "
-          "median [q1, q3] parent -> change; share of pairs the change was better")
+          "median [q1, q3] parent -> change; share of pairs the change was better; "
+          "the gain rule")
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = [(p[name], c[name]) for p, c in zip(*runs)
                  if p.get(name) is not None and c.get(name) is not None]
         if len(pairs) < 2:
             continue
-        cells = []
-        for side in (0, 1):
-            q1, med, q3 = statistics.quantiles([pair[side] for pair in pairs], n=4,
-                                               method="inclusive")
-            cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
+        (q1, med0, q3), (c1, med1, c3) = (
+            statistics.quantiles([pair[side] for pair in pairs], n=4, method="inclusive")
+            for side in (0, 1))
         better = sum(c < p if lower else c > p for p, c in pairs)
-        print(f"  {name:12} {cells[0]} -> {cells[1]}  {better}/{len(pairs)}")
+        gap = med0 - med1 if lower else med1 - med0
+        rule = "holds" if 10 * better >= 9 * len(pairs) and gap > q3 - q1 else "fails"
+        print(f"  {name:12} {med0:.4g} [{q1:.4g}, {q3:.4g}] -> {med1:.4g} [{c1:.4g}, {c3:.4g}]"
+              f"  {better}/{len(pairs)}  gain rule {rule}")
     return 0
 
 

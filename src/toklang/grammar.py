@@ -99,6 +99,19 @@ class Grammar(Frozen):
         return reduce_grammar(self)
 
     @cached_property
+    def _lr(self) -> tuple[list, list, list, list]:
+        """The flat LR(0) items: rule r's item with its dot at d is id
+        ``base[r] + d``, so id + 1 is the item with its dot stepped; then,
+        per id, the symbol after the dot (None once complete), the head,
+        and whether that symbol is nullable."""
+        base, syms, heads = [], [], []
+        for head, body in self.productions:
+            base.append(len(syms))
+            syms += body + (None,)
+            heads += [head] * (len(body) + 1)
+        return base, syms, heads, [s in self._nullable for s in syms]
+
+    @cached_property
     def _tables(self) -> "_PredictionTables":
         return _PredictionTables(self)
 
@@ -115,20 +128,26 @@ class Grammar(Frozen):
         return not self._reduced.productions
 
 
+class _Table(dict):
+    """A read-only prediction table, with the terminals among its keys."""
+    __slots__ = ("terminals",)
+
+
 class _PredictionTables(dict):
     """For each set of nonterminals that the kernel items of a chart position
     wait on, the items predicted there, as one read-only table ``{symbol:
-    tuple of (rule, dot, None)}`` shared by every position with that set:
-    the own entries of each nonterminal that predicting the set reaches,
-    dots stepped over a nullable prefix and completed items left out.  A
-    table is built on its first lookup, one per set the inputs meet."""
+    tuple of item ids}`` shared by every position with that set: the own
+    entries of each nonterminal that predicting the set reaches, dots
+    stepped over a nullable prefix and completed items left out.  A table
+    is built on its first lookup, one per set the inputs meet."""
 
     def __init__(self, g: Grammar):
         super().__init__()
+        base = g._lr[0]
         self._own: dict[str, list[tuple]] = {n: [] for n in g.nonterminals}
         for rule, (head, body) in enumerate(g.productions):
             for dot, sym in enumerate(body):
-                self._own[head].append((sym, (rule, dot, None)))
+                self._own[head].append((sym, base[rule] + dot))
                 if sym not in g._nullable:
                     break
 
@@ -142,7 +161,8 @@ class _PredictionTables(dict):
                 if sym.__class__ is str and sym not in reached:
                     reached.add(sym)
                     order.append(sym)
-        frozen = self[key] = {sym: tuple(items) for sym, items in table.items()}
+        frozen = self[key] = _Table((sym, tuple(items)) for sym, items in table.items())
+        frozen.terminals = tuple(sym for sym in frozen if sym.__class__ is int)
         return frozen
 
 
@@ -172,8 +192,8 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 
 # --- Earley chart ----------------------------------------------------------
 #
-# An item is (rule index, dot, origin), origin being the _Position where its
-# rule was predicted, or None while the item still sits at that position: a
+# An item is (LR(0) item id of ``Grammar._lr``, origin), origin being the
+# _Position where its rule was predicted; an item still there is a bare id: a
 # position never refers to itself, so it is freed by reference counting once
 # no pending item names it.  A finalized position keeps its index, its items
 # keyed by the symbol after their dot, and an accept flag.  Positions never
@@ -181,7 +201,7 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # clones share them.
 #
 # Two shortcuts cut the work per position.  The items predicted at a
-# position (origin None) depend only on the nonterminals its kernel items,
+# position (bare ids) depend only on the nonterminals its kernel items,
 # those with an origin, wait on.  So a position keeps its kernel items in
 # ``wait`` and points ``pred`` at a read-only table of the predicted ones,
 # shared by every position that predicts the same nonterminals and built
@@ -207,7 +227,7 @@ class _Position:
     def __init__(self, index: int):
         self.index = index
         self.wait: dict[str | int, list[tuple]] = {}  # kernel items only
-        self.pred: dict[str | int, tuple] = {}  # a shared table, never mutated
+        self.pred: _Table  # shared, never mutated; set by the closure
         self.accepting = False
         # nonterminal -> topmost item of its reduction path from here, or ()
         self.leo: dict[str, tuple] = {}
@@ -219,8 +239,7 @@ def _close(g: Grammar, pos: _Position, seeds) -> int:
     the table for the nonterminals the kernel items wait on, nullables
     stepped over and completed ones left out: a completion that starts at
     *pos* adds nothing, so none here reads *pos*'s own table."""
-    rules = g.productions
-    nullable = g._nullable
+    _, syms, heads, nullable = g._lr
     start = g.start
 
     items = list(seeds)
@@ -229,10 +248,9 @@ def _close(g: Grammar, pos: _Position, seeds) -> int:
     wait = pos.wait
 
     for item in items:
-        rule, dot, origin = item
-        head, body = rules[rule]
-        if dot < len(body):
-            sym = body[dot]
+        lr, origin = item
+        sym = syms[lr]
+        if sym is not None:
             waiters = wait.get(sym)
             if waiters is None:
                 wait[sym] = [item]
@@ -240,27 +258,28 @@ def _close(g: Grammar, pos: _Position, seeds) -> int:
                 waiters.append(item)
             if sym.__class__ is str:
                 predicted.add(sym)
-                if sym in nullable:
-                    item = (rule, dot + 1, origin)
+                if nullable[lr]:
+                    item = (lr + 1, origin)
                     if item not in seen:
                         seen.add(item)
                         items.append(item)
             continue
+        head = heads[lr]
         top = origin.leo.get(head)
         if top is None:
-            top = _leo_top(rules, origin, head)
+            top = _leo_top(syms, heads, origin, head)
         if top:
             if top not in seen:
                 seen.add(top)
                 items.append(top)
             continue
-        for r2, d2, o2 in origin.wait.get(head, ()):
-            item = (r2, d2 + 1, o2)
+        for lr2, o2 in origin.wait.get(head, ()):
+            item = (lr2 + 1, o2)
             if item not in seen:
                 seen.add(item)
                 items.append(item)
-        for r2, d2, _ in origin.pred.get(head, ()):  # predicted at *origin*
-            item = (r2, d2 + 1, origin)
+        for lr2 in origin.pred.get(head, ()):  # predicted at *origin*
+            item = (lr2 + 1, origin)
             if item not in seen:
                 seen.add(item)
                 items.append(item)
@@ -270,7 +289,7 @@ def _close(g: Grammar, pos: _Position, seeds) -> int:
     return len(items)
 
 
-def _leo_top(rules, pos: _Position, head: str) -> tuple:
+def _leo_top(syms: list, heads: list, pos: _Position, head: str) -> tuple:
     """The topmost item of the deterministic reduction path that completing
     *head* from *pos* starts, or () if there is none; memoized along the
     path on each position's ``leo``."""
@@ -281,11 +300,10 @@ def _leo_top(rules, pos: _Position, head: str) -> tuple:
             break
         waiters = pos.wait.get(head, ())
         if len(waiters) == 1 and head not in pos.pred:
-            rule, dot, origin = waiters[0]
-            above, body = rules[rule]
-            if dot + 1 == len(body):
-                path.append((pos, head, (rule, dot + 1, origin)))
-                pos, head = origin, above
+            lr, origin = waiters[0]
+            if syms[lr + 1] is None:
+                path.append((pos, head, (lr + 1, origin)))
+                pos, head = origin, heads[lr]
                 continue
         top = pos.leo[head] = ()
         break
@@ -302,15 +320,24 @@ def _initial_position(g: Grammar) -> _Position:
     return pos
 
 
+def _expected(pos: _Position) -> list[int]:
+    """The terminals *pos* advances on, each once: those its kernel items
+    wait on that its prediction table lacks, then the table's own."""
+    pred = pos.pred
+    out = [sym for sym in pos.wait if sym.__class__ is int and sym not in pred]
+    out += pred.terminals
+    return out
+
+
 def _advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
     kernel = last.wait.get(terminal, ())
     predicted = last.pred.get(terminal, ())
     if not (kernel or predicted):
         return None
     pos = _Position(last.index + 1)
-    seeds = [(r, d + 1, o) for r, d, o in kernel]
+    seeds = [(lr + 1, o) for lr, o in kernel]
     if predicted:
-        seeds += [(r, d + 1, last) for r, d, _ in predicted]
+        seeds += [(lr + 1, last) for lr in predicted]
     _close(g, pos, seeds)
     return pos
 
@@ -356,8 +383,7 @@ class RecognitionSession:
     def expected(self) -> frozenset[int]:
         """The terminals ``feed`` would accept next; once dead, those it
         expected at ``died_at``."""
-        last = self._last
-        return frozenset((last.wait.keys() | last.pred.keys()) - self.grammar.nonterminals)
+        return frozenset(_expected(self._last))
 
     def feed(self, terminal: int) -> "RecognitionSession":
         if not _valid_terminal(terminal, self.grammar.alphabet):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import grammar as _chart
 from ._value import Frozen
 from .bpe import Tokenizer, TokenizerError
 from .grammar import Grammar, GrammarError, RecognitionSession, recognize
@@ -106,25 +107,28 @@ class TokenSession:
     def allowed_next_tokens(self) -> set[int]:
         """Exactly the token IDs that keep this session live.
 
-        Walks the vocabulary's byte trie depth first, entering only the
-        bytes the chart expects.  A token whose last byte is expected is
-        allowed without advancing (the chart runs on the reduced grammar,
-        where an expected byte always leaves it live); a prefix shared by
-        longer tokens is advanced once, on a clone, for all of them.  The
-        parent session is never touched.  A dead session allows nothing.
+        Walks the vocabulary's byte trie depth first, paired with chart
+        positions, entering only the bytes a position expects.  A token
+        whose last byte is expected is allowed without advancing (the chart
+        runs on the reduced grammar, where an expected byte always leaves
+        it live); a prefix shared by longer tokens is advanced once, from
+        its parent's position, for all of them.  Positions are immutable,
+        so the session is never touched.  A dead session allows nothing.
         """
         if not self.live:
             return set()
+        advance, expected = _chart._advance, _chart._expected
+        g = self.inner.grammar
         allowed: set[int] = set()
-        stack = [(self.inner, self.recognizer.tokenizer.trie)]
+        stack = [(self.inner._last, self.recognizer.tokenizer.trie)]
         while stack:
-            session, node = stack.pop()
-            for b in session.expected():
+            pos, node = stack.pop()
+            for b in expected(pos):
                 tid, children = node.get(b, (None, None))
                 if tid is not None:
                     allowed.add(tid)
                 if children:
-                    stack.append((session.clone().feed(b), children))
+                    stack.append((advance(g, pos, b), children))
         return allowed
 
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import TYPE_CHECKING
 
 from ._value import Value
 from .bpe import Tokenizer, TokenizerError
-from .grammar import recognize
-from .recognizer import TokenRecognizer, relevant_token_ids
-from .segmentation import Kind, classify, count_tokenizations, enumerate_tokenizations
+
+if TYPE_CHECKING:
+    from .recognizer import TokenRecognizer
 
 
 class SuiteReport(Value):
@@ -95,6 +96,8 @@ def run_homomorphism_suite(t: Tokenizer, pairs: int = 10000, seed: int = 0) -> S
 
 
 def run_equivalence_suite(rec: TokenRecognizer, max_len: int = 5) -> SuiteReport:
+    from .grammar import recognize
+    from .recognizer import relevant_token_ids
     _check_count("max_len", max_len)
     report = SuiteReport("equivalence", 0)
     ids = relevant_token_ids(rec)
@@ -115,6 +118,7 @@ def run_equivalence_suite(rec: TokenRecognizer, max_len: int = 5) -> SuiteReport
 
 def run_partition_suite(t: Tokenizer, max_len: int = 8,
                         alphabet: bytes | None = None) -> SuiteReport:
+    from .segmentation import Kind, classify, count_tokenizations, enumerate_tokenizations
     _check_count("max_len", max_len)
     report = SuiteReport("partition", 0)
     if alphabet is None:

@@ -12,6 +12,7 @@ items replaced).  Only usable at toy scale."""
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import Counter
 
 from toklang import (
@@ -224,8 +225,9 @@ def train_by_recount(corpus, num_merges: int) -> Tokenizer:
 
 # --- the chart that predicted item by item and walked every completion ---
 #
-# Items and positions as in toklang.grammar: an item is (rule index, dot,
-# origin), origin None while the item sits at the position that predicted it.
+# Positions as in toklang.grammar, but every item is stored, as (rule index,
+# dot, origin), origin None while the item sits at the position that
+# predicted it.
 
 
 class _Position:
@@ -297,17 +299,34 @@ def advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
     return pos
 
 
-def wait_sets(pos) -> dict[str | int, set[tuple]]:
-    """A position's items by the symbol after their dot, from its wait map
-    and, in toklang.grammar's chart, its shared prediction table, with each
-    item's origin read as its index (the position itself for None), so the
-    positions of two charts compare."""
-    out: dict[str | int, set[tuple]] = {}
-    for table in (pos.wait, getattr(pos, "pred", {})):
-        for sym, items in table.items():
-            out.setdefault(sym, set()).update(
-                (r, d, pos.index if o is None else o.index) for r, d, o in items)
+def rule_dot_items(g: Grammar, pos) -> dict[str | int, list[tuple]]:
+    """A position of toklang.grammar's chart over *g* in this chart's item
+    layout: its kernel items (flat LR(0) id, origin) and the bare ids of its
+    shared prediction table, each id mapped back to (rule, dot), the
+    predicted ones with origin None."""
+    base = g._lr[0]
+
+    def rule_dot(lr: int) -> tuple[int, int]:
+        rule = bisect_right(base, lr) - 1
+        return rule, lr - base[rule]
+
+    out: dict[str | int, list[tuple]] = {}
+    for sym, items in pos.wait.items():
+        out.setdefault(sym, []).extend((*rule_dot(lr), o) for lr, o in items)
+    for sym, ids in pos.pred.items():
+        out.setdefault(sym, []).extend((*rule_dot(lr), None) for lr in ids)
     return out
+
+
+def wait_sets(pos, g: Grammar | None = None) -> dict[str | int, set[tuple]]:
+    """A position's items by the symbol after their dot, with each item's
+    origin read as its index (the position itself for None), so the
+    positions of two charts compare: this chart's position from its wait
+    map, and toklang.grammar's, given its grammar *g*, through
+    ``rule_dot_items``."""
+    table = pos.wait if g is None else rule_dot_items(g, pos)
+    return {sym: {(r, d, pos.index if o is None else o.index) for r, d, o in items}
+            for sym, items in table.items()}
 
 
 # --- the grammar-file reader that tracked a line and column per character ---

@@ -475,6 +475,10 @@ def bare_interpreter_modules():
       "--mode", "tokens", "4 5"], 0,
      ["encoding", "segmentation", "verify"]),
     (["classify", "--tokenizer", "{aab}", "0 0 0 1 1"], 0, ["grammar", "verify"]),
+    (["verify", "--tokenizer", "{aab}", "--suite", "homomorphism", "--budget", "100"], 0,
+     ["grammar", "recognizer", "segmentation", "encoding"]),
+    (["verify", "--tokenizer", "{aab}", "--suite", "partition", "--budget", "3"], 0,
+     ["grammar", "recognizer", "encoding"]),
 ])
 def test_a_command_loads_only_the_modules_it_runs(files, bare_interpreter_modules,
                                                   argv, code, absent):

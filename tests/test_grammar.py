@@ -421,13 +421,13 @@ def test_prediction_tables_are_shared_and_built_on_demand():
 
 
 def test_kernel_items_alone_are_stored_in_wait(monkeypatch):
-    # a predicted item (origin None) lives only in the shared tables
+    # a predicted item (a bare id, no origin) lives only in the shared tables
     stored = []
     close = toklang.grammar._close
 
     def counted(g, pos, seeds):
         kernel = close(g, pos, seeds)
-        stored.extend(o for items in pos.wait.values() for _, _, o in items)
+        stored.extend(o for items in pos.wait.values() for _, o in items)
         return kernel
 
     monkeypatch.setattr(toklang.grammar, "_close", counted)
@@ -587,7 +587,7 @@ def test_chart_matches_oracles_on_generated_grammars(g):
         assert session.accepts() == (ref_died is None and ref_last.accepting)
         assert session.expected() == {k for k in ref_last.wait if isinstance(k, int)}
         assert session._last.accepting == ref_last.accepting
-        assert wait_sets(session._last) == wait_sets(ref_last)
+        assert wait_sets(session._last, session.grammar) == wait_sets(ref_last)
 
     def check(prefix, session):
         # the first cut of the prefix that is not viable: died_at is the byte
@@ -602,11 +602,12 @@ def test_chart_matches_oracles_on_generated_grammars(g):
         if len(live) < 5:
             assert session.expected() == {t for t in (_A, _B) if live + (t,) in viable}
         # no position refers to itself: wait holds kernel items, each with an
-        # earlier origin, and the predicted items sit in the shared table
+        # earlier origin, and the predicted items sit in the shared table as
+        # bare item ids, with no origin
         last = session._last
         assert all(o is not None and o.index < last.index
-                   for items in last.wait.values() for _, _, o in items)
-        assert all(o is None for items in last.pred.values() for _, _, o in items)
+                   for items in last.wait.values() for _, o in items)
+        assert all(type(lr) is int for ids in last.pred.values() for lr in ids)
 
     def walk(prefix, session, ref):
         check(prefix, session)

@@ -11,7 +11,6 @@ from toklang import (
     GrammarError,
     Kind,
     Production,
-    RecognitionSession,
     TokenRecognizer,
     Tokenizer,
     TokenizerError,
@@ -328,22 +327,42 @@ def test_allowed_next_tokens_matches_trials_and_viable_prefixes(rec, picks):
     assert dead.allowed_next_tokens() == allowed_by_trial(dead) == set()
 
 
+def _mask_with_advances(monkeypatch, g, longer, prefix):
+    """The mask of a session over the byte vocabulary plus *longer*, after
+    the bytes of *prefix*, and the terminal of each chart advance it took."""
+    vocab = [bytes([b]) for b in range(256)] + longer
+    session = TokenRecognizer(g, Tokenizer(tuple(vocab))).open_session()
+    for b in prefix:
+        session.feed(b)
+    steps = []
+    advance = toklang.grammar._advance
+
+    def counted(g, last, terminal):
+        steps.append(terminal)
+        return advance(g, last, terminal)
+
+    monkeypatch.setattr(toklang.grammar, "_advance", counted)
+    mask = session.allowed_next_tokens()
+    monkeypatch.undo()
+    assert mask == allowed_by_trial(session)
+    return mask, bytes(steps)
+
+
 def test_mask_advances_each_shared_prefix_once(monkeypatch):
     # "[" * k for k = 2..32: the trie has 31 internal nodes, "[" to "[" * 31
-    vocab = [bytes([b]) for b in range(256)] + [b"[" * k for k in range(2, 33)]
-    session = TokenRecognizer(dyck_grammar(), Tokenizer(tuple(vocab))).open_session()
-    calls = []
-    feed = RecognitionSession.feed
+    mask, steps = _mask_with_advances(
+        monkeypatch, dyck_grammar(), [b"[" * k for k in range(2, 33)], b"")
+    assert steps == b"[" * 31  # trying each token's bytes took 783
+    assert mask == {0x5B} | set(range(256, 287))
 
-    def counted(self, terminal):
-        calls.append(terminal)
-        return feed(self, terminal)
 
-    monkeypatch.setattr(RecognitionSession, "feed", counted)
-    mask = session.allowed_next_tokens()
-    assert len(calls) <= 31  # trying each token's bytes took 783
-    monkeypatch.undo()
-    assert mask == allowed_by_trial(session) == {0x5B} | set(range(256, 287))
+def test_mask_advances_a_byte_awaited_twice_once(monkeypatch):
+    # after "a", "b" is awaited by the kernel item S -> "a" . "b" and by the
+    # predicted item B -> . "b"; the node "b" is advanced once
+    g = parse_grammar('S -> "a" "b" | "a" B ; B -> "b" ;', "byte")
+    mask, steps = _mask_with_advances(monkeypatch, g, [b"bb"], b"a")
+    assert steps == b"b"
+    assert mask == {0x62}
 
 
 def test_mask_chart_work_is_flat_in_the_prefix(rec, monkeypatch):
