@@ -13,8 +13,9 @@ in a fresh checkout.  Then prints, for each end-to-end metric of
 ``BENCHMARK.json``, the median and quartiles of each side, the share of
 pairs in which the change was better, and whether the gain rule holds: the
 change is better in at least 9 of 10 pairs, and its median is better than
-the parent's by more than the parent's quartile spread.  Standard library
-only.
+the parent's by more than the parent's quartile spread; and the line count
+of ``src/**/*.py`` in each checkout, so a deletion's size stands beside its
+timings.  Standard library only.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ def first_difference(parent: Path, change: Path) -> str | None:
                 None)
 
 
+def src_lines(root: Path) -> int:
+    """The lines of ``src/**/*.py`` in the checkout at *root*, as ``wc -l``
+    counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src").rglob("*.py"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -79,6 +86,7 @@ def main() -> int:
     print(f"{args.workload}, {len(args.seeds)} pairs of {args.seconds} s: "
           "median [q1, q3] parent -> change; share of pairs the change was better; "
           "the gain rule")
+    print(f"  {'src lines':12} {src_lines(roots[0])} -> {src_lines(roots[1])}")
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = [(p[name], c[name]) for p, c in zip(*runs)

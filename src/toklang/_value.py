@@ -7,7 +7,14 @@ hashes by them.  A frozen value refuses assignment and deletion; its
 ``functools.cached_property`` does.  These replace ``dataclasses``, which
 every command-line process would otherwise import, ``inspect`` with it,
 only to build six classes.
+
+``DataError`` is the base of the errors that bad input data raises, which
+the command line reports with exit status 2.
 """
+
+
+class DataError(ValueError):
+    """Malformed data, or data outside a function's contract."""
 
 
 class Value:

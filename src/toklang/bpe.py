@@ -16,10 +16,10 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
-from ._value import Frozen
+from ._value import DataError, Frozen
 
 
-class TokenizerError(ValueError):
+class TokenizerError(DataError):
     """Malformed tokenizer data or invalid token input."""
 
 

@@ -15,12 +15,14 @@ import io
 import os
 import sys
 
+from ._value import DataError
+
 SCHEMA_VERSION = 1
 
 SAMPLE_ATTEMPTS = 50  # retries per requested sample before giving up
 
 
-class CliError(Exception):
+class CliError(DataError):
     """User-facing configuration or data error; exits with status 2."""
 
 
@@ -281,16 +283,15 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_equivalence_suite, run_homomorphism_suite, run_partition_suite
-    budget = args.budget
+    budget = () if args.budget is None else (args.budget,)  # none: the suite's default
     if args.suite == "homomorphism":
-        report = run_homomorphism_suite(
-            _tokenizer(args), pairs=10000 if budget is None else budget, seed=args.seed)
+        report = run_homomorphism_suite(_tokenizer(args), *budget, seed=args.seed)
     elif args.suite == "equivalence":
         from .recognizer import TokenRecognizer
         rec = TokenRecognizer(_byte_grammar(args), _tokenizer(args))
-        report = run_equivalence_suite(rec, max_len=5 if budget is None else budget)
+        report = run_equivalence_suite(rec, *budget)
     else:
-        report = run_partition_suite(_tokenizer(args), max_len=8 if budget is None else budget)
+        report = run_partition_suite(_tokenizer(args), *budget)
     _emit(args, report.summary(), {
         "command": "verify",
         "suite": report.suite,
@@ -421,26 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _data_errors() -> tuple:
-    """The exceptions that exit 2: usage, I/O and text errors, and the data
-    errors of the toklang modules loaded.  A module never loaded raised
-    nothing, and looking its error up would load it."""
-    errors = [CliError, OSError, UnicodeError]
-    for module, name in (("bpe", "TokenizerError"), ("grammar", "GrammarError"),
-                         ("encoding", "EncodingError")):
-        loaded = sys.modules.get(f"toklang.{module}")
-        if loaded is not None:
-            errors.append(getattr(loaded, name))
-    return tuple(errors)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, OSError, ValueError) as e:  # each data error is one of these
-        if not isinstance(e, _data_errors()):
-            raise
+    except (DataError, OSError, UnicodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ._value import Frozen
-from .grammar import Grammar, GrammarError, Production
+from ._value import DataError, Frozen
+from .grammar import Grammar, GrammarError, Production, _valid_terminal
 
 
-class EncodingError(ValueError):
+class EncodingError(DataError):
     """A scalar value the scheme cannot encode."""
 
 
 def _utf8_char(cp: int) -> bytes:
-    if type(cp) is not int or not 0 <= cp <= 0x10FFFF or 0xD800 <= cp <= 0xDFFF:
+    if not _valid_terminal(cp, "unicode"):
         raise EncodingError(f"cannot UTF-8 encode scalar value {cp!r}")
     return chr(cp).encode("utf-8")
 

@@ -16,14 +16,14 @@ from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Literal, NamedTuple
 
-from ._value import Frozen
+from ._value import DataError, Frozen
 
 AlphabetMode = Literal["unicode", "byte"]
 
 SPACE = 0x20
 
 
-class GrammarError(ValueError):
+class GrammarError(DataError):
     """Malformed grammar, or a grammar operation used out of contract."""
 
 
@@ -196,9 +196,8 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # _Position where its rule was predicted; an item still there is a bare id: a
 # position never refers to itself, so it is freed by reference counting once
 # no pending item names it.  A finalized position keeps its index, its items
-# keyed by the symbol after their dot, and an accept flag.  Positions never
-# mutate once built, except for a memo that only caches what they imply, so
-# clones share them.
+# keyed by the symbol after their dot, an accept flag and its Leo items.
+# Positions never change once built, so clones share them.
 #
 # Two shortcuts cut the work per position.  The items predicted at a
 # position (bare ids) depend only on the nonterminals its kernel items,
@@ -210,15 +209,16 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # Parsing", 2002); only kernel items are processed one by one, and none is
 # copied.  And a completion whose origin has exactly one item waiting on the
 # head, as the last symbol of its body and with an origin of its own, would
-# complete that item in turn: the completer follows such a deterministic
-# reduction path to its topmost item at once and adds that item alone
-# (J. Leo, TCS 1991), so right recursion costs a constant per terminal
-# instead of the depth of the open spine.
-# Each step of a path moves to a strictly earlier origin and position 0
-# holds only predicted items, so paths end, and a topmost item carries the
-# real origin the accept test reads.  The plain chart without either
-# shortcut is kept in tests/oracles.py as the reference the property tests
-# compare with.
+# complete that item in turn.  Such a deterministic reduction path depends
+# only on its first position and earlier ones, so its topmost item is fixed
+# in ``leo`` when that position is closed, from the entry of the waiter's
+# origin, and the completer adds that item alone (J. Leo, TCS 1991): right
+# recursion costs a constant per terminal instead of the depth of the open
+# spine.  Each step of a path moves to a strictly earlier origin and
+# position 0 holds only predicted items, so paths end, and a topmost item
+# carries the real origin the accept test reads.  The plain chart without
+# either shortcut is kept in tests/oracles.py as the reference the property
+# tests compare with.
 
 
 class _Position:
@@ -229,16 +229,17 @@ class _Position:
         self.wait: dict[str | int, list[tuple]] = {}  # kernel items only
         self.pred: _Table  # shared, never mutated; set by the closure
         self.accepting = False
-        # nonterminal -> topmost item of its reduction path from here, or ()
+        # nonterminal -> topmost item of its reduction path from here
         self.leo: dict[str, tuple] = {}
 
 
 def _close(g: Grammar, pos: _Position, seeds) -> int:
-    """Fill *pos* with the closure of the kernel items *seeds* and return
-    how many kernel items it processed.  The predicted items are those of
-    the table for the nonterminals the kernel items wait on, nullables
-    stepped over and completed ones left out: a completion that starts at
-    *pos* adds nothing, so none here reads *pos*'s own table."""
+    """Fill *pos* with the closure of the kernel items *seeds*, then with
+    its Leo items, and return how many kernel items it processed.  The
+    predicted items are those of the table for the nonterminals the kernel
+    items wait on, nullables stepped over and completed ones left out: a
+    completion that starts at *pos* adds nothing, so none here reads
+    *pos*'s own table or Leo items."""
     _, syms, heads, nullable = g._lr
     start = g.start
 
@@ -266,9 +267,7 @@ def _close(g: Grammar, pos: _Position, seeds) -> int:
             continue
         head = heads[lr]
         top = origin.leo.get(head)
-        if top is None:
-            top = _leo_top(syms, heads, origin, head)
-        if top:
+        if top is not None:
             if top not in seen:
                 seen.add(top)
                 items.append(top)
@@ -285,32 +284,17 @@ def _close(g: Grammar, pos: _Position, seeds) -> int:
                 items.append(item)
         if head == start and origin.index == 0:
             pos.accepting = True
-    pos.pred = g._tables[frozenset(predicted)]
-    return len(items)
-
-
-def _leo_top(syms: list, heads: list, pos: _Position, head: str) -> tuple:
-    """The topmost item of the deterministic reduction path that completing
-    *head* from *pos* starts, or () if there is none; memoized along the
-    path on each position's ``leo``."""
-    path = []
-    while True:
-        top = pos.leo.get(head)
-        if top is not None:
-            break
-        waiters = pos.wait.get(head, ())
-        if len(waiters) == 1 and head not in pos.pred:
+    pos.pred = pred = g._tables[frozenset(predicted)]
+    # the Leo items: a nonterminal that one kernel item alone waits on, as
+    # the last symbol of its body, starts a reduction path here, whose top
+    # is that of the waiter's origin, final already, or the stepped waiter
+    for head in predicted:
+        waiters = wait[head]
+        if len(waiters) == 1 and head not in pred:
             lr, origin = waiters[0]
             if syms[lr + 1] is None:
-                path.append((pos, head, (lr + 1, origin)))
-                pos, head = origin, heads[lr]
-                continue
-        top = pos.leo[head] = ()
-        break
-    for pos, head, item in reversed(path):
-        top = top or item
-        pos.leo[head] = top
-    return top
+                pos.leo[head] = origin.leo.get(heads[lr]) or (lr + 1, origin)
+    return len(items)
 
 
 def _initial_position(g: Grammar) -> _Position:

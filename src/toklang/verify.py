@@ -116,13 +116,11 @@ def run_equivalence_suite(rec: TokenRecognizer, max_len: int = 5) -> SuiteReport
     return report
 
 
-def run_partition_suite(t: Tokenizer, max_len: int = 8,
-                        alphabet: bytes | None = None) -> SuiteReport:
+def run_partition_suite(t: Tokenizer, max_len: int = 8) -> SuiteReport:
     from .segmentation import Kind, classify, count_tokenizations, enumerate_tokenizations
     _check_count("max_len", max_len)
     report = SuiteReport("partition", 0)
-    if alphabet is None:
-        alphabet = bytes(sorted(t.single_byte_ids))
+    alphabet = sorted(t.single_byte_ids)
     for length in range(max_len + 1):
         for combo in itertools.product(alphabet, repeat=length):
             s = bytes(combo)

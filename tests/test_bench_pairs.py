@@ -1,6 +1,9 @@
 """scripts/bench_pairs.py compares two checkouts only when both run the same
-benchmark code; the paired runs themselves are not started here."""
+benchmark code, and prints the src/ line count of each; the paired runs
+themselves are not started here."""
 
+import importlib.util
+import json
 import runpy
 import subprocess
 import sys
@@ -44,3 +47,29 @@ def test_code_outside_the_benchmark_may_differ(tmp_path):
     changed = _checkout(tmp_path / "change",
                         {**_BENCH, "src/m.py": "x = 1\n", "README.md": ""})
     assert first_difference(parent, changed) is None
+
+
+def test_prints_the_src_line_count_of_both_checkouts(tmp_path, monkeypatch, capsys):
+    # the paired runs are stubbed, so no perfbench process starts
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    bench = {**_BENCH, "BENCHMARK.json": json.dumps(
+        {"end_to_end": [{"name": "op_ms_p50", "better": "lower"}]})}
+    parent = _checkout(tmp_path / "parent", {**bench, "src/a/m.py": "x = 1\ny = 2\nz = 3\n",
+                                             "src/a/notes.txt": "not code\n"})
+    changed = _checkout(tmp_path / "change", {**bench, "src/a/m.py": "x = 1\n",
+                                              "src/b.py": "y = 2\n", "README.md": "text\n"})
+    assert (bench_pairs.src_lines(parent), bench_pairs.src_lines(changed)) == (3, 2)
+    parent, changed = parent.resolve(), changed.resolve()  # as main compares them
+
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run", lambda root, *_: runs.append(root) or
+                        {"op_ms_p50": 2.0 if root == parent else 1.0, "setup_s": 0.1})
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(parent), str(changed),
+                                      "decode_mask", "1", "1", "2"])
+    assert bench_pairs.main() == 0
+    assert runs == [parent, changed, changed, parent]
+    summary = capsys.readouterr().out.splitlines()[2:]
+    assert summary[1].split() == ["src", "lines", "3", "->", "2"]
+    assert summary[2].split()[:2] == ["op_ms_p50", "2"]

@@ -15,6 +15,7 @@ from toklang.toys import (
     AAB_TOKENIZER_JSON,
     DYCK_GRAMMAR_TEXT,
     UNICODE_MIX_GRAMMAR_TEXT,
+    aab_tokenizer,
     bracket_tokenizer,
 )
 
@@ -353,6 +354,13 @@ def test_verify_suites(files, capsys):
     rc, out = run(capsys, "verify", "--tokenizer", files["aab"],
                   "--suite", "partition", "--budget", "4")
     assert rc == 0 and out.startswith("partition: pass")
+
+
+def test_verify_without_budget_runs_the_suite_default(files, capsys):
+    rc, out = run(capsys, "verify", "--tokenizer", files["aab"], "--suite", "partition",
+                  "--structured")
+    assert rc == 0
+    assert json.loads(out)["cases"] == toklang.run_partition_suite(aab_tokenizer()).cases == 511
 
 
 # --- error paths ---------------------------------------------------------------------

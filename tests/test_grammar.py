@@ -13,6 +13,7 @@ from toklang import (
     GrammarParseError,
     Production,
     RecognitionSession,
+    TokenRecognizer,
     UTF8,
     add_leading_space,
     as_terminals,
@@ -22,8 +23,14 @@ from toklang import (
     recognize,
     reduce_grammar,
     sample,
+    train,
 )
-from toklang.toys import DYCK_GRAMMAR_TEXT, dyck_grammar, dyck_letters_grammar
+from toklang.toys import (
+    DYCK_GRAMMAR_TEXT,
+    dyck_grammar,
+    dyck_letters_grammar,
+    letter_bracket_tokenizer,
+)
 
 from oracles import (
     advance,
@@ -440,6 +447,75 @@ def test_kernel_items_alone_are_stored_in_wait(monkeypatch):
         assert not toklang.grammar._initial_position(g).wait
     assert len(stored) > 1000
     assert stored.count(None) == 0
+
+
+def _positions_behind(*lasts) -> list:
+    """Every chart position reachable from *lasts* through the origins of
+    kernel items (a Leo item's origin is one of them)."""
+    found = set(lasts)
+    stack = list(lasts)
+    while stack:
+        for items in stack.pop().wait.values():
+            for _, origin in items:
+                if origin not in found:
+                    found.add(origin)
+                    stack.append(origin)
+    return sorted(found, key=lambda pos: pos.index)
+
+
+def _state(pos) -> tuple:
+    return (pos.index, {sym: tuple(items) for sym, items in pos.wait.items()}, id(pos.pred),
+            pos.accepting, dict(pos.leo))
+
+
+def _reduction_path_top(g: Grammar, pos, head: str):
+    """The topmost item of the deterministic reduction path that completing
+    *head* into *pos* starts, walked step by step, or None: each step needs
+    exactly one item at the position waiting on the head, a kernel item (no
+    predicted one waits on it), with the head as the last symbol of its
+    body."""
+    _, syms, heads, _ = g._lr
+    top = None
+    while len(pos.wait.get(head, ())) == 1 and head not in pos.pred:
+        [(lr, origin)] = pos.wait[head]
+        if syms[lr + 1] is not None:
+            break
+        top = (lr + 1, origin)
+        pos, head = origin, heads[lr]
+    return top
+
+
+@pytest.mark.parametrize("g, tokenizer, prefix, more", [
+    (dyck_grammar(), letter_bracket_tokenizer(), b"[[][[]][" * 6, b"[]]][[]]" * 4),
+    (_doc_grammar(), train([_doc(random.Random(3), 1024)], 40),
+     _doc(random.Random(4), 300), _doc(random.Random(5), 100)),
+], ids=["dyck", "doc"])
+def test_positions_never_change_once_built(g, tokenizer, prefix, more):
+    # masks and clones fed further share the positions of a session; none of
+    # them writes to a position, and the Leo items each holds are those of
+    # its deterministic reduction paths
+    session = TokenRecognizer(g, tokenizer).open_session()
+    for tid in tokenizer.tokenize(prefix):
+        session.feed(tid)
+    positions = _positions_behind(session.inner._last)
+    before = [_state(pos) for pos in positions]
+
+    allowed = session.allowed_next_tokens()
+    assert allowed
+    clones = [session.clone().feed(tid) for tid in sorted(allowed)]
+    ahead = session.clone()
+    for tid in tokenizer.tokenize(more):
+        ahead.feed(tid)
+    assert ahead.live and all(clone.live for clone in clones)
+    assert [clone.allowed_next_tokens() for clone in clones]
+
+    assert [_state(pos) for pos in positions] == before
+    lasts = [s.inner._last for s in [session, ahead, *clones]]
+    reached = _positions_behind(*lasts)
+    assert sum(len(pos.leo) for pos in reached) > 10
+    for pos in reached:
+        assert pos.leo == {head: top for head in g.nonterminals
+                           if (top := _reduction_path_top(g, pos, head)) is not None}
 
 
 # --- sessions ----------------------------------------------------------------
