@@ -68,8 +68,9 @@ class Tokenizer(Frozen):
     0..len(vocab)-1 and no two tokens share a byte string.  Each merge is a
     (left, right, merged) ID triple whose merged byte string is the
     concatenation of the two inputs; its list position is its rank, and
-    lower ranks apply first.  Immutable and shareable; ``tokenize`` and
-    ``detokenize`` are pure.
+    lower ranks apply first.  Immutable and shareable; ``tokenize``,
+    ``detokenize`` and ``is_proper`` are pure (``is_proper`` keeps a memo
+    of pair verdicts, which changes no result).
     """
 
     vocab: tuple[bytes, ...]
@@ -137,6 +138,21 @@ class Tokenizer(Frozen):
     def max_token_len(self) -> int:
         return max(len(bs) for bs in self.vocab)
 
+    @cached_property
+    def _decomposable(self) -> bool:
+        """True iff every byte of the vocabulary has a single-byte token, so
+        ``tokenize`` takes the detokenization of any sequence."""
+        return set(b"".join(self.vocab)) <= self.single_byte_ids.keys()
+
+    @cached_property
+    def _pair_verdicts(self) -> dict[tuple[int, int], bool]:
+        """(a, b) -> whether [a, b] is proper, for each pair ``is_proper``
+        has checked that no merge rule joins.  A cache: it grows with the
+        distinct pairs checked and never changes what a method returns.  A
+        pair's verdict is fixed, so threads that share a tokenizer and
+        write the same entry need no lock."""
+        return {}
+
     def check_id(self, t: int) -> int:
         """*t*, if it is a token ID of this tokenizer; else TokenizerError."""
         if type(t) is not int or not 0 <= t < len(self.vocab):  # bool is no id
@@ -145,6 +161,10 @@ class Tokenizer(Frozen):
 
     def check_ids(self, ids: Iterable[int]) -> list[int]:
         return [self.check_id(t) for t in ids]
+
+    def _join(self, seq: list[int]) -> bytes:
+        """detokenize of IDs already checked."""
+        return b"".join([self.vocab[t] for t in seq])
 
     def tokenize(self, data: bytes) -> list[int]:
         """The tokenization the tokenizer actually returns for *data*.
@@ -207,8 +227,58 @@ class Tokenizer(Frozen):
         This is the concatenation homomorphism; there is deliberately no
         post-processing of any kind.
         """
-        vocab = self.vocab
-        return b"".join(vocab[t] for t in self.check_ids(ids))
+        return self._join(self.check_ids(ids))
+
+    def is_proper(self, ids: Iterable[int]) -> bool:
+        """True iff ``tokenize(detokenize(ids)) == ids``, with the same
+        errors, decided pair by pair.
+
+        A sequence of two or more tokens is proper iff no adjacent pair is
+        joined by a merge rule (tokenize's output has no such pair: its loop
+        runs until none is left) and every adjacent pair (a, b) is proper:
+        ``tokenize(vocab[a] + vocab[b]) == [a, b]``.  A pair's verdict is
+        kept in a memo on the tokenizer, so a pair seen before costs one
+        lookup.  Sound for any order of the merge list:
+
+        * ``tokenize`` always merges the least applicable pair by (rank,
+          offset), and within a window of adjacent tokens that is the
+          window's own least pair; so until a merge crosses a window's edge,
+          the window runs exactly its own ``tokenize``.
+        * (only if) In a proper sequence no merge crosses a token boundary,
+          so each window of two tokens runs its own ``tokenize`` to the
+          end and stops at those two tokens: every pair is proper.  By the
+          same argument, both tokens of a proper pair are each proper, so
+          only a one-token sequence needs its token checked on its own.
+        * (if) Let every pair be proper.  If no merge crossed a token
+          boundary, each token would run its own ``tokenize`` and stay
+          itself, so the sequence would be proper.  Otherwise take the
+          first merge that crosses one, between tokens i and i + 1: the
+          ``tokenize`` of those two tokens' bytes passes through the same
+          state and makes that same merge next, so that pair is improper,
+          against the assumption.
+
+        A tokenizer with a vocabulary byte that has no single-byte token
+        can fail to tokenize a detokenization; there the whole string is
+        retokenized, so the error is the one ``tokenize`` raises.
+        """
+        return self._is_proper(self.check_ids(ids))
+
+    def _is_proper(self, seq: list[int]) -> bool:
+        """is_proper of IDs already checked."""
+        if len(seq) < 2 or not self._decomposable:
+            return self.tokenize(self._join(seq)) == seq
+        pairs = list(zip(seq, seq[1:]))
+        if not self.merge_ranks.keys().isdisjoint(pairs):
+            return False  # the O(1) verdict first, so no mergeable pair is memoized
+        memo, vocab = self._pair_verdicts, self.vocab
+        for pair in pairs:
+            ok = memo.get(pair)
+            if ok is None:
+                a, b = pair
+                ok = memo[pair] = self.tokenize(vocab[a] + vocab[b]) == [a, b]
+            if not ok:
+                return False
+        return True
 
 
 def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:

@@ -163,12 +163,10 @@ def cmd_recognize(args) -> int:
         if not session.live:
             break
     accept = session.accepts()
-    if mode == "proper" and accept:
-        from .segmentation import Kind, classify
-        c = classify(rec.tokenizer, ids)
-        if c.kind is not Kind.PROPER:
-            accept = False
-            reason = f"improper: {c.kind.value}"
+    if mode == "proper" and accept and not rec.tokenizer.is_proper(ids):
+        from .segmentation import classify  # only to name the kind
+        accept = False
+        reason = f"improper: {classify(rec.tokenizer, ids).kind.value}"
 
     plain = "accept" if accept else ("reject" if reason is None else f"reject: {reason}")
     _emit(args, plain, {

@@ -23,10 +23,10 @@ class TokenRecognizer(Frozen):
     """A byte-alphabet grammar paired with a byte-base tokenizer.
 
     Immutable and shareable.  Decides membership in the extended token
-    language (any segmentation of a member string) and, with the
-    classification check, in the proper token language (the tokenizer's
-    own segmentations only).  Recognition runs on the grammar's reduced
-    form, so any grammar may be given.
+    language (any segmentation of a member string) and, with
+    ``Tokenizer.is_proper``, in the proper token language (the
+    tokenizer's own segmentations only).  Recognition runs on the
+    grammar's reduced form, so any grammar may be given.
     """
 
     grammar: Grammar
@@ -54,12 +54,13 @@ class TokenRecognizer(Frozen):
         Membership in the intersection of the extended token language with
         the tokenizer's image: the sequence must both detokenize into the
         language and be exactly what the tokenizer returns for that string.
-        The retokenize comes first: it costs a fraction of the chart pass
-        per byte, so a sequence that is not proper never runs the chart.
+        ``Tokenizer.is_proper`` decides the latter pair by pair, from its
+        memo for pairs seen before, and comes first: a sequence that is not
+        proper never runs the chart.
         """
-        seq = list(ids)
-        data = self.tokenizer.detokenize(seq)  # the one check of the ids
-        return self.tokenizer.tokenize(data) == seq and recognize(self.grammar, data)
+        tokenizer = self.tokenizer
+        seq = tokenizer.check_ids(ids)  # the one check of the ids
+        return tokenizer._is_proper(seq) and recognize(self.grammar, tokenizer._join(seq))
 
 
 class TokenSession:

@@ -9,9 +9,10 @@ all of them, and sorts any given token sequence into one of three kinds:
 * WrongMergeOrder — no pair merges, yet it is not the proper form.
 
 A sequence with both defects counts as Mergeable: the pair scan runs first.
-Whether the wrong-merge-order sequences of a tokenizer form a regular set
-is unknown; the unmerge/retokenize check below is a multi-pass decision
-procedure, not a finite-state one.
+Properness is 2-local (see ``Tokenizer.is_proper``): a sequence is proper
+exactly when each adjacent pair is, or, for one token, when that token is.
+So the proper sequences form a regular set, and so do the Mergeable ones
+(some pair is a merge rule) and the WrongMergeOrder ones (the rest).
 """
 
 from __future__ import annotations
@@ -174,15 +175,20 @@ def unmerge(t: Tokenizer, ids: Iterable[int]) -> list[int]:
 def classify(t: Tokenizer, ids: Iterable[int]) -> Classification:
     """Sort a token sequence into Proper / Mergeable / WrongMergeOrder.
 
-    The proper form is recomputed as tokenize(detokenize(ids)), which
-    equals retokenizing the unmerged byte sequence since unmerging never
-    changes the detokenization.
+    A pair that a merge rule joins settles it at once: tokenize's output
+    never holds one, so the sequence is Mergeable at the first such pair.
+    Only a sequence without one is retokenized, as tokenize(detokenize(ids))
+    (equal to retokenizing the unmerged bytes, since unmerging never
+    changes the detokenization), because WrongMergeOrder carries the proper
+    form.  A tokenizer with a vocabulary byte that has no single-byte token
+    always retokenizes, so it raises where ``tokenize`` does.
     """
-    seq = list(ids)
-    proper = t.tokenize(t.detokenize(seq))  # the one check of the ids
-    if seq == proper:
-        return Classification(Kind.PROPER)
+    seq = t.check_ids(ids)  # the one check of the ids
     at = _first_mergeable_pair(t, seq)
-    if at is not None:
-        return Classification(Kind.MERGEABLE, mergeable_at=at)
-    return Classification(Kind.WRONG_MERGE_ORDER, proper_form=tuple(proper))
+    if at is None or not t._decomposable:
+        proper = t.tokenize(t._join(seq))
+        if seq == proper:
+            return Classification(Kind.PROPER)
+        if at is None:
+            return Classification(Kind.WRONG_MERGE_ORDER, proper_form=tuple(proper))
+    return Classification(Kind.MERGEABLE, mergeable_at=at)

@@ -4,10 +4,12 @@ code replaced: ``allowed_by_trial`` (the per-token trial mask that the trie
 walk replaced), ``tokenize_by_rescan`` and ``train_by_recount`` (the BPE
 loops that the heap merge and the incremental counts replaced),
 ``parse_grammar_by_scan`` (the character-by-character grammar reader that
-the regex lexer replaced), and the reference chart ``initial_position`` /
+the regex lexer replaced), the reference chart ``initial_position`` /
 ``advance`` (the Earley closure that predicts item by item and walks every
 completion's waiters, which the shared prediction tables and Leo
-items replaced).  Only usable at toy scale."""
+items replaced), and ``classify_by_retokenize`` /
+``accepts_proper_by_retokenize`` (the whole-string retokenize that the
+pair-by-pair properness check replaced).  Only usable at toy scale."""
 
 from __future__ import annotations
 
@@ -16,12 +18,15 @@ from bisect import bisect_right
 from collections import Counter
 
 from toklang import (
+    Classification,
     Grammar,
     GrammarError,
     GrammarParseError,
+    Kind,
     Production,
     Tokenizer,
     TokenizerError,
+    recognize,
 )
 from toklang.grammar import AlphabetMode
 
@@ -170,6 +175,28 @@ def tokenize_by_rescan(t, data: bytes) -> list[int]:
             break
         ids[best_i:best_i + 2] = [best_m]
     return ids
+
+
+def classify_by_retokenize(t, ids) -> Classification:
+    """``classify`` by retokenizing the whole detokenization first, then
+    scanning for the first pair a merge rule joins."""
+    seq = list(ids)
+    proper = t.tokenize(t.detokenize(seq))
+    if seq == proper:
+        return Classification(Kind.PROPER)
+    for i in range(len(seq) - 1):
+        if (seq[i], seq[i + 1]) in t.merge_ranks:
+            return Classification(Kind.MERGEABLE, mergeable_at=i)
+    return Classification(Kind.WRONG_MERGE_ORDER, proper_form=tuple(proper))
+
+
+def accepts_proper_by_retokenize(rec, ids) -> bool:
+    """``TokenRecognizer.accepts_proper`` as tokenize(detokenize(ids)) == ids
+    and membership of the detokenization, by the package's own chart: only
+    the properness check is the oracle here."""
+    seq = list(ids)
+    data = rec.tokenizer.detokenize(seq)
+    return rec.tokenizer.tokenize(data) == seq and recognize(rec.grammar, data)
 
 
 def train_by_recount(corpus, num_merges: int) -> Tokenizer:

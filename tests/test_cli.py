@@ -1,9 +1,12 @@
 import contextlib
+import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,6 +144,17 @@ def test_recognize_proper_rejects_improper_member(files, capsys):
     rc, _ = run(capsys, "recognize", "--grammar", files["dyck"], "--alphabet", "byte",
                 "--tokenizer", files["brackets"], "--mode", "proper", "4 5")
     assert rc == 0
+
+
+def test_recognize_proper_names_a_mergeable_member(files, capsys):
+    argv = ("recognize", "--grammar", files["dyck"], "--alphabet", "byte",
+            "--tokenizer", files["brackets"], "--mode", "proper", "1 1 2 2")
+    rc, out = run(capsys, *argv)
+    assert rc == 1 and out == "reject: improper: Mergeable\n"
+    rc, out = run(capsys, *argv, "--structured")
+    assert rc == 1 and json.loads(out) == {
+        "command": "recognize", "mode": "proper", "accept": False, "died_at": None,
+        "reason": "improper: Mergeable", "schema": 1}
 
 
 def test_recognize_structured_reports_death_offset(files, capsys):
@@ -363,6 +377,32 @@ def test_verify_without_budget_runs_the_suite_default(files, capsys):
     assert json.loads(out)["cases"] == toklang.run_partition_suite(aab_tokenizer()).cases == 511
 
 
+def _suite_defaults() -> dict[str, int]:
+    """Suite name -> the default budget of its ``verify.py`` signature."""
+    sig = inspect.signature
+    return {
+        "homomorphism": sig(toklang.run_homomorphism_suite).parameters["pairs"].default,
+        "equivalence": sig(toklang.run_equivalence_suite).parameters["max_len"].default,
+        "partition": sig(toklang.run_partition_suite).parameters["max_len"].default,
+    }
+
+
+def _states(text: str, defaults: dict[str, int]) -> bool:
+    """Whether *text* names each suite with its default as the next number."""
+    return all(re.search(rf"{suite}\W[^0-9]*?\b{n}\b", text) for suite, n in defaults.items())
+
+
+def test_the_budget_help_and_the_readme_state_the_suite_defaults(capsys):
+    defaults = _suite_defaults()
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert _states(capsys.readouterr().out.split("--budget", 1)[1], defaults)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    passage = re.search(r"`verify\s+--budget`\s+at\s+least\s+0\s+\(([^)]*)\)", readme)
+    assert passage is not None and _states(passage[1], defaults)
+    assert not _states(passage[1], {**defaults, "partition": defaults["partition"] + 1})
+
+
 # --- error paths ---------------------------------------------------------------------
 
 
@@ -487,6 +527,9 @@ def bare_interpreter_modules():
      ["grammar", "recognizer", "segmentation", "encoding"]),
     (["verify", "--tokenizer", "{aab}", "--suite", "partition", "--budget", "3"], 0,
      ["grammar", "recognizer", "encoding"]),
+    (["recognize", "--grammar", "{dyck}", "--alphabet", "byte", "--tokenizer", "{brackets}",
+      "--mode", "proper", "4 5"], 0,
+     ["encoding", "segmentation", "verify"]),
 ])
 def test_a_command_loads_only_the_modules_it_runs(files, bare_interpreter_modules,
                                                   argv, code, absent):

@@ -25,9 +25,17 @@ from toklang.toys import (
     aab_tokenizer,
     bracket_tokenizer,
     dyck_grammar,
+    dyck_letters_grammar,
+    letter_bracket_tokenizer,
 )
 
-from oracles import allowed_by_trial, members_cut_at, prefixes_of, strings_up_to
+from oracles import (
+    accepts_proper_by_retokenize,
+    allowed_by_trial,
+    members_cut_at,
+    prefixes_of,
+    strings_up_to,
+)
 from test_grammar import kernel_items, small_grammars, unreduced_small_grammars
 
 toy_ids = st.lists(st.sampled_from([1, 2, 3, 4, 5]), max_size=6)
@@ -190,6 +198,26 @@ def test_proper_is_extended_and_classified_proper(ids):
     r = TokenRecognizer(dyck_grammar(), bracket_tokenizer())
     assert r.accepts_proper(ids) == (
         r.accepts_tokens(ids) and classify(r.tokenizer, ids).kind is Kind.PROPER)
+
+
+_TOY_RECOGNIZERS = {  # name: (recognizer, the bytes of its grammar)
+    "brackets": (TokenRecognizer(dyck_grammar(), bracket_tokenizer()), b"[]"),
+    "letter-brackets": (TokenRecognizer(dyck_letters_grammar(), letter_bracket_tokenizer()),
+                        b"[]ab"),
+}
+
+
+@pytest.mark.parametrize("name", list(_TOY_RECOGNIZERS))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_accepts_proper_matches_the_retokenize_oracle(name, data):
+    r, alphabet = _TOY_RECOGNIZERS[name]
+    # any sequence of grammar tokens, or the proper tokenization of a string
+    ids = data.draw(st.one_of(
+        st.lists(st.sampled_from(relevant_token_ids(r)), max_size=8),
+        st.lists(st.sampled_from(alphabet), max_size=12).map(
+            lambda s: r.tokenizer.tokenize(bytes(s)))))
+    assert r.accepts_proper(ids) == accepts_proper_by_retokenize(r, ids)
 
 
 def test_accepts_proper_retokenizes_before_the_chart(rec, monkeypatch):

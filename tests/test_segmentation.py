@@ -17,7 +17,7 @@ from toklang import (
 )
 from toklang.toys import aab_tokenizer, byte_identity_tokenizer
 
-from oracles import segmentations
+from oracles import classify_by_retokenize, segmentations
 
 ab_bytes = st.lists(st.sampled_from([97, 98]), max_size=10).map(bytes)
 
@@ -216,9 +216,10 @@ def test_classify_checks_ids_once(aab, monkeypatch):
 
 @pytest.mark.parametrize("check", [
     lambda t, ids: t.detokenize(ids),
+    lambda t, ids: t.is_proper(ids),
     find_mergeable_pair,
     unmerge,
-], ids=["detokenize", "find_mergeable_pair", "unmerge"])
+], ids=["detokenize", "is_proper", "find_mergeable_pair", "unmerge"])
 def test_direct_calls_reject_unknown_ids(aab, check):
     with pytest.raises(TokenizerError, match="unknown token id 99"):
         check(aab, [0, 99])
@@ -260,9 +261,10 @@ def test_segmentation_refuses_input_that_is_no_bytes(aab, call):
 
 # --- properness as a local property ---------------------------------------------------
 #
-# The conjecture: a sequence is Proper exactly when (a) every token tokenizes
-# to itself and (b) every adjacent pair (a, b) tokenizes to [a, b].  Checked
-# here with classify as the oracle; nothing in the package relies on it yet.
+# A sequence is Proper exactly when (a) every token tokenizes to itself and
+# (b) every adjacent pair (a, b) tokenizes to [a, b]; Tokenizer.is_proper
+# proves it and decides properness that way.  Checked here against the
+# whole-string retokenize of tests/oracles.py.
 
 
 def _bigram_proper(t: Tokenizer, seq: list[int]) -> tuple[bool, bool]:
@@ -274,8 +276,11 @@ def _bigram_proper(t: Tokenizer, seq: list[int]) -> tuple[bool, bool]:
 
 @st.composite
 def _merge_lists(draw) -> Tokenizer:
-    """A valid merge list in any order over a, b and c: each merge joins two
-    tokens already in the vocabulary, and its output may be one too."""
+    """A valid merge list over a, b and c, in any order: each merge joins
+    two tokens of the vocabulary, and its output may be one already.  The
+    list is drawn in build order, where each merge joins tokens that
+    earlier ones made, and then shuffled, so a merge may join a token that
+    only a later merge produces."""
     vocab = [b"a", b"b", b"c"]
     merges = []
     for _ in range(draw(st.integers(0, 8))):
@@ -285,7 +290,7 @@ def _merge_lists(draw) -> Tokenizer:
             vocab.append(joined)
         if all(m[:2] != (left, right) for m in merges):
             merges.append((left, right, vocab.index(joined)))
-    return Tokenizer(tuple(vocab), tuple(merges))
+    return Tokenizer(tuple(vocab), tuple(draw(st.permutations(merges))))
 
 
 _trained = st.builds(
@@ -312,7 +317,80 @@ ABAA = Tokenizer((b"a", b"b", b"ab", b"aba", b"aa", b"abaa"),
 @given(_tokenizer_and_sequence())
 def test_proper_iff_every_token_and_every_pair_is_its_own_tokenization(case):
     t, seq = case
-    assert all(_bigram_proper(t, seq)) == (classify(t, seq).kind is Kind.PROPER)
+    proper = classify_by_retokenize(t, seq).kind is Kind.PROPER
+    assert all(_bigram_proper(t, seq)) == proper
+    assert t.is_proper(seq) == proper
+    assert t.is_proper(seq) == proper  # again, from the memo
+
+
+@settings(max_examples=400)
+@given(_tokenizer_and_sequence())
+def test_classify_matches_the_retokenize_oracle(case):
+    t, seq = case
+    assert classify(t, seq) == classify_by_retokenize(t, seq)
+
+
+def test_a_merge_may_join_a_token_only_a_later_merge_makes():
+    # ab+c, b+c, a+b: b+c wins on "abc", so the first merge never applies
+    t = Tokenizer((b"a", b"b", b"c", b"ab", b"abc", b"bc"), ((3, 2, 4), (1, 2, 5), (0, 1, 3)))
+    assert t.tokenize(b"abc") == [0, 5]
+    assert t.is_proper([0, 5]) and not t.is_proper([4]) and not t.is_proper([3, 2])
+    assert classify(t, [4]) == Classification(Kind.WRONG_MERGE_ORDER, proper_form=(0, 5))
+    assert classify(t, [3, 2]) == Classification(Kind.MERGEABLE, mergeable_at=0)
+
+
+def test_a_byte_without_a_single_byte_token_raises_as_the_retokenize_does():
+    # no token "a": the detokenization of [ab, c] cannot be tokenized,
+    # though its one pair is joined by a merge rule
+    t = Tokenizer((b"ab", b"c", b"abc"), ((0, 1, 2),))
+    for check in (classify, classify_by_retokenize, Tokenizer.is_proper):
+        with pytest.raises(TokenizerError, match="no single-byte token for byte 0x61"):
+            check(t, [0, 1])
+
+
+def _counting_tokenize(monkeypatch) -> list[bytes]:
+    calls = []
+    tokenize = Tokenizer.tokenize
+
+    def counted(self, data):
+        calls.append(data)
+        return tokenize(self, data)
+
+    monkeypatch.setattr(Tokenizer, "tokenize", counted)
+    return calls
+
+
+def test_classify_of_a_mergeable_sequence_does_not_tokenize(monkeypatch):
+    t = aab_tokenizer()
+    calls = _counting_tokenize(monkeypatch)
+    assert classify(t, [0, 0, 0, 1, 1]) == Classification(Kind.MERGEABLE, mergeable_at=0)
+    assert classify(t, [2, 3, 1, 0, 0]) == Classification(Kind.MERGEABLE, mergeable_at=3)
+    assert calls == []
+    assert classify(t, [2, 3, 1]).kind is Kind.WRONG_MERGE_ORDER  # needs the proper form
+    assert calls == [b"aaabb"]
+
+
+def test_is_proper_tokenizes_each_distinct_pair_once(monkeypatch):
+    t = aab_tokenizer()
+    seq = t.tokenize(b"aaabbaaabbaaab")  # [aaa, bb, aaa, bb, aaa, b]
+    calls = _counting_tokenize(monkeypatch)
+    assert t.is_proper(seq)
+    assert calls == [b"aaabb", b"bbaaa", b"aaab"]
+    calls.clear()
+    assert t.is_proper(seq) and t.is_proper(seq[:4])
+    assert calls == []
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_the_memo_holds_only_non_mergeable_pairs_checked(data):
+    t = data.draw(st.one_of(_trained, _merge_lists()))
+    pool = [i for i, bs in enumerate(t.vocab) if set(bs) <= set(b"abc")]
+    checked = set()
+    for seq in data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=6), max_size=8)):
+        assert t.is_proper(seq) == (t.tokenize(t.detokenize(seq)) == seq)
+        checked.update(zip(seq, seq[1:]))
+    assert t._pair_verdicts.keys() <= checked - t.merge_ranks.keys()
 
 
 def test_the_pair_condition_alone_is_not_enough():
@@ -320,4 +398,5 @@ def test_the_pair_condition_alone_is_not_enough():
     # one-token sequence [abaa] has no pair to fail and is still improper
     assert ABAA.tokenize(b"abaa") == [3, 0]
     assert _bigram_proper(ABAA, [5]) == (False, True)
+    assert not ABAA.is_proper([5])
     assert classify(ABAA, [5]) == Classification(Kind.WRONG_MERGE_ORDER, proper_form=(3, 0))
