@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import re
 from array import array
+from collections import defaultdict
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from typing import Iterable, Sequence
 
 from ._value import DataError, Frozen
@@ -100,11 +102,6 @@ class Tokenizer(Frozen):
                     f"{escape_bytes(self.vocab[left])!r} + {escape_bytes(self.vocab[right])!r}")
 
     @cached_property
-    def token_ids(self) -> dict[bytes, int]:
-        """Byte string → token ID (inverse of ``vocab``)."""
-        return {bs: i for i, bs in enumerate(self.vocab)}
-
-    @cached_property
     def merge_ranks(self) -> dict[tuple[int, int], tuple[int, int]]:
         """(left, right) → (rank, merged) for the lowest-ranked such merge."""
         ranks: dict[tuple[int, int], tuple[int, int]] = {}
@@ -133,10 +130,6 @@ class Tokenizer(Frozen):
                 node = node.setdefault(b, [None, {}])[1]
             node.setdefault(bs[-1], [None, {}])[0] = tid
         return root
-
-    @cached_property
-    def max_token_len(self) -> int:
-        return max(len(bs) for bs in self.vocab)
 
     @cached_property
     def _decomposable(self) -> bool:
@@ -287,25 +280,29 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
     Starts from the 256 byte tokens.  Each round takes the adjacent token
     pair with the most occurrences across the corpus (overlapping ones
     included), records it as the next merge, and applies it left to right
-    in every sample; stops early once no pair occurs twice.  A pair is
-    chosen at most once: one whose merge already exists is not counted
-    again, and merged bytes that spell an existing token reuse its ID.
-    Among pairs with equal counts, the one whose first occurrence comes
-    earliest (sample index, then position in the sample) wins; no two
-    pairs share a first occurrence, so training is deterministic.
+    in every sample; stops early once no pair occurs twice.  Merge r
+    makes the new token 256 + r, and a pair once merged never occurs
+    again (both proved in a comment below).  Among pairs with equal
+    counts, the one whose first occurrence comes earliest (sample index,
+    then position in the sample) wins; no two pairs share a first
+    occurrence, so training is deterministic.
 
     The counts are kept exactly and updated only around merged positions,
     as in the reference code of Sennrich et al. (2016).  All samples lie
     in one array, each after a sentinel, with a linked list over the live
     tokens; each pair keeps the array offsets of its left tokens, stale
-    ones included, so a merge visits only the occurrences of its pair.
+    ones included, so a merge visits only the occurrences of its pair.  A
+    bucket queue finds the most frequent pair: bucket c holds the pairs
+    counted c >= 2 times, a count that changes moves its pair one bucket
+    in O(1), and the top pointer only falls.  So after one pass over the
+    corpus and one over its distinct pairs, a round costs what it merges,
+    the empty buckets it passes, and on a tie the occurrences of the tied
+    pairs; a pair counted once is never looked at again until it recurs.
     """
     if type(num_merges) is not int or num_merges < 0:  # bool is no count
         raise TokenizerError(f"num_merges must be an int >= 0, got {num_merges!r}")
     vocab: list[bytes] = [bytes([i]) for i in range(256)]
-    index: dict[bytes, int] = {bs: i for i, bs in enumerate(vocab)}
     merges: list[tuple[int, int, int]] = []
-    ruled: set[tuple[int, int]] = set()
     # A token keeps its offset for life, and offsets order the tokens as
     # (sample, position) does.  -1 marks a sentinel or a merged-away token.
     seq = array("i", [-1])
@@ -315,49 +312,58 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
     n = len(seq)
     nxt = array("i", range(1, n + 1))
     prv = array("i", range(-1, n - 1))
-    counts: dict[tuple[int, int], int] = {}
     where: dict[tuple[int, int], array] = {}  # pair -> offsets, stale ones too
-
-    def add(pair, i):
-        if pair not in ruled:
-            counts[pair] = counts.get(pair, 0) + 1
-            if pair in where:
-                where[pair].append(i)
-            else:
-                where[pair] = array("i", (i,))
-
-    def drop(pair):
-        if pair not in ruled:
-            c = counts[pair] - 1
-            if c:
-                counts[pair] = c
-            else:
-                del counts[pair], where[pair]
+    for i, pair in enumerate(zip(seq, islice(seq, 1, None))):
+        offsets = where.get(pair)
+        if offsets is None:
+            where[pair] = array("i", (i,))
+        else:
+            offsets.append(i)
+    for pair in [pair for pair in where if -1 in pair]:  # across a sentinel
+        del where[pair]
+    counts = {pair: len(offsets) for pair, offsets in where.items()}
+    top = max(counts.values(), default=0)
+    # buckets[c]: the pairs counted c >= 2 times.  A pair whose count falls
+    # leaves an empty set at each count it passes; the top pointer drops
+    # each empty set it passes, so they do not pile up.
+    buckets: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
+    for pair, c in counts.items():
+        if c > 1:
+            buckets[c].add(pair)
 
     def first(pair):
         left, right = pair
         return min(i for i in where[pair] if seq[i] == left and seq[nxt[i]] == right)
 
-    for i in range(1, n - 1):
-        if seq[i] >= 0 and seq[i + 1] >= 0:
-            add((seq[i], seq[i + 1]), i)
-
+    # Every merge makes a new token.  Take a span of a sample whose ends are
+    # token boundaries at some round.  They were boundaries at every round
+    # before it, as tokens only grow, so no merge crossed them; and each
+    # left-to-right pass entered the span with its first token free and
+    # left it with no pair across its end.  So the span's tokens are those
+    # of training on its bytes alone with the same merge list.  Now let a
+    # round join L and R, and let an earlier round have joined L' and R'
+    # into the same bytes b.  Trained alone, b is L', R' at the earlier
+    # round and one token from then on, never L, R: a contradiction.
+    #   So a merge makes pairs only with its new token, and a merged pair
+    # never occurs again: its round breaks every occurrence, left to right.
+    # The one merged pair a round meets is its own, as (right, after) in a
+    # run such as a a a.  And an occurrence adds at most one to a new pair
+    # (the new token lies only left of it), so no count passes the top.
     for _ in range(num_merges):
-        top = max(counts.values(), default=0)
+        while top > 1 and not buckets.get(top):
+            buckets.pop(top, None)
+            top -= 1
         if top < 2:
             break
-        tied = [pair for pair, c in counts.items() if c == top]
-        pair = tied[0] if len(tied) == 1 else min(tied, key=first)
-        left, right = pair
-        new_bytes = vocab[left] + vocab[right]
-        merged = index.get(new_bytes)
-        if merged is None:
-            merged = len(vocab)
-            vocab.append(new_bytes)
-            index[new_bytes] = merged
-        merges.append((left, right, merged))
-        ruled.add(pair)
+        tied = buckets[top]
+        pair = min(tied, key=first) if len(tied) > 1 else next(iter(tied))
+        tied.remove(pair)
         del counts[pair]
+        left, right = pair
+        merged = len(vocab)
+        vocab.append(vocab[left] + vocab[right])
+        merges.append((left, right, merged))
+        # drop the two pairs an occurrence breaks, add the two it makes
         for i in sorted(where.pop(pair)):
             j = nxt[i]
             if seq[i] != left or seq[j] != right:
@@ -365,16 +371,50 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
             p, k = prv[i], nxt[j]
             before, after = seq[p], seq[k]
             if before >= 0:
-                drop((before, left))
-            if after >= 0:
-                drop((right, after))
+                other = (before, left)
+                c = counts[other]
+                if c > 1:
+                    buckets[c].remove(other)
+                    if c > 2:
+                        buckets[c - 1].add(other)
+                    counts[other] = c - 1
+                else:
+                    del counts[other], where[other]
+            other = (right, after)
+            if after >= 0 and other != pair:
+                c = counts[other]
+                if c > 1:
+                    buckets[c].remove(other)
+                    if c > 2:
+                        buckets[c - 1].add(other)
+                    counts[other] = c - 1
+                else:
+                    del counts[other], where[other]
             seq[i] = merged
             seq[j] = -1
             nxt[i], prv[k] = k, i
             if before >= 0:
-                add((before, merged), p)
+                other = (before, merged)
+                c = counts.get(other, 0) + 1
+                counts[other] = c
+                if c == 1:
+                    where[other] = array("i", (p,))
+                else:
+                    where[other].append(p)
+                    if c > 2:
+                        buckets[c - 1].remove(other)
+                    buckets[c].add(other)
             if after >= 0:
-                add((merged, after), i)
+                other = (merged, after)
+                c = counts.get(other, 0) + 1
+                counts[other] = c
+                if c == 1:
+                    where[other] = array("i", (i,))
+                else:
+                    where[other].append(i)
+                    if c > 2:
+                        buckets[c - 1].remove(other)
+                    buckets[c].add(other)
 
     return Tokenizer(tuple(vocab), tuple(merges))
 

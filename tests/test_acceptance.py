@@ -78,8 +78,7 @@ def test_criterion_1_merge_worked_example():
     """Tokenize and classify the aaabb example, exactly."""
     with _Budget("1 merge worked example", 1.0):
         t = aab_tokenizer()
-        aaa, bb = t.token_ids[b"aaa"], t.token_ids[b"bb"]
-        aa, ab, b = t.token_ids[b"aa"], t.token_ids[b"ab"], t.token_ids[b"b"]
+        aaa, bb, aa, ab, b = map(t.vocab.index, (b"aaa", b"bb", b"aa", b"ab", b"b"))
         assert t.tokenize(b"aaabb") == [aaa, bb]
         c = classify(t, [aa, ab, b])
         assert c.kind is Kind.WRONG_MERGE_ORDER
@@ -93,7 +92,7 @@ def test_criterion_2_multibyte_split():
         assert encode_string(UTF8, "你") == bytes([0xE4, 0xBD, 0xA0])
         vocab = (b"\xe4", b"\xbd", b"\xa0", b"\xe4\xbd")
         t = Tokenizer(vocab, ((0, 1, 3),))
-        t1, t2 = t.token_ids[b"\xe4\xbd"], t.token_ids[b"\xa0"]
+        t1, t2 = t.vocab.index(b"\xe4\xbd"), t.vocab.index(b"\xa0")
         assert t.detokenize([t1]) + t.detokenize([t2]) == encode_string(UTF8, "你")
         assert t.detokenize([t1, t2]) == encode_string(UTF8, "你")
 

@@ -206,7 +206,7 @@ def test_train_is_deterministic():
 def test_train_learns_composite_tokens():
     t = train([b"abab abab abab"], 3)
     assert t.vocab[256] == b"ab"
-    assert b"abab" in t.token_ids
+    assert b"abab" in t.vocab
     assert t.detokenize(t.tokenize(b"abab abab")) == b"abab abab"
 
 

@@ -2,7 +2,10 @@
 rescanning loops they replaced, ``tokenize_by_rescan`` and
 ``train_by_recount`` in ``tests/oracles.py``: equal output, always."""
 
+import inspect
+import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -102,8 +105,111 @@ def test_tokenize_rejects_the_same_byte_as_rescan(text):
 @example(corpus=[b"ab", b"ba", b"ab", b"ba"], num_merges=4)
 @example(corpus=[b"a" * 7, b"aa"], num_merges=5)        # overlapping pairs
 @example(corpus=[b"abcabc", b"bcab"], num_merges=60)    # runs out of pairs
+# distinct pairs, each twice, in shuffled samples: the top bucket holds
+# several pairs for many rounds, and the first occurrence breaks each tie
+@example(corpus=[b"gh", b"ab", b"ef", b"cd", b"ef", b"gh", b"cd", b"ab"], num_merges=8)
+@example(corpus=[b"ca", b"bd", b"ac", b"db", b"bc", b"ab", b"cb", b"ba", b"ad", b"dc",
+                 b"da", b"cd", b"ad", b"ba", b"cd", b"ab", b"ca", b"db", b"bc", b"dc",
+                 b"cb", b"ac", b"bd", b"da"], num_merges=20)
+@example(corpus=[b"KLMNOPQRST", b"ABCDEFGHIJ", b"ABCDEFGHIJ", b"KLMNOPQRST"], num_merges=30)
 def test_train_matches_recount(corpus, num_merges):
     assert train(corpus, num_merges) == train_by_recount(corpus, num_merges)
+
+
+@settings(max_examples=200)
+@given(corpus=corpora(), num_merges=st.integers(0, 60))
+# bc before ab: "abc" is only ever a, bc, so abc is never also ab + c
+@example(corpus=[b"abc", b"abc", b"bcx", b"bcx", b"bcx", b"abx", b"abx"], num_merges=6)
+def test_every_merge_makes_a_new_token(corpus, num_merges):
+    """Merge r makes token 256 + r, as proved in ``train``: no corpus
+    spells one byte string with two merges, such as a + bc and ab + c."""
+    t = train(corpus, num_merges)
+    assert [merged for _, _, merged in t.merges] == list(range(256, 256 + len(t.merges)))
+
+
+def _rounds_in_any_order(samples: tuple) -> bool:
+    """Whether some order of rounds spells one byte string with two merges
+    on *samples* (tuples of byte strings, one token each).  A round merges
+    every left-to-right occurrence of one pair that occurs and was never
+    merged; other samples can steer ``train`` into any such order."""
+    seen = set()
+
+    def search(samples, made: dict, ruled: frozenset) -> bool:
+        if (samples, ruled) in seen:
+            return False
+        seen.add((samples, ruled))
+        pairs = {pair for s in samples for pair in zip(s, s[1:])} - ruled
+        for pair in pairs:
+            bs = pair[0] + pair[1]
+            if made.get(bs, pair) != pair:
+                return True
+            out = []
+            for s in samples:
+                merged, i = [], 0
+                while i < len(s):
+                    if s[i:i + 2] == pair:
+                        merged.append(bs)
+                        i += 2
+                    else:
+                        merged.append(s[i])
+                        i += 1
+                out.append(tuple(merged))
+            if search(tuple(out), {**made, bs: pair}, ruled | {pair}):
+                return True
+        return False
+
+    return search(samples, {}, frozenset())
+
+
+@pytest.mark.parametrize("alphabet,size", [(b"ab", 7), (b"abc", 5)])
+def test_no_order_of_rounds_spells_a_token_twice(alphabet, size):
+    """The premise of ``train``'s proof, exhaustively at toy scale: every
+    string up to *size* bytes, whole or cut in two samples."""
+    for n in range(2, size + 1):
+        for text in itertools.product([bytes([b]) for b in alphabet], repeat=n):
+            for cut in range(n):
+                parts = (text[:cut], text[cut:]) if cut else (text,)
+                assert not _rounds_in_any_order(parts), parts
+
+
+def _round_lines(corpus, num_merges: int) -> int:
+    """The line events of ``train``'s code from its first round on: the
+    rounds, their tie-breaks and the final ``Tokenizer``."""
+    code = train.__code__
+    lines, _ = inspect.getsourcelines(train)
+    start = code.co_firstlineno + next(
+        k for k, line in enumerate(lines) if "for _ in range(num_merges):" in line)
+    events = [0, False]  # line events since the first round; begun?
+
+    def local(frame, event, arg):
+        if event == "line":
+            if frame.f_code is code and frame.f_lineno == start:
+                events[1] = True
+            events[0] += events[1]
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == code.co_filename else None
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        train(corpus, num_merges)
+    finally:
+        sys.settrace(outer)
+    return events[0]
+
+
+def test_a_round_examines_no_pair_counted_once():
+    """Pairs that occur once, a few thousand of them, cost the rounds
+    nothing: after the initial count, ``train`` runs exactly the same lines
+    with them as without them."""
+    rng = random.Random(16)
+    corpus = [bytes(rng.choice(b"[]ab ") for _ in range(60)) for _ in range(20)]
+    once = [bytes(pair) for pair in itertools.product(range(0x80, 0xB0), repeat=2)]
+    assert len(once) == 2304
+    assert train(corpus + once, 40) == train(corpus, 40)
+    assert _round_lines(corpus + once, 40) == _round_lines(corpus, 40)
 
 
 class _CountedRanks(dict):
