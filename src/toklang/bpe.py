@@ -260,11 +260,10 @@ class Tokenizer(Frozen):
         """is_proper of IDs already checked."""
         if len(seq) < 2 or not self._decomposable:
             return self.tokenize(self._join(seq)) == seq
-        pairs = list(zip(seq, seq[1:]))
-        if not self.merge_ranks.keys().isdisjoint(pairs):
+        if self._mergeable_at(seq) is not None:
             return False  # the O(1) verdict first, so no mergeable pair is memoized
         memo, vocab = self._pair_verdicts, self.vocab
-        for pair in pairs:
+        for pair in zip(seq, seq[1:]):
             ok = memo.get(pair)
             if ok is None:
                 a, b = pair
@@ -272,6 +271,14 @@ class Tokenizer(Frozen):
             if not ok:
                 return False
         return True
+
+    def _mergeable_at(self, seq: list[int]) -> int | None:
+        """Index of the first adjacent pair of checked IDs that a merge rule
+        joins, else None.  The common answer, None, is one set test."""
+        ranks = self.merge_ranks
+        if ranks.keys().isdisjoint(zip(seq, seq[1:])):
+            return None
+        return next(i for i, pair in enumerate(zip(seq, seq[1:])) if pair in ranks)
 
 
 def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
@@ -476,13 +483,18 @@ def _tokenizer_from(vocab: list[bytes], merges, source: str) -> Tokenizer:
     return Tokenizer(tuple(vocab), tuple(resolved))
 
 
-def loads_tokenizer(text: str) -> Tokenizer:
+def _json_value(text: str, name: str):
+    """The JSON value of *text*; an error names the file as *name*."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except ValueError as e:  # JSONDecodeError, or a number past the digit limit
-        raise TokenizerError(f"tokenizer file is not valid JSON: {e}") from None
+        raise TokenizerError(f"{name} is not valid JSON: {e}") from None
     except RecursionError:
-        raise TokenizerError("tokenizer file is nested too deeply") from None
+        raise TokenizerError(f"{name} is nested too deeply") from None
+
+
+def loads_tokenizer(text: str) -> Tokenizer:
+    data = _json_value(text, "tokenizer file")
     if not isinstance(data, dict):
         raise TokenizerError("tokenizer file must be a JSON object")
     version = data.get("version")
@@ -556,13 +568,7 @@ def load_gpt2_tokenizer(vocab_path, merges_path) -> Tokenizer:
     original tokenizer's output on inputs its regex would have split.
     """
     with open(vocab_path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        raw_vocab = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or a number past the digit limit
-        raise TokenizerError(f"vocab file is not valid JSON: {e}") from None
-    except RecursionError:
-        raise TokenizerError("vocab file is nested too deeply") from None
+        raw_vocab = _json_value(fh.read(), "vocab file")
     if not isinstance(raw_vocab, dict):
         raise TokenizerError("vocab file must map token strings to ids")
     vocab = _vocab_from_map(raw_vocab, _gpt2_str_to_bytes)

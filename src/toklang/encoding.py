@@ -53,8 +53,7 @@ def encode_string(scheme: EncodingScheme, s) -> bytes:
 
 def encode_grammar(scheme: EncodingScheme, g: Grammar) -> Grammar:
     """Replace every character terminal by its byte sequence, in place in
-    each production body.  Nonterminal structure is untouched, so the
-    result is reduced exactly when the input is."""
+    each production body.  Nonterminal structure is untouched."""
     if g.alphabet != "unicode":
         raise GrammarError("encode_grammar expects a unicode-alphabet grammar")
     productions = []

@@ -139,15 +139,7 @@ def _cuts(t: Tokenizer, data: bytes, pos: int) -> Iterator[tuple[int, int]]:
 
 def find_mergeable_pair(t: Tokenizer, ids: Iterable[int]) -> int | None:
     """Index of the first adjacent pair matching a merge rule, else None."""
-    return _first_mergeable_pair(t, t.check_ids(ids))
-
-
-def _first_mergeable_pair(t: Tokenizer, seq: list[int]) -> int | None:
-    ranks = t.merge_ranks
-    for i in range(len(seq) - 1):
-        if (seq[i], seq[i + 1]) in ranks:
-            return i
-    return None
+    return t._mergeable_at(t.check_ids(ids))
 
 
 def unmerge(t: Tokenizer, ids: Iterable[int]) -> list[int]:
@@ -175,20 +167,18 @@ def unmerge(t: Tokenizer, ids: Iterable[int]) -> list[int]:
 def classify(t: Tokenizer, ids: Iterable[int]) -> Classification:
     """Sort a token sequence into Proper / Mergeable / WrongMergeOrder.
 
-    A pair that a merge rule joins settles it at once: tokenize's output
-    never holds one, so the sequence is Mergeable at the first such pair.
-    Only a sequence without one is retokenized, as tokenize(detokenize(ids))
-    (equal to retokenizing the unmerged bytes, since unmerging never
-    changes the detokenization), because WrongMergeOrder carries the proper
-    form.  A tokenizer with a vocabulary byte that has no single-byte token
-    always retokenizes, so it raises where ``tokenize`` does.
+    Properness is ``Tokenizer.is_proper``'s pair test, so a proper
+    sequence is never retokenized whole.  An improper one is Mergeable at
+    its first pair that a merge rule joins, if it has one.  Only the rest
+    are retokenized, as tokenize(detokenize(ids)), because WrongMergeOrder
+    carries the proper form.  A tokenizer with a vocabulary byte that has
+    no single-byte token raises where ``tokenize`` does, as ``is_proper``
+    does.
     """
     seq = t.check_ids(ids)  # the one check of the ids
-    at = _first_mergeable_pair(t, seq)
-    if at is None or not t._decomposable:
-        proper = t.tokenize(t._join(seq))
-        if seq == proper:
-            return Classification(Kind.PROPER)
-        if at is None:
-            return Classification(Kind.WRONG_MERGE_ORDER, proper_form=tuple(proper))
-    return Classification(Kind.MERGEABLE, mergeable_at=at)
+    if t._is_proper(seq):
+        return Classification(Kind.PROPER)
+    at = t._mergeable_at(seq)
+    if at is not None:
+        return Classification(Kind.MERGEABLE, mergeable_at=at)
+    return Classification(Kind.WRONG_MERGE_ORDER, proper_form=tuple(t.tokenize(t._join(seq))))

@@ -5,7 +5,7 @@ stay cheap."""
 from __future__ import annotations
 
 from .bpe import Tokenizer, loads_tokenizer
-from .grammar import Grammar, parse_grammar, reduce_grammar
+from .grammar import Grammar, parse_grammar
 
 DYCK_GRAMMAR_TEXT = """\
 # Balanced square brackets, empty string included.
@@ -36,15 +36,15 @@ AAB_TOKENIZER_JSON = """\
 
 
 def dyck_grammar(alphabet: str = "byte") -> Grammar:
-    return reduce_grammar(parse_grammar(DYCK_GRAMMAR_TEXT, alphabet))
+    return parse_grammar(DYCK_GRAMMAR_TEXT, alphabet)
 
 
 def dyck_letters_grammar() -> Grammar:
-    return reduce_grammar(parse_grammar(DYCK_LETTERS_GRAMMAR_TEXT, "byte"))
+    return parse_grammar(DYCK_LETTERS_GRAMMAR_TEXT, "byte")
 
 
 def unicode_mix_grammar() -> Grammar:
-    return reduce_grammar(parse_grammar(UNICODE_MIX_GRAMMAR_TEXT, "unicode"))
+    return parse_grammar(UNICODE_MIX_GRAMMAR_TEXT, "unicode")
 
 
 def aab_tokenizer() -> Tokenizer:

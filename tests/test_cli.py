@@ -75,6 +75,32 @@ def test_detokenize_bad_ids_exit_2(files, capsys):
     assert rc == 2
 
 
+def test_detokenize_bytes_writes_raw_bytes(files, capsysbinary):
+    # id 258 of the bracket tokenizer is the byte 0xff
+    rc = main(["detokenize", "--tokenizer", files["brackets"], "--bytes", "4 258"])
+    assert rc == 0 and capsysbinary.readouterr().out == b"[[\xff"
+
+
+def test_detokenize_of_bytes_that_are_not_utf8(files, capsys):
+    rc = main(["detokenize", "--tokenizer", files["brackets"], "4 258"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        "error: detokenized bytes are not UTF-8; use --bytes for raw output\n")
+    rc, out = run(capsys, "detokenize", "--tokenizer", files["brackets"],
+                  "--structured", "4 258")
+    assert rc == 0
+    assert json.loads(out) == {
+        "command": "detokenize", "bytes": "[[\\xff", "text": None, "schema": 1}
+
+
+def test_tokenize_bytes_refuses_a_literal_argument(files, capsys):
+    rc = main(["tokenize", "--tokenizer", files["brackets"], "--bytes", "[]"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: --bytes reads a file or stdin, not a literal argument\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["detokenize", "\u0660"],            # ARABIC-INDIC DIGIT ZERO
     ["detokenize", "0_0"],
@@ -312,6 +338,14 @@ def test_transform_leading_space(files, capsys, tmp_path):
     assert rc == 1
 
 
+def test_transform_encode_utf8_of_a_byte_grammar_exits_2(files, capsys):
+    rc = main(["transform", "--grammar", files["dyck"], "--alphabet", "byte",
+               "--encode-utf8"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: --encode-utf8 needs a unicode-alphabet grammar\n"
+
+
 @pytest.mark.parametrize("flag", ["--leading-space", "--encode-utf8"])
 def test_transform_of_an_empty_language_exits_2(capsys, tmp_path, flag):
     # the output is reduced: S' -> " " S would name an S with no rules
@@ -348,6 +382,16 @@ def test_sample(files, capsys):
     assert len(lines) == 3
     for line in lines:
         assert set(line) <= {"[", "]"}
+
+
+def test_sample_of_bytes_that_are_not_utf8_is_escaped(capsys, tmp_path):
+    g = tmp_path / "ff.g"
+    g.write_text('S -> \\xff "a" ;', encoding="utf-8")
+    rc, out = run(capsys, "sample", "--grammar", str(g), "--alphabet", "byte")
+    assert rc == 0 and out == "\\xffa\n"
+    rc, out = run(capsys, "sample", "--grammar", str(g), "--alphabet", "byte",
+                  "--structured")
+    assert rc == 0 and json.loads(out)["samples"] == ["\\xffa"]
 
 
 def test_sample_empty_language_exit_2(capsys, tmp_path):

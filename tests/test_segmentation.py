@@ -367,18 +367,22 @@ def test_classify_of_a_mergeable_sequence_does_not_tokenize(monkeypatch):
     assert classify(t, [2, 3, 1, 0, 0]) == Classification(Kind.MERGEABLE, mergeable_at=3)
     assert calls == []
     assert classify(t, [2, 3, 1]).kind is Kind.WRONG_MERGE_ORDER  # needs the proper form
-    assert calls == [b"aaabb"]
+    assert calls == [b"aaab", b"aaabb"]  # the pair verdict, then the proper form
 
 
 def test_is_proper_tokenizes_each_distinct_pair_once(monkeypatch):
-    t = aab_tokenizer()
-    seq = t.tokenize(b"aaabbaaabbaaab")  # [aaa, bb, aaa, bb, aaa, b]
     calls = _counting_tokenize(monkeypatch)
-    assert t.is_proper(seq)
-    assert calls == [b"aaabb", b"bbaaa", b"aaab"]
-    calls.clear()
-    assert t.is_proper(seq) and t.is_proper(seq[:4])
-    assert calls == []
+    # classify decides Proper by the same pair test, so it never retokenizes
+    # a proper sequence whole
+    for proper in (Tokenizer.is_proper, lambda t, ids: classify(t, ids).kind is Kind.PROPER):
+        t = aab_tokenizer()
+        seq = t.tokenize(b"aaabbaaabbaaab")  # [aaa, bb, aaa, bb, aaa, b]
+        calls.clear()
+        assert proper(t, seq)
+        assert calls == [b"aaabb", b"bbaaa", b"aaab"]
+        calls.clear()
+        assert proper(t, seq) and proper(t, seq[:4])
+        assert calls == []
 
 
 @settings(max_examples=200)

@@ -1,12 +1,15 @@
 import pytest
 
 from toklang import (
+    Classification,
+    Kind,
     TokenRecognizer,
     TokenizerError,
     find_tokenize_witness,
     run_equivalence_suite,
     run_homomorphism_suite,
     run_partition_suite,
+    segmentation,
     train,
 )
 from toklang.toys import (
@@ -63,6 +66,20 @@ def test_suites_refuse_a_count_that_is_no_int_or_negative(suite, name, count):
     # a refused count would otherwise check nothing and report "pass"
     with pytest.raises(TokenizerError, match=f"{name} must be an int >= 0"):
         suite(count)
+
+
+def test_partition_suite_ties_the_proper_label_to_tokenize(aab, monkeypatch):
+    # a planted fault: classify calls the all-single-byte segmentation Proper,
+    # so each string still has exactly one Proper item, but the wrong one
+    def single_bytes_proper(t, ids):
+        if all(len(t.vocab[i]) == 1 for i in ids):
+            return Classification(Kind.PROPER)
+        return Classification(Kind.MERGEABLE, mergeable_at=0)
+
+    monkeypatch.setattr(segmentation, "classify", single_bytes_proper)
+    report = run_partition_suite(aab)
+    assert not report.passed and report.cases == 511
+    assert "b'aa': items classified Proper are [[0, 0]], tokenize gives [2]" in report.failures
 
 
 def test_partition_suite_defaults_to_single_byte_alphabet(aab):
