@@ -11,9 +11,11 @@ first on odd ones.  Every ``__pycache__`` under both ``src/`` trees is
 deleted before every run, so each CLI process compiles what it imports, as
 in a fresh checkout.  Then prints, for each end-to-end metric of
 ``BENCHMARK.json``, the median and quartiles of each side, the share of
-pairs in which the change was better, and whether the gain rule holds: the
+pairs in which the change was better, whether the gain rule holds (the
 change is better in at least 9 of 10 pairs, and its median is better than
-the parent's by more than the parent's quartile spread; and the line count
+the parent's by more than the parent's quartile spread), and whether the
+change's median is worse than the parent's by more than the metric's
+``bound``, read as a fraction of the parent's median; and the line count
 of ``src/**/*.py`` in each checkout, so a deletion's size stands beside its
 timings.  Standard library only.
 """
@@ -85,7 +87,7 @@ def main() -> int:
     spec = json.loads((roots[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
     print(f"{args.workload}, {len(args.seeds)} pairs of {args.seconds} s: "
           "median [q1, q3] parent -> change; share of pairs the change was better; "
-          "the gain rule")
+          "the gain rule; the no-regression bound")
     print(f"  {'src lines':12} {src_lines(roots[0])} -> {src_lines(roots[1])}")
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -99,6 +101,10 @@ def main() -> int:
         better = sum(c < p if lower else c > p for p, c in pairs)
         gap = med0 - med1 if lower else med1 - med0
         rule = "holds" if 10 * better >= 9 * len(pairs) and gap > q3 - q1 else "fails"
+        bound = metric.get("bound")
+        if bound is not None:
+            worse = -gap > bound * abs(med0)
+            rule += f"  bound {bound:.0%} {'exceeded' if worse else 'kept'}"
         print(f"  {name:12} {med0:.4g} [{q1:.4g}, {q3:.4g}] -> {med1:.4g} [{c1:.4g}, {c3:.4g}]"
               f"  {better}/{len(pairs)}  gain rule {rule}")
     return 0

@@ -254,13 +254,14 @@ class Tokenizer(Frozen):
         can fail to tokenize a detokenization; there the whole string is
         retokenized, so the error is the one ``tokenize`` raises.
         """
-        return self._is_proper(self.check_ids(ids))
+        seq = self.check_ids(ids)
+        return self._is_proper(seq, self._mergeable_at(seq))
 
-    def _is_proper(self, seq: list[int]) -> bool:
-        """is_proper of IDs already checked."""
+    def _is_proper(self, seq: list[int], mergeable_at: int | None) -> bool:
+        """is_proper of IDs already checked, given ``_mergeable_at(seq)``."""
         if len(seq) < 2 or not self._decomposable:
             return self.tokenize(self._join(seq)) == seq
-        if self._mergeable_at(seq) is not None:
+        if mergeable_at is not None:
             return False  # the O(1) verdict first, so no mergeable pair is memoized
         memo, vocab = self._pair_verdicts, self.vocab
         for pair in zip(seq, seq[1:]):

@@ -116,6 +116,27 @@ class Grammar(Frozen):
         return _PredictionTables(self)
 
     @cached_property
+    def _classes(self) -> "_TerminalClasses":
+        """The terminal classes of this (reduced) grammar and the chart
+        grammar over them; see the chart comment below."""
+        contexts: dict[int, set[tuple]] = {}
+        for head, body in self.productions:
+            for k, sym in enumerate(body):
+                if sym.__class__ is int:
+                    contexts.setdefault(sym, set()).add((head, body[:k], body[k + 1:]))
+        by_contexts: dict[frozenset, list[int]] = {}
+        for t in sorted(contexts):
+            by_contexts.setdefault(frozenset(contexts[t]), []).append(t)
+        members = {ts[0]: tuple(ts) for ts in by_contexts.values()}
+        of = {t: ts[0] for ts in by_contexts.values() for t in ts}
+        chart = self
+        if len(members) < len(of):
+            chart = Grammar(self.nonterminals, self.alphabet, tuple(dict.fromkeys(
+                Production(head, tuple(of.get(s, s) for s in body))
+                for head, body in self.productions)), self.start)
+        return _TerminalClasses(chart, of, members)
+
+    @cached_property
     def terminals_used(self) -> frozenset[int]:
         """Terminal values appearing in some production body."""
         return frozenset(
@@ -126,6 +147,12 @@ class Grammar(Frozen):
         """True iff the grammar generates no string at all: its reduced
         form has no productions left."""
         return not self._reduced.productions
+
+
+class _TerminalClasses(NamedTuple):
+    chart: Grammar  # the grammar the chart runs on
+    of: dict[int, int]  # each terminal to the least member of its class
+    members: dict[int, tuple[int, ...]]  # each least member to its class
 
 
 class _Table(dict):
@@ -219,6 +246,20 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # carries the real origin the accept test reads.  The plain chart without
 # either shortcut is kept in tests/oracles.py as the reference the property
 # tests compare with.
+#
+# The chart runs on classes of terminals, not on terminals
+# (``Grammar._classes``).  Two terminals share a class iff they occur in the
+# same contexts ``(head, body[:k], body[k+1:])`` of the productions, so
+# replacing one occurrence of a terminal in a member by another of its class
+# swaps one production of the derivation for another, and gives a member.
+# With φ the map of each terminal to its class, w ∈ L ⇔ φ(w) ∈ φ(L); φ(L)
+# is the language of the chart grammar, in which each terminal is the least
+# member of its class and duplicate productions are dropped.  It is reduced
+# when the grammar is, and it is the grammar itself when every class has
+# one member.  A fed terminal is mapped to its class by one lookup; one not
+# in the grammar maps to itself, which the chart grammar does not use
+# either.  Interchangeable terminals then share every chart position, and a
+# next-token mask advances once per path of classes.
 
 
 class _Position:
@@ -330,9 +371,11 @@ def recognize(g: Grammar, w) -> bool:
     """Decide w ∈ L(g) in one batch pass."""
     g = g._reduced
     terms = as_terminals(g, w)
-    pos = _initial_position(g)
+    classes = g._classes
+    chart, of = classes.chart, classes.of.get
+    pos = _initial_position(chart)
     for t in terms:
-        pos = _advance(g, pos, t)
+        pos = _advance(chart, pos, of(t, t))
         if pos is None:
             return False
     return pos.accepting
@@ -345,16 +388,18 @@ class RecognitionSession:
     language; dead sessions are absorbing.  A session belongs to one
     logical caller.  It holds only its last chart position, which keeps
     alive just the positions its pending items refer to; ``clone`` is
-    O(1), since positions are immutable and shared.
+    O(1), since positions are immutable and shared.  ``grammar`` is the
+    reduced grammar; the positions are those of its chart grammar.
     """
 
-    __slots__ = ("grammar", "consumed", "died_at", "_last")
+    __slots__ = ("grammar", "consumed", "died_at", "_last", "_classes")
 
     def __init__(self, grammar: Grammar):
         self.grammar = grammar._reduced
         self.consumed = 0
         self.died_at: int | None = 0 if self.grammar.is_empty_language else None
-        self._last = _initial_position(self.grammar)
+        self._classes = self.grammar._classes
+        self._last = _initial_position(self._classes.chart)
 
     @property
     def live(self) -> bool:
@@ -366,15 +411,18 @@ class RecognitionSession:
 
     def expected(self) -> frozenset[int]:
         """The terminals ``feed`` would accept next; once dead, those it
-        expected at ``died_at``."""
-        return frozenset(_expected(self._last))
+        expected at ``died_at``: every member of each class the chart
+        position expects."""
+        members = self._classes.members
+        return frozenset(t for c in _expected(self._last) for t in members[c])
 
     def feed(self, terminal: int) -> "RecognitionSession":
         if not _valid_terminal(terminal, self.grammar.alphabet):
             raise GrammarError(
                 f"terminal {terminal!r} outside the {self.grammar.alphabet} alphabet")
         if self.live:
-            nxt = _advance(self.grammar, self._last, terminal)
+            classes = self._classes
+            nxt = _advance(classes.chart, self._last, classes.of.get(terminal, terminal))
             if nxt is None:
                 self.died_at = self.consumed
             else:
@@ -388,6 +436,7 @@ class RecognitionSession:
         s.consumed = self.consumed
         s.died_at = self.died_at
         s._last = self._last
+        s._classes = self._classes
         return s
 
 

@@ -11,6 +11,7 @@ multi-byte characters; bytes are bytes.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 from . import grammar as _chart
@@ -44,6 +45,21 @@ class TokenRecognizer(Frozen):
     def open_session(self) -> "TokenSession":
         return TokenSession(self)
 
+    @cached_property
+    def _class_trie(self) -> dict[int, list]:
+        """The relevant tokens by the classes of their bytes (see
+        ``Grammar._classes``): class -> [the IDs of the tokens that end
+        there, children], where children is a dict of the same shape."""
+        of = self.grammar._reduced._classes.of
+        vocab = self.tokenizer.vocab
+        root: dict[int, list] = {}
+        for tid in relevant_token_ids(self):
+            node = root
+            for b in vocab[tid][:-1]:
+                node = node.setdefault(of[b], [[], {}])[1]
+            node.setdefault(of[vocab[tid][-1]], [[], {}])[0].append(tid)
+        return root
+
     def accepts_tokens(self, ids: Iterable[int]) -> bool:
         """True iff detokenize(ids), the one check of the ids, is a member."""
         return recognize(self.grammar, self.tokenizer.detokenize(ids))
@@ -60,7 +76,8 @@ class TokenRecognizer(Frozen):
         """
         tokenizer = self.tokenizer
         seq = tokenizer.check_ids(ids)  # the one check of the ids
-        return tokenizer._is_proper(seq) and recognize(self.grammar, tokenizer._join(seq))
+        return (tokenizer._is_proper(seq, tokenizer._mergeable_at(seq))
+                and recognize(self.grammar, tokenizer._join(seq)))
 
 
 class TokenSession:
@@ -108,28 +125,31 @@ class TokenSession:
     def allowed_next_tokens(self) -> set[int]:
         """Exactly the token IDs that keep this session live.
 
-        Walks the vocabulary's byte trie depth first, paired with chart
-        positions, entering only the bytes a position expects.  A token
-        whose last byte is expected is allowed without advancing (the chart
-        runs on the reduced grammar, where an expected byte always leaves
-        it live); a prefix shared by longer tokens is advanced once, from
-        its parent's position, for all of them.  Positions are immutable,
+        Walks the recognizer's class trie depth first, paired with chart
+        positions, entering only the classes a position expects.  The
+        tokens whose last byte is in an expected class are allowed without
+        advancing (the chart runs on the reduced grammar, where an expected
+        class always leaves it live); a class prefix shared by longer
+        tokens is advanced once, from its parent's position, for all of
+        them, whatever bytes they spell it with.  Positions are immutable,
         so the session is never touched.  A dead session allows nothing.
         """
         if not self.live:
             return set()
         advance, expected = _chart._advance, _chart._expected
-        g = self.inner.grammar
+        chart = self.inner._classes.chart
         allowed: set[int] = set()
-        stack = [(self.inner._last, self.recognizer.tokenizer.trie)]
+        stack = [(self.inner._last, self.recognizer._class_trie)]
         while stack:
             pos, node = stack.pop()
-            for b in expected(pos):
-                tid, children = node.get(b, (None, None))
-                if tid is not None:
-                    allowed.add(tid)
-                if children:
-                    stack.append((advance(g, pos, b), children))
+            for c in expected(pos):
+                hit = node.get(c)
+                if hit is not None:
+                    ids, children = hit
+                    if ids:
+                        allowed.update(ids)
+                    if children:
+                        stack.append((advance(chart, pos, c), children))
         return allowed
 
 

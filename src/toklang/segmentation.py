@@ -176,9 +176,9 @@ def classify(t: Tokenizer, ids: Iterable[int]) -> Classification:
     does.
     """
     seq = t.check_ids(ids)  # the one check of the ids
-    if t._is_proper(seq):
+    at = t._mergeable_at(seq)  # the one scan of the pairs
+    if t._is_proper(seq, at):
         return Classification(Kind.PROPER)
-    at = t._mergeable_at(seq)
     if at is not None:
         return Classification(Kind.MERGEABLE, mergeable_at=at)
     return Classification(Kind.WRONG_MERGE_ORDER, proper_form=tuple(t.tokenize(t._join(seq))))

@@ -8,7 +8,9 @@ Each suite checks one structural claim about tokenization:
   exist whenever there is at least one merge);
 * equivalence — a token stream (a session fed token by token) accepts
   exactly when the character-level recognizer accepts the detokenized
-  string, exhaustively over short sequences of grammar-relevant tokens;
+  string, exhaustively over short sequences of grammar-relevant tokens,
+  and its next-token mask allows exactly the relevant tokens that keep a
+  clone of it live;
 * partition — enumeration of a string's tokenization space matches the
   DP count and contains the tokenizer's own output, and ``classify``
   calls that output Proper and no other point.
@@ -112,6 +114,13 @@ def run_equivalence_suite(rec: TokenRecognizer, max_len: int = 5) -> SuiteReport
             if got != want:
                 report.failures.append(
                     f"tokens {list(seq)}: token stream={got}, character oracle={want}")
+            if length < max_len and session.live:
+                mask = session.allowed_next_tokens()
+                trial = {t for t in ids if session.clone().feed(t).live}
+                if mask != trial:
+                    report.failures.append(
+                        f"tokens {list(seq)}: the mask allows {sorted(mask - trial)} that "
+                        f"kill the session and leaves out {sorted(trial - mask)} that do not")
             report.cases += 1
     return report
 

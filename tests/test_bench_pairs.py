@@ -73,3 +73,25 @@ def test_prints_the_src_line_count_of_both_checkouts(tmp_path, monkeypatch, caps
     summary = capsys.readouterr().out.splitlines()[2:]
     assert summary[1].split() == ["src", "lines", "3", "->", "2"]
     assert summary[2].split()[:2] == ["op_ms_p50", "2"]
+
+
+def test_prints_whether_each_metric_keeps_its_bound(tmp_path, monkeypatch, capsys):
+    # op_ms_p50 is 20% worse within a bound of 25%; bytes_per_s is 20% worse
+    # beyond a bound of 10%; the paired runs are stubbed
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    bench = {**_BENCH, "BENCHMARK.json": json.dumps({"end_to_end": [
+        {"name": "op_ms_p50", "better": "lower", "bound": 0.25},
+        {"name": "bytes_per_s", "better": "higher", "bound": 0.1}]})}
+    parent = _checkout(tmp_path / "parent", bench).resolve()
+    changed = _checkout(tmp_path / "change", bench).resolve()
+    monkeypatch.setattr(bench_pairs, "run", lambda root, *_: {
+        "op_ms_p50": 2.0 if root == parent else 2.4,
+        "bytes_per_s": 100.0 if root == parent else 80.0})
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(parent), str(changed),
+                                      "decode_mask", "1", "1", "2"])
+    assert bench_pairs.main() == 0
+    lines = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[4:]}
+    assert lines["op_ms_p50"][-4:] == ["fails", "bound", "25%", "kept"]
+    assert lines["bytes_per_s"][-4:] == ["fails", "bound", "10%", "exceeded"]

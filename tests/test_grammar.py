@@ -34,6 +34,7 @@ from toklang.toys import (
 
 from oracles import (
     advance,
+    all_strings,
     balanced_brackets,
     bracket_prefix_viable,
     initial_position,
@@ -422,9 +423,11 @@ def test_prediction_tables_are_shared_and_built_on_demand():
     for b in data:
         tables.append(session.feed(b)._last.pred)
     assert session.accepts()
-    # every position points at a cached table, and every cached table is used
-    assert {id(t) for t in tables} == {id(t) for t in g._tables.values()}
-    assert len(g._tables) <= 8  # for 2,116 positions
+    # every position points at a cached table of the grammar the chart runs
+    # on, and every cached table is used
+    chart = g._classes.chart
+    assert {id(t) for t in tables} == {id(t) for t in chart._tables.values()}
+    assert len(chart._tables) <= 8  # for 2,116 positions
 
 
 def test_kernel_items_alone_are_stored_in_wait(monkeypatch):
@@ -513,9 +516,10 @@ def test_positions_never_change_once_built(g, tokenizer, prefix, more):
     lasts = [s.inner._last for s in [session, ahead, *clones]]
     reached = _positions_behind(*lasts)
     assert sum(len(pos.leo) for pos in reached) > 10
+    chart = g._classes.chart  # the grammar whose item ids the positions hold
     for pos in reached:
         assert pos.leo == {head: top for head in g.nonterminals
-                           if (top := _reduction_path_top(g, pos, head)) is not None}
+                           if (top := _reduction_path_top(chart, pos, head)) is not None}
 
 
 # --- sessions ----------------------------------------------------------------
@@ -643,16 +647,20 @@ def _grammar(text):
 @example(_grammar("S -> S ;"))                                   # empty language
 @example(_grammar('S -> "a" S | "" ;'))         # the accept sits on a Leo top at origin 0
 @example(_grammar('S -> A ; A -> "a" A | B ; B -> "b" B | "" ;'))  # chained right recursion
+@example(_grammar('S -> "a" S | "b" S | "" ;'))  # one terminal class, ab
 def test_chart_matches_oracles_on_generated_grammars(g):
     members = strings_up_to(g, 5)
     viable = prefixes_of(members_cut_at(g, 5))
+    # the chart runs on the chart grammar, fed the class of each terminal
+    classes = g._classes
+    chart = classes.chart
 
     def step(ref, t, consumed):
         # a reference walk is its last position and died_at, as in a session
         last, died = ref
         if died is not None:
             return ref
-        nxt = advance(g, last, t)
+        nxt = advance(chart, last, classes.of.get(t, t))
         return (last, consumed) if nxt is None else (nxt, None)
 
     def check_reference(session, ref):
@@ -661,9 +669,10 @@ def test_chart_matches_oracles_on_generated_grammars(g):
         assert session.live == (ref_died is None)
         assert session.died_at == ref_died
         assert session.accepts() == (ref_died is None and ref_last.accepting)
-        assert session.expected() == {k for k in ref_last.wait if isinstance(k, int)}
+        assert session.expected() == {t for k in ref_last.wait if isinstance(k, int)
+                                      for t in classes.members[k]}
         assert session._last.accepting == ref_last.accepting
-        assert wait_sets(session._last, session.grammar) == wait_sets(ref_last)
+        assert wait_sets(session._last, chart) == wait_sets(ref_last)
 
     def check(prefix, session):
         # the first cut of the prefix that is not viable: died_at is the byte
@@ -695,7 +704,29 @@ def test_chart_matches_oracles_on_generated_grammars(g):
             check_reference(session, ref)
 
     walk((), RecognitionSession(g),
-         (initial_position(g), 0 if g.is_empty_language else None))
+         (initial_position(chart), 0 if g.is_empty_language else None))
+
+
+@settings(max_examples=200)
+@given(small_grammars())
+@example(_grammar('S -> "a" S | "b" S | "" ;'))  # one class, ab
+@example(_grammar('S -> "a" "b" | "b" "a" ;'))   # symmetric under a swap, yet two classes
+@example(_grammar('S -> "a" "a" | "b" "b" ;'))
+def test_terminal_classes_are_interchangeable(g):
+    # replacing one occurrence of a terminal in a member by another member
+    # of its class gives a member, so the chart grammar decides membership
+    members = strings_up_to(g, 5)
+    classes = g._classes
+    assert classes.of.keys() == g.terminals_used
+    for w in members:
+        for i, t in enumerate(w):
+            for u in classes.members[classes.of[t]]:
+                assert w[:i] + (u,) + w[i + 1:] in members
+    for w in all_strings((_A, _B), 5):
+        assert recognize(g, w) == (w in members)
+    chart = classes.chart
+    assert reduce_grammar(chart) is chart
+    assert strings_up_to(chart, 5) == {tuple(classes.of[t] for t in w) for w in members}
 
 
 def _retained_bytes(g, data: bytes, collect: bool = True) -> int:

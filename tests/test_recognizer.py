@@ -393,6 +393,16 @@ def test_mask_advances_a_byte_awaited_twice_once(monkeypatch):
     assert mask == {0x62}
 
 
+def test_mask_advances_each_class_prefix_once(monkeypatch):
+    # "a" and "b" are one class, so "ab" and "ba" share the class prefix
+    # "aa" and "aab" and "bab" share "aaa": two advances, where walking the
+    # bytes took four ("a", "b", "aa" and "ba")
+    g = parse_grammar('S -> "a" S | "b" S | "" ;', "byte")
+    mask, steps = _mask_with_advances(monkeypatch, g, [b"ab", b"ba", b"aab", b"bab"], b"")
+    assert steps == b"aa"
+    assert mask == {0x61, 0x62} | set(range(256, 260))
+
+
 def test_mask_chart_work_is_flat_in_the_prefix(rec, monkeypatch):
     # "]" and "]]" close the last "[": each advance costs the same at any depth
     costs = []

@@ -370,6 +370,20 @@ def test_classify_of_a_mergeable_sequence_does_not_tokenize(monkeypatch):
     assert calls == [b"aaab", b"aaabb"]  # the pair verdict, then the proper form
 
 
+def test_classify_of_a_mergeable_sequence_scans_its_pairs_once(monkeypatch):
+    t = aab_tokenizer()
+    scans = []
+    mergeable_at = Tokenizer._mergeable_at
+
+    def counted(self, seq):
+        scans.append(list(seq))
+        return mergeable_at(self, seq)
+
+    monkeypatch.setattr(Tokenizer, "_mergeable_at", counted)
+    assert classify(t, [2, 3, 1, 0, 0]) == Classification(Kind.MERGEABLE, mergeable_at=3)
+    assert scans == [[2, 3, 1, 0, 0]]
+
+
 def test_is_proper_tokenizes_each_distinct_pair_once(monkeypatch):
     calls = _counting_tokenize(monkeypatch)
     # classify decides Proper by the same pair test, so it never retokenizes

@@ -4,6 +4,7 @@ from toklang import (
     Classification,
     Kind,
     TokenRecognizer,
+    TokenSession,
     TokenizerError,
     find_tokenize_witness,
     run_equivalence_suite,
@@ -47,6 +48,23 @@ def test_equivalence_suite_counts(dyck, brackets):
     report = run_equivalence_suite(TokenRecognizer(dyck, brackets), max_len=3)
     assert report.passed
     assert report.cases == 1 + 5 + 25 + 125
+
+
+def test_equivalence_suite_checks_the_mask(dyck, brackets, monkeypatch):
+    # a planted fault: the mask leaves out the least id it allows
+    allowed = TokenSession.allowed_next_tokens
+
+    def drops_one(self):
+        mask = allowed(self)
+        return mask - {min(mask)} if mask else mask
+
+    rec = TokenRecognizer(dyck, brackets)
+    assert run_equivalence_suite(rec, max_len=3).passed
+    monkeypatch.setattr(TokenSession, "allowed_next_tokens", drops_one)
+    report = run_equivalence_suite(rec, max_len=3)
+    assert not report.passed
+    assert report.failures[0] == "tokens []: the mask allows [] that kill the session " \
+        "and leaves out [1] that do not"
 
 
 def test_partition_suite_passes(aab):
