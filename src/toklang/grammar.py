@@ -99,42 +99,10 @@ class Grammar(Frozen):
         return reduce_grammar(self)
 
     @cached_property
-    def _lr(self) -> tuple[list, list, list, list]:
-        """The flat LR(0) items: rule r's item with its dot at d is id
-        ``base[r] + d``, so id + 1 is the item with its dot stepped; then,
-        per id, the symbol after the dot (None once complete), the head,
-        and whether that symbol is nullable."""
-        base, syms, heads = [], [], []
-        for head, body in self.productions:
-            base.append(len(syms))
-            syms += body + (None,)
-            heads += [head] * (len(body) + 1)
-        return base, syms, heads, [s in self._nullable for s in syms]
-
-    @cached_property
-    def _tables(self) -> "_PredictionTables":
-        return _PredictionTables(self)
-
-    @cached_property
-    def _classes(self) -> "_TerminalClasses":
-        """The terminal classes of this (reduced) grammar and the chart
-        grammar over them; see the chart comment below."""
-        contexts: dict[int, set[tuple]] = {}
-        for head, body in self.productions:
-            for k, sym in enumerate(body):
-                if sym.__class__ is int:
-                    contexts.setdefault(sym, set()).add((head, body[:k], body[k + 1:]))
-        by_contexts: dict[frozenset, list[int]] = {}
-        for t in sorted(contexts):
-            by_contexts.setdefault(frozenset(contexts[t]), []).append(t)
-        members = {ts[0]: tuple(ts) for ts in by_contexts.values()}
-        of = {t: ts[0] for ts in by_contexts.values() for t in ts}
-        chart = self
-        if len(members) < len(of):
-            chart = Grammar(self.nonterminals, self.alphabet, tuple(dict.fromkeys(
-                Production(head, tuple(of.get(s, s) for s in body))
-                for head, body in self.productions)), self.start)
-        return _TerminalClasses(chart, of, members)
+    def _chart(self) -> "_Chart":
+        """What the chart reads of this grammar, built on first use; read
+        only on a reduced grammar, as ``g._reduced._chart``."""
+        return _Chart(self)
 
     @cached_property
     def terminals_used(self) -> frozenset[int]:
@@ -147,50 +115,6 @@ class Grammar(Frozen):
         """True iff the grammar generates no string at all: its reduced
         form has no productions left."""
         return not self._reduced.productions
-
-
-class _TerminalClasses(NamedTuple):
-    chart: Grammar  # the grammar the chart runs on
-    of: dict[int, int]  # each terminal to the least member of its class
-    members: dict[int, tuple[int, ...]]  # each least member to its class
-
-
-class _Table(dict):
-    """A read-only prediction table, with the terminals among its keys."""
-    __slots__ = ("terminals",)
-
-
-class _PredictionTables(dict):
-    """For each set of nonterminals that the kernel items of a chart position
-    wait on, the items predicted there, as one read-only table ``{symbol:
-    tuple of item ids}`` shared by every position with that set: the own
-    entries of each nonterminal that predicting the set reaches, dots
-    stepped over a nullable prefix and completed items left out.  A table
-    is built on its first lookup, one per set the inputs meet."""
-
-    def __init__(self, g: Grammar):
-        super().__init__()
-        base = g._lr[0]
-        self._own: dict[str, list[tuple]] = {n: [] for n in g.nonterminals}
-        for rule, (head, body) in enumerate(g.productions):
-            for dot, sym in enumerate(body):
-                self._own[head].append((sym, base[rule] + dot))
-                if sym not in g._nullable:
-                    break
-
-    def __missing__(self, key: frozenset) -> dict:
-        order = sorted(key)
-        reached = set(order)
-        table: dict[str | int, list[tuple]] = {}
-        for n in order:  # grows while it is walked
-            for sym, item in self._own[n]:
-                table.setdefault(sym, []).append(item)
-                if sym.__class__ is str and sym not in reached:
-                    reached.add(sym)
-                    order.append(sym)
-        frozen = self[key] = _Table((sym, tuple(items)) for sym, items in table.items())
-        frozen.terminals = tuple(sym for sym in frozen if sym.__class__ is int)
-        return frozen
 
 
 def as_terminals(g: Grammar, w) -> tuple[int, ...]:
@@ -219,12 +143,15 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 
 # --- Earley chart ----------------------------------------------------------
 #
-# An item is (LR(0) item id of ``Grammar._lr``, origin), origin being the
-# _Position where its rule was predicted; an item still there is a bare id: a
-# position never refers to itself, so it is freed by reference counting once
-# no pending item names it.  A finalized position keeps its index, its items
-# keyed by the symbol after their dot, an accept flag and its Leo items.
-# Positions never change once built, so clones share them.
+# Everything the chart reads of a reduced grammar is one value, its _Chart,
+# built once per grammar and read as ``g._reduced._chart``.  An item is (an
+# LR(0) item id of the chart, origin), origin being the _Position where its
+# rule was predicted; an item still there is a bare id: a position never
+# refers to itself, so it is freed by reference counting once no pending item
+# names it.  A finalized position keeps its index, its items keyed by the
+# symbol after their dot, an accept flag and its Leo items.  Positions never
+# change once built, so clones share them, and every session starts from the
+# chart's one position 0.
 #
 # Two shortcuts cut the work per position.  The items predicted at a
 # position (bare ids) depend only on the nonterminals its kernel items,
@@ -232,7 +159,7 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # ``wait`` and points ``pred`` at a read-only table of the predicted ones,
 # shared by every position that predicts the same nonterminals and built
 # once per grammar by walking the nonterminals that predicting them reaches
-# (``Grammar._tables``, after Aycock and Horspool, "Practical Earley
+# (the chart's own entries, after Aycock and Horspool, "Practical Earley
 # Parsing", 2002); only kernel items are processed one by one, and none is
 # copied.  And a completion whose origin has exactly one item waiting on the
 # head, as the last symbol of its body and with an origin of its own, would
@@ -247,19 +174,103 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # either shortcut is kept in tests/oracles.py as the reference the property
 # tests compare with.
 #
-# The chart runs on classes of terminals, not on terminals
-# (``Grammar._classes``).  Two terminals share a class iff they occur in the
-# same contexts ``(head, body[:k], body[k+1:])`` of the productions, so
-# replacing one occurrence of a terminal in a member by another of its class
-# swaps one production of the derivation for another, and gives a member.
-# With φ the map of each terminal to its class, w ∈ L ⇔ φ(w) ∈ φ(L); φ(L)
-# is the language of the chart grammar, in which each terminal is the least
-# member of its class and duplicate productions are dropped.  It is reduced
-# when the grammar is, and it is the grammar itself when every class has
-# one member.  A fed terminal is mapped to its class by one lookup; one not
-# in the grammar maps to itself, which the chart grammar does not use
-# either.  Interchangeable terminals then share every chart position, and a
-# next-token mask advances once per path of classes.
+# The chart runs on classes of terminals, not on terminals.  Two terminals
+# share a class iff they occur in the same contexts ``(head, body[:k],
+# body[k+1:])`` of the productions, so replacing one occurrence of a
+# terminal in a member by another of its class swaps one production of the
+# derivation for another, and gives a member.  With φ the map of each
+# terminal to its class, w ∈ L ⇔ φ(w) ∈ φ(L); φ(L) is the language of the
+# chart grammar, in which each terminal is the least member of its class and
+# duplicate productions are dropped.  It is reduced when the grammar is, and
+# it is the grammar itself when every class has one member.  A fed terminal
+# is mapped to its class by one lookup; one not in the grammar maps to
+# itself, which the chart grammar does not use either.  Interchangeable
+# terminals then share every chart position, and a next-token mask advances
+# once per path of classes.
+
+
+class _Table(dict):
+    """A read-only prediction table, with the terminals among its keys."""
+    __slots__ = ("terminals",)
+
+
+class _Chart(dict):
+    """What the chart reads of one reduced grammar: the chart grammar over
+    its terminal classes, the class maps, the flat LR(0) items of the chart
+    grammar with each head's own prediction entries, and position 0.
+
+    As a dict, for each set of nonterminals that the kernel items of a chart
+    position wait on, the items predicted there, as one read-only table
+    ``{symbol: tuple of item ids}`` shared by every position with that set:
+    the own entries of each nonterminal that predicting the set reaches,
+    dots stepped over a nullable prefix and completed items left out.  A
+    table is built on its first lookup, one per set the inputs meet."""
+
+    __slots__ = ("grammar", "of", "members", "base", "syms", "heads", "nullable", "own",
+                 "initial")
+
+    def __init__(self, g: Grammar):
+        super().__init__()
+        # a context (head, body[:k], body[k+1:]) is keyed by two interned
+        # ids: (head, body[:k]) from the id of its parent and its last
+        # symbol, and body[k+1:] likewise from the right; -1 is the empty one
+        contexts: dict[int, set[tuple[int, int]]] = {}
+        prefixes: dict[object, int] = {}
+        suffixes: dict[tuple, int] = {}
+        for head, body in g.productions:
+            after = [-1]
+            for sym in reversed(body):
+                after.append(suffixes.setdefault((after[-1], sym), len(suffixes)))
+            before = prefixes.setdefault(head, len(prefixes))
+            for k, sym in enumerate(body):
+                if sym.__class__ is int:
+                    contexts.setdefault(sym, set()).add((before, after[-2 - k]))
+                before = prefixes.setdefault((before, sym), len(prefixes))
+        by_contexts: dict[frozenset, list[int]] = {}
+        for t in sorted(contexts):
+            by_contexts.setdefault(frozenset(contexts[t]), []).append(t)
+        # each least member to its class, and each terminal to its least member
+        self.members = {ts[0]: tuple(ts) for ts in by_contexts.values()}
+        self.of = of = {t: ts[0] for ts in by_contexts.values() for t in ts}
+        chart = g
+        if len(self.members) < len(of):
+            chart = Grammar(g.nonterminals, g.alphabet, tuple(dict.fromkeys(
+                Production(head, tuple(of.get(s, s) for s in body))
+                for head, body in g.productions)), g.start)
+        self.grammar = chart
+        # rule r's item with its dot at d is id base[r] + d, so id + 1 is the
+        # item with its dot stepped; per id, the symbol after the dot (None
+        # once complete), the head, and whether that symbol is nullable.
+        # Classes leave nullability as it is, so g's nullables are chart's
+        nullables = g._nullable
+        self.base, self.syms, self.heads = base, syms, heads = [], [], []
+        self.own = own = {n: [] for n in chart.nonterminals}
+        for head, body in chart.productions:
+            base.append(len(syms))
+            for dot, sym in enumerate(body):
+                own[head].append((sym, base[-1] + dot))
+                if sym not in nullables:
+                    break
+            syms += body + (None,)
+            heads += [head] * (len(body) + 1)
+        self.nullable = [s in nullables for s in syms]
+        self.initial = pos = _Position(0)
+        pos.pred = self[frozenset((g.start,))]
+        pos.accepting = g.start in nullables
+
+    def __missing__(self, key: frozenset) -> dict:
+        order = sorted(key)
+        reached = set(order)
+        table: dict[str | int, list[tuple]] = {}
+        for n in order:  # grows while it is walked
+            for sym, item in self.own[n]:
+                table.setdefault(sym, []).append(item)
+                if sym.__class__ is str and sym not in reached:
+                    reached.add(sym)
+                    order.append(sym)
+        frozen = self[key] = _Table((sym, tuple(items)) for sym, items in table.items())
+        frozen.terminals = tuple(sym for sym in frozen if sym.__class__ is int)
+        return frozen
 
 
 class _Position:
@@ -274,15 +285,15 @@ class _Position:
         self.leo: dict[str, tuple] = {}
 
 
-def _close(g: Grammar, pos: _Position, seeds) -> int:
+def _close(chart: _Chart, pos: _Position, seeds) -> int:
     """Fill *pos* with the closure of the kernel items *seeds*, then with
     its Leo items, and return how many kernel items it processed.  The
     predicted items are those of the table for the nonterminals the kernel
     items wait on, nullables stepped over and completed ones left out: a
     completion that starts at *pos* adds nothing, so none here reads
     *pos*'s own table or Leo items."""
-    _, syms, heads, nullable = g._lr
-    start = g.start
+    syms, heads, nullable = chart.syms, chart.heads, chart.nullable
+    start = chart.grammar.start
 
     items = list(seeds)
     seen = set(items)
@@ -325,7 +336,7 @@ def _close(g: Grammar, pos: _Position, seeds) -> int:
                 items.append(item)
         if head == start and origin.index == 0:
             pos.accepting = True
-    pos.pred = pred = g._tables[frozenset(predicted)]
+    pos.pred = pred = chart[frozenset(predicted)]
     # the Leo items: a nonterminal that one kernel item alone waits on, as
     # the last symbol of its body, starts a reduction path here, whose top
     # is that of the waiter's origin, final already, or the stepped waiter
@@ -338,13 +349,6 @@ def _close(g: Grammar, pos: _Position, seeds) -> int:
     return len(items)
 
 
-def _initial_position(g: Grammar) -> _Position:
-    pos = _Position(0)
-    pos.pred = g._tables[frozenset((g.start,))]
-    pos.accepting = g.start in g._nullable
-    return pos
-
-
 def _expected(pos: _Position) -> list[int]:
     """The terminals *pos* advances on, each once: those its kernel items
     wait on that its prediction table lacks, then the table's own."""
@@ -354,7 +358,7 @@ def _expected(pos: _Position) -> list[int]:
     return out
 
 
-def _advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
+def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
     kernel = last.wait.get(terminal, ())
     predicted = last.pred.get(terminal, ())
     if not (kernel or predicted):
@@ -363,7 +367,7 @@ def _advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
     seeds = [(lr + 1, o) for lr, o in kernel]
     if predicted:
         seeds += [(lr + 1, last) for lr in predicted]
-    _close(g, pos, seeds)
+    _close(chart, pos, seeds)
     return pos
 
 
@@ -371,9 +375,8 @@ def recognize(g: Grammar, w) -> bool:
     """Decide w ∈ L(g) in one batch pass."""
     g = g._reduced
     terms = as_terminals(g, w)
-    classes = g._classes
-    chart, of = classes.chart, classes.of.get
-    pos = _initial_position(chart)
+    chart = g._chart
+    of, pos = chart.of.get, chart.initial
     for t in terms:
         pos = _advance(chart, pos, of(t, t))
         if pos is None:
@@ -389,17 +392,17 @@ class RecognitionSession:
     logical caller.  It holds only its last chart position, which keeps
     alive just the positions its pending items refer to; ``clone`` is
     O(1), since positions are immutable and shared.  ``grammar`` is the
-    reduced grammar; the positions are those of its chart grammar.
+    reduced grammar; the positions are those of its chart.
     """
 
-    __slots__ = ("grammar", "consumed", "died_at", "_last", "_classes")
+    __slots__ = ("grammar", "consumed", "died_at", "_last", "_chart")
 
     def __init__(self, grammar: Grammar):
         self.grammar = grammar._reduced
         self.consumed = 0
         self.died_at: int | None = 0 if self.grammar.is_empty_language else None
-        self._classes = self.grammar._classes
-        self._last = _initial_position(self._classes.chart)
+        self._chart = self.grammar._chart
+        self._last = self._chart.initial
 
     @property
     def live(self) -> bool:
@@ -413,7 +416,7 @@ class RecognitionSession:
         """The terminals ``feed`` would accept next; once dead, those it
         expected at ``died_at``: every member of each class the chart
         position expects."""
-        members = self._classes.members
+        members = self._chart.members
         return frozenset(t for c in _expected(self._last) for t in members[c])
 
     def feed(self, terminal: int) -> "RecognitionSession":
@@ -421,8 +424,8 @@ class RecognitionSession:
             raise GrammarError(
                 f"terminal {terminal!r} outside the {self.grammar.alphabet} alphabet")
         if self.live:
-            classes = self._classes
-            nxt = _advance(classes.chart, self._last, classes.of.get(terminal, terminal))
+            chart = self._chart
+            nxt = _advance(chart, self._last, chart.of.get(terminal, terminal))
             if nxt is None:
                 self.died_at = self.consumed
             else:
@@ -436,18 +439,34 @@ class RecognitionSession:
         s.consumed = self.consumed
         s.died_at = self.died_at
         s._last = self._last
-        s._classes = self._classes
+        s._chart = self._chart
         return s
 
 
 def _deriving(productions, terminals: bool) -> set[str]:
-    """Nonterminals that derive a terminal string, or only ε when not *terminals*."""
+    """Nonterminals that derive a terminal string, or only ε when not
+    *terminals*.  Each production counts the nonterminal occurrences of its
+    body not yet found, and each nonterminal found releases the productions
+    waiting on it once, so the work is linear in the grammar's size."""
+    missing = [0] * len(productions)
+    waiting: dict[str, list[int]] = {}
+    heads = []  # of productions whose body derives, in the order found
+    for i, (head, body) in enumerate(productions):
+        names = [s for s in body if isinstance(s, str)]
+        if terminals or len(names) == len(body):
+            missing[i] = len(names)
+            for name in names:
+                waiting.setdefault(name, []).append(i)
+            if not names:
+                heads.append(head)
     found: set[str] = set()
-    size = -1
-    while size != len(found):
-        size = len(found)
-        found.update(head for head, body in productions if all(
-            s in found if isinstance(s, str) else terminals for s in body))
+    for head in heads:  # grows while it is walked
+        if head not in found:
+            found.add(head)
+            for i in waiting.get(head, ()):
+                missing[i] -= 1
+                if not missing[i]:
+                    heads.append(productions[i].head)
     return found
 
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from . import grammar as _chart
 from ._value import Frozen
 from .bpe import Tokenizer, TokenizerError
-from .grammar import Grammar, GrammarError, RecognitionSession, recognize
+from .grammar import Grammar, GrammarError, RecognitionSession, _advance, _expected, recognize
 
 
 class TokenRecognizer(Frozen):
@@ -47,10 +46,10 @@ class TokenRecognizer(Frozen):
 
     @cached_property
     def _class_trie(self) -> dict[int, list]:
-        """The relevant tokens by the classes of their bytes (see
-        ``Grammar._classes``): class -> [the IDs of the tokens that end
+        """The relevant tokens by the classes of their bytes (see the
+        grammar's ``_Chart``): class -> [the IDs of the tokens that end
         there, children], where children is a dict of the same shape."""
-        of = self.grammar._reduced._classes.of
+        of = self.grammar._reduced._chart.of
         vocab = self.tokenizer.vocab
         root: dict[int, list] = {}
         for tid in relevant_token_ids(self):
@@ -136,20 +135,19 @@ class TokenSession:
         """
         if not self.live:
             return set()
-        advance, expected = _chart._advance, _chart._expected
-        chart = self.inner._classes.chart
+        chart = self.inner._chart
         allowed: set[int] = set()
         stack = [(self.inner._last, self.recognizer._class_trie)]
         while stack:
             pos, node = stack.pop()
-            for c in expected(pos):
+            for c in _expected(pos):
                 hit = node.get(c)
                 if hit is not None:
                     ids, children = hit
                     if ids:
                         allowed.update(ids)
                     if children:
-                        stack.append((advance(chart, pos, c), children))
+                        stack.append((_advance(chart, pos, c), children))
         return allowed
 
 

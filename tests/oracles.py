@@ -9,7 +9,10 @@ the regex lexer replaced), the reference chart ``initial_position`` /
 completion's waiters, which the shared prediction tables and Leo
 items replaced), and ``classify_by_retokenize`` /
 ``accepts_proper_by_retokenize`` (the whole-string retokenize that the
-pair-by-pair properness check replaced).  Only usable at toy scale."""
+pair-by-pair properness check replaced), ``deriving_by_fixpoint`` (the
+rescan of every production that the reduction's worklist replaced) and
+``terminal_classes_by_slices`` (the terminal contexts as body slices, which
+interned ids replaced).  Only usable at toy scale."""
 
 from __future__ import annotations
 
@@ -250,6 +253,32 @@ def train_by_recount(corpus, num_merges: int) -> Tokenizer:
     return Tokenizer(tuple(vocab), tuple(merges))
 
 
+# --- reduction and terminal classes as they were first written ---
+
+
+def deriving_by_fixpoint(productions, terminals: bool) -> set[str]:
+    """Nonterminals that derive a terminal string, or only ε when not
+    *terminals*: every production rescanned until nothing changes."""
+    found: set[str] = set()
+    size = -1
+    while size != len(found):
+        size = len(found)
+        found.update(head for head, body in productions if all(
+            s in found if isinstance(s, str) else terminals for s in body))
+    return found
+
+
+def terminal_classes_by_slices(g: Grammar) -> dict[int, int]:
+    """Each terminal of *g* to the least terminal that occurs in exactly the
+    same contexts ``(head, body[:k], body[k+1:])`` of its productions."""
+    contexts: dict[int, set[tuple]] = {}
+    for head, body in g.productions:
+        for k, sym in enumerate(body):
+            if isinstance(sym, int):
+                contexts.setdefault(sym, set()).add((head, body[:k], body[k + 1:]))
+    return {t: min(u for u in contexts if contexts[u] == contexts[t]) for t in contexts}
+
+
 # --- the chart that predicted item by item and walked every completion ---
 #
 # Positions as in toklang.grammar, but every item is stored, as (rule index,
@@ -326,12 +355,12 @@ def advance(g: Grammar, last: _Position, terminal: int) -> _Position | None:
     return pos
 
 
-def rule_dot_items(g: Grammar, pos) -> dict[str | int, list[tuple]]:
-    """A position of toklang.grammar's chart over *g* in this chart's item
-    layout: its kernel items (flat LR(0) id, origin) and the bare ids of its
-    shared prediction table, each id mapped back to (rule, dot), the
-    predicted ones with origin None."""
-    base = g._lr[0]
+def rule_dot_items(chart, pos) -> dict[str | int, list[tuple]]:
+    """A position of toklang.grammar's chart, given its ``_Chart``, in this
+    chart's item layout: its kernel items (flat LR(0) id, origin) and the
+    bare ids of its shared prediction table, each id mapped back to (rule,
+    dot) of the chart grammar, the predicted ones with origin None."""
+    base = chart.base
 
     def rule_dot(lr: int) -> tuple[int, int]:
         rule = bisect_right(base, lr) - 1
@@ -345,13 +374,13 @@ def rule_dot_items(g: Grammar, pos) -> dict[str | int, list[tuple]]:
     return out
 
 
-def wait_sets(pos, g: Grammar | None = None) -> dict[str | int, set[tuple]]:
+def wait_sets(pos, chart=None) -> dict[str | int, set[tuple]]:
     """A position's items by the symbol after their dot, with each item's
     origin read as its index (the position itself for None), so the
     positions of two charts compare: this chart's position from its wait
-    map, and toklang.grammar's, given its grammar *g*, through
+    map, and toklang.grammar's, given its *chart*, through
     ``rule_dot_items``."""
-    table = pos.wait if g is None else rule_dot_items(g, pos)
+    table = pos.wait if chart is None else rule_dot_items(chart, pos)
     return {sym: {(r, d, pos.index if o is None else o.index) for r, d, o in items}
             for sym, items in table.items()}
 

@@ -37,11 +37,13 @@ from oracles import (
     all_strings,
     balanced_brackets,
     bracket_prefix_viable,
+    deriving_by_fixpoint,
     initial_position,
     members_cut_at,
     parse_grammar_by_scan,
     prefixes_of,
     strings_up_to,
+    terminal_classes_by_slices,
     wait_sets,
 )
 
@@ -210,10 +212,10 @@ def test_a_reduced_grammar_is_its_own_reduced_form():
         g = reduce_grammar(parse_grammar(text, "byte"))
         assert reduce_grammar(g) is g
         RecognitionSession(g)
-        assert "_tables" in vars(g)
+        assert "_chart" in vars(g)
     junk = parse_grammar('S -> "a" ; B -> "b" ;')
     assert reduce_grammar(junk) is not junk and recognize(junk, "a")
-    assert "_tables" not in vars(junk)
+    assert "_chart" not in vars(junk)
 
 
 def test_reduce_drops_nongenerating():
@@ -231,6 +233,30 @@ def test_reduce_empty_language_flagged():
     g = reduce_grammar(parse_grammar("S -> S ;"))
     assert g.is_empty_language
     assert g.productions == ()
+
+
+class _CountedBody(tuple):
+    """A production body that counts the times it is iterated."""
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("last", [(0x61,), ()], ids=["generating", "nullable"])
+def test_reduction_reads_each_body_a_bounded_number_of_times(last):
+    # the chain A0 -> A1 ; ... ; A999 -> last, written top down, where a
+    # rescan of every production until nothing changed read each body 1,005
+    # times, or 2,005 when all are nullable; building the grammar, reducing
+    # it and its nullable set now read each body 6 times
+    n = 1000
+    bodies = [_CountedBody((f"A{i + 1}",)) for i in range(n - 1)] + [_CountedBody(last)]
+    g = Grammar(frozenset(f"A{i}" for i in range(n)), "byte",
+                tuple(Production(f"A{i}", body) for i, body in enumerate(bodies)), "A0")
+    assert reduce_grammar(g) is g
+    assert len(g._nullable) == (0 if last else n)
+    assert max(body.iterations for body in bodies) <= 8
 
 
 @pytest.mark.parametrize("text,alphabet,max_len", [
@@ -382,7 +408,7 @@ def test_prediction_closures_are_built_on_demand():
     g = _grammar(" ".join(f'A{i} -> A{i + 1} "x" | "y" ;' for i in range(n)) + f' A{n} -> "z" ;')
     assert recognize(g, b"y" + b"x" * 5)
     assert recognize(g, b"z" + b"x" * n)
-    assert list(g._tables) == [frozenset({"A0"}), frozenset()]
+    assert list(g._reduced._chart) == [frozenset({"A0"}), frozenset()]
 
 
 # A copy of the grammar of the validate_docs benchmark: lines of bracketed
@@ -425,9 +451,9 @@ def test_prediction_tables_are_shared_and_built_on_demand():
     assert session.accepts()
     # every position points at a cached table of the grammar the chart runs
     # on, and every cached table is used
-    chart = g._classes.chart
-    assert {id(t) for t in tables} == {id(t) for t in chart._tables.values()}
-    assert len(chart._tables) <= 8  # for 2,116 positions
+    chart = g._reduced._chart
+    assert {id(t) for t in tables} == {id(t) for t in chart.values()}
+    assert len(chart) <= 8  # for 2,116 positions
 
 
 def test_kernel_items_alone_are_stored_in_wait(monkeypatch):
@@ -447,7 +473,7 @@ def test_kernel_items_alone_are_stored_in_wait(monkeypatch):
              (_doc_grammar(), _doc(random.Random(2), 512))]
     for g, data in cases:
         assert recognize(g, data)
-        assert not toklang.grammar._initial_position(g).wait
+        assert not g._reduced._chart.initial.wait
     assert len(stored) > 1000
     assert stored.count(None) == 0
 
@@ -471,13 +497,13 @@ def _state(pos) -> tuple:
             pos.accepting, dict(pos.leo))
 
 
-def _reduction_path_top(g: Grammar, pos, head: str):
+def _reduction_path_top(chart, pos, head: str):
     """The topmost item of the deterministic reduction path that completing
     *head* into *pos* starts, walked step by step, or None: each step needs
     exactly one item at the position waiting on the head, a kernel item (no
     predicted one waits on it), with the head as the last symbol of its
     body."""
-    _, syms, heads, _ = g._lr
+    syms, heads = chart.syms, chart.heads
     top = None
     while len(pos.wait.get(head, ())) == 1 and head not in pos.pred:
         [(lr, origin)] = pos.wait[head]
@@ -500,9 +526,10 @@ def test_positions_never_change_once_built(g, tokenizer, prefix, more):
     session = TokenRecognizer(g, tokenizer).open_session()
     for tid in tokenizer.tokenize(prefix):
         session.feed(tid)
-    positions = _positions_behind(session.inner._last)
+    positions = _positions_behind(session.inner._last, g._reduced._chart.initial)
     before = [_state(pos) for pos in positions]
 
+    assert TokenRecognizer(g, tokenizer).open_session().allowed_next_tokens()
     allowed = session.allowed_next_tokens()
     assert allowed
     clones = [session.clone().feed(tid) for tid in sorted(allowed)]
@@ -516,7 +543,7 @@ def test_positions_never_change_once_built(g, tokenizer, prefix, more):
     lasts = [s.inner._last for s in [session, ahead, *clones]]
     reached = _positions_behind(*lasts)
     assert sum(len(pos.leo) for pos in reached) > 10
-    chart = g._classes.chart  # the grammar whose item ids the positions hold
+    chart = g._reduced._chart  # whose item ids the positions hold
     for pos in reached:
         assert pos.leo == {head: top for head in g.nonterminals
                            if (top := _reduction_path_top(chart, pos, head)) is not None}
@@ -528,6 +555,36 @@ def test_positions_never_change_once_built(g, tokenizer, prefix, more):
 def test_fresh_session_state(dyck):
     s = RecognitionSession(dyck)
     assert s.live and s.accepts() and s.consumed == 0
+
+
+def test_one_chart_per_grammar_and_one_position_0(monkeypatch, brackets):
+    # an unreduced grammar: its reduced form builds the one chart, and
+    # sessions, clones, masks and recognize all start from its position 0
+    built = []
+    build = toklang.grammar._Chart.__init__
+
+    def counted(chart, g):
+        built.append(g)
+        build(chart, g)
+
+    monkeypatch.setattr(toklang.grammar._Chart, "__init__", counted)
+    g = parse_grammar('S -> "[" S "]" S | "" ; B -> "b" ;', "byte")
+    initial = g._reduced._chart.initial
+    assert RecognitionSession(g)._last is initial
+    assert RecognitionSession(g).feed(0x5B).clone()._last is not initial
+    assert RecognitionSession(g).clone()._last is initial
+    assert TokenRecognizer(g, brackets).open_session().allowed_next_tokens()
+    lasts = []
+    advance = toklang.grammar._advance
+
+    def recorded(chart, last, terminal):
+        lasts.append(last)
+        return advance(chart, last, terminal)
+
+    monkeypatch.setattr(toklang.grammar, "_advance", recorded)
+    assert recognize(g, b"[]") and recognize(g, b"[[]]")
+    assert lasts[0] is lasts[2] is initial
+    assert built == [g._reduced]
 
 
 def test_session_on_finite_language():
@@ -633,6 +690,27 @@ def small_grammars():
     return unreduced_small_grammars().map(reduce_grammar)
 
 
+@settings(max_examples=300)
+@given(unreduced_small_grammars())
+def test_deriving_matches_the_fixpoint(g):
+    for terminals in (True, False):
+        assert (toklang.grammar._deriving(g.productions, terminals)
+                == deriving_by_fixpoint(g.productions, terminals))
+
+
+def test_terminal_classes_take_space_linear_in_the_body():
+    # contexts keyed by body slices, two copies of the body per terminal,
+    # peaked at 129 MB here
+    g = parse_grammar('S -> "' + "ab" * 2000 + '" ;', "byte")
+    tracemalloc.start()
+    try:
+        assert recognize(g, b"ab" * 2000) and not recognize(g, b"ab" * 1999 + b"aa")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000
+
+
 def _grammar(text):
     return reduce_grammar(parse_grammar(text, "byte"))
 
@@ -652,15 +730,14 @@ def test_chart_matches_oracles_on_generated_grammars(g):
     members = strings_up_to(g, 5)
     viable = prefixes_of(members_cut_at(g, 5))
     # the chart runs on the chart grammar, fed the class of each terminal
-    classes = g._classes
-    chart = classes.chart
+    chart = g._reduced._chart
 
     def step(ref, t, consumed):
         # a reference walk is its last position and died_at, as in a session
         last, died = ref
         if died is not None:
             return ref
-        nxt = advance(chart, last, classes.of.get(t, t))
+        nxt = advance(chart.grammar, last, chart.of.get(t, t))
         return (last, consumed) if nxt is None else (nxt, None)
 
     def check_reference(session, ref):
@@ -670,7 +747,7 @@ def test_chart_matches_oracles_on_generated_grammars(g):
         assert session.died_at == ref_died
         assert session.accepts() == (ref_died is None and ref_last.accepting)
         assert session.expected() == {t for k in ref_last.wait if isinstance(k, int)
-                                      for t in classes.members[k]}
+                                      for t in chart.members[k]}
         assert session._last.accepting == ref_last.accepting
         assert wait_sets(session._last, chart) == wait_sets(ref_last)
 
@@ -704,7 +781,7 @@ def test_chart_matches_oracles_on_generated_grammars(g):
             check_reference(session, ref)
 
     walk((), RecognitionSession(g),
-         (initial_position(chart), 0 if g.is_empty_language else None))
+         (initial_position(chart.grammar), 0 if g.is_empty_language else None))
 
 
 @settings(max_examples=200)
@@ -716,17 +793,17 @@ def test_terminal_classes_are_interchangeable(g):
     # replacing one occurrence of a terminal in a member by another member
     # of its class gives a member, so the chart grammar decides membership
     members = strings_up_to(g, 5)
-    classes = g._classes
-    assert classes.of.keys() == g.terminals_used
+    chart = g._reduced._chart
+    assert chart.of.keys() == g.terminals_used
+    assert chart.of == terminal_classes_by_slices(g)
     for w in members:
         for i, t in enumerate(w):
-            for u in classes.members[classes.of[t]]:
+            for u in chart.members[chart.of[t]]:
                 assert w[:i] + (u,) + w[i + 1:] in members
     for w in all_strings((_A, _B), 5):
         assert recognize(g, w) == (w in members)
-    chart = classes.chart
-    assert reduce_grammar(chart) is chart
-    assert strings_up_to(chart, 5) == {tuple(classes.of[t] for t in w) for w in members}
+    assert reduce_grammar(chart.grammar) is chart.grammar
+    assert strings_up_to(chart.grammar, 5) == {tuple(chart.of[t] for t in w) for w in members}
 
 
 def _retained_bytes(g, data: bytes, collect: bool = True) -> int:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toklang.grammar
+import toklang.recognizer
 
 from toklang import (
     Grammar,
@@ -363,13 +364,13 @@ def _mask_with_advances(monkeypatch, g, longer, prefix):
     for b in prefix:
         session.feed(b)
     steps = []
-    advance = toklang.grammar._advance
+    advance = toklang.recognizer._advance
 
     def counted(g, last, terminal):
         steps.append(terminal)
         return advance(g, last, terminal)
 
-    monkeypatch.setattr(toklang.grammar, "_advance", counted)
+    monkeypatch.setattr(toklang.recognizer, "_advance", counted)
     mask = session.allowed_next_tokens()
     monkeypatch.undo()
     assert mask == allowed_by_trial(session)
