@@ -90,13 +90,16 @@ def _parse_ids(args) -> list[int]:
     return ids
 
 
-def _emit(args, plain: str, structured: dict) -> None:
-    if args.structured:
+def _emit(args, lines: list[str], structured: dict | None = None) -> None:
+    """Print each of *lines*, or under --structured the *structured* object
+    as one line of JSON; a command without --structured passes no object."""
+    if structured is not None and args.structured:
         import json
         structured["schema"] = SCHEMA_VERSION
         print(json.dumps(structured))
     else:
-        print(plain)
+        for line in lines:
+            print(line)
 
 
 def _byte_grammar(args):
@@ -112,27 +115,23 @@ def _byte_grammar(args):
 
 def cmd_tokenize(args) -> int:
     ids = _tokenizer(args).tokenize(_read_byte_input(args))
-    _emit(args, " ".join(map(str, ids)), {"command": "tokenize", "ids": ids})
+    _emit(args, [" ".join(map(str, ids))], {"command": "tokenize", "ids": ids})
     return 0
 
 
 def cmd_detokenize(args) -> int:
     from .bpe import escape_bytes
-    tokenizer = _tokenizer(args)
-    data = tokenizer.detokenize(_parse_ids(args))
+    data = _tokenizer(args).detokenize(_parse_ids(args))
     if args.bytes and not args.structured:
         sys.stdout.buffer.write(data)
         return 0
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
+        if not args.structured:
+            raise CliError("detokenized bytes are not UTF-8; use --bytes for raw output") from None
         text = None
-    if args.structured:
-        _emit(args, "", {"command": "detokenize", "bytes": escape_bytes(data), "text": text})
-        return 0
-    if text is None:
-        raise CliError("detokenized bytes are not UTF-8; use --bytes for raw output")
-    print(text)
+    _emit(args, [text], {"command": "detokenize", "bytes": escape_bytes(data), "text": text})
     return 0
 
 
@@ -169,7 +168,7 @@ def cmd_recognize(args) -> int:
         reason = f"improper: {classify(rec.tokenizer, ids).kind.value}"
 
     plain = "accept" if accept else ("reject" if reason is None else f"reject: {reason}")
-    _emit(args, plain, {
+    _emit(args, [plain], {
         "command": "recognize",
         "mode": mode,
         "accept": accept,
@@ -182,7 +181,7 @@ def cmd_recognize(args) -> int:
 def cmd_classify(args) -> int:
     from .segmentation import classify
     c = classify(_tokenizer(args), _parse_ids(args))
-    _emit(args, str(c), {
+    _emit(args, [str(c)], {
         "command": "classify",
         "kind": c.kind.value,
         "mergeable_at": c.mergeable_at,
@@ -196,19 +195,14 @@ def cmd_enumerate(args) -> int:
     tokenizer = _tokenizer(args)
     data = _read_byte_input(args)
     total = count_tokenizations(tokenizer, data)
-    rows = []
-    for ids in enumerate_tokenizations(tokenizer, data, limit=args.limit):
-        rows.append((ids, classify(tokenizer, ids).kind.value))
-    if args.structured:
-        _emit(args, "", {
-            "command": "enumerate",
-            "total": total,
-            "items": [{"ids": ids, "kind": kind} for ids, kind in rows],
-        })
-    else:
-        for ids, kind in rows:
-            print(f"{' '.join(map(str, ids))}\t{kind}")
-        print(f"total: {total}")
+    rows = [(ids, classify(tokenizer, ids).kind.value)
+            for ids in enumerate_tokenizations(tokenizer, data, limit=args.limit)]
+    lines = [f"{' '.join(map(str, ids))}\t{kind}" for ids, kind in rows]
+    _emit(args, lines + [f"total: {total}"], {
+        "command": "enumerate",
+        "total": total,
+        "items": [{"ids": ids, "kind": kind} for ids, kind in rows],
+    })
     return 0
 
 
@@ -224,7 +218,7 @@ def cmd_transform(args) -> int:
             raise CliError("--encode-utf8 needs a unicode-alphabet grammar")
         from .encoding import UTF8, encode_grammar
         g = encode_grammar(UTF8, g)
-    sys.stdout.write(format_grammar(g))
+    _emit(args, format_grammar(g).split("\n")[:-1])
     return 0
 
 
@@ -238,9 +232,9 @@ def cmd_train(args) -> int:
     t = train(corpus, args.merges)
     if args.output:
         save_tokenizer(t, args.output)
-        print(f"{len(t.vocab)} tokens, {len(t.merges)} merges -> {args.output}")
+        _emit(args, [f"{len(t.vocab)} tokens, {len(t.merges)} merges -> {args.output}"])
     else:
-        sys.stdout.write(dumps_tokenizer(t) + "\n")
+        _emit(args, [dumps_tokenizer(t)])
     return 0
 
 
@@ -271,11 +265,7 @@ def cmd_sample(args) -> int:
                 lines.append(escape_bytes(w))
         else:
             lines.append(w)
-    if args.structured:
-        _emit(args, "", {"command": "sample", "samples": lines})
-    else:
-        for line in lines:
-            print(line)
+    _emit(args, lines, {"command": "sample", "samples": lines})
     return 0
 
 
@@ -290,7 +280,7 @@ def cmd_verify(args) -> int:
         report = run_equivalence_suite(rec, *budget)
     else:
         report = run_partition_suite(_tokenizer(args), *budget)
-    _emit(args, report.summary(), {
+    _emit(args, [report.summary()], {
         "command": "verify",
         "suite": report.suite,
         "passed": report.passed,

@@ -570,23 +570,27 @@ def _parse_error(text: str, offset: int, message: str) -> GrammarParseError:
                              offset - text.rfind("\n", 0, offset))
 
 
-def _string_units(text: str, m: re.Match) -> list[tuple[str, object]]:
-    """The units of the string literal *m*, ("ch", character) or ("esc", HH),
-    or its first fault; *m* lacks a closing quote where the text does."""
-    units: list[tuple[str, object]] = []
+def _string_terminals(text: str, m: re.Match, alphabet: str) -> list[int]:
+    """The terminals of the string literal *m*, or its first fault: \\xHH is
+    U+00HH or byte HH, any other character its code point, or its UTF-8
+    bytes in byte mode; *m* lacks a closing quote where the text does."""
+    terms: list[int] = []
     for u in _UNIT.finditer(text, m.start("units"), m.end("units")):
         hexpair, escaped, plain = u.groups()
         if hexpair:
-            units.append(("esc", int(hexpair, 16)))
-        elif plain is not None:
-            if "\ud800" <= plain <= "\udfff":  # neither a character nor UTF-8
-                raise _parse_error(text, u.start(), f"lone surrogate {plain!r} in string literal")
-            units.append(("ch", plain))
-        elif escaped in _STRING_ESCAPES:
-            units.append(("ch", _STRING_ESCAPES[escaped]))
+            terms.append(int(hexpair, 16))
+            continue
+        if plain is None:
+            plain = _STRING_ESCAPES.get(escaped)
+            if plain is None:
+                raise _parse_error(text, u.start(), "\\x needs two hex digits" if escaped == "x"
+                                   else f"unknown escape \\{escaped}")
+        elif "\ud800" <= plain <= "\udfff":  # neither a character nor UTF-8
+            raise _parse_error(text, u.start(), f"lone surrogate {plain!r} in string literal")
+        if alphabet == "byte":
+            terms += plain.encode("utf-8")
         else:
-            raise _parse_error(text, u.start(), "\\x needs two hex digits" if escaped == "x"
-                               else f"unknown escape \\{escaped}")
+            terms.append(ord(plain))
     end = m.end()
     if end == m.end("units"):
         if text.startswith("\n", end):
@@ -594,11 +598,12 @@ def _string_units(text: str, m: re.Match) -> list[tuple[str, object]]:
         if text.startswith("\\", end):
             raise _parse_error(text, end, "dangling escape")
         raise _parse_error(text, m.start(), "unterminated string literal")
-    return units
+    return terms
 
 
-def _lex(text: str) -> list[tuple[str, object, int]]:
-    """Grammar source as (kind, value, start offset) tokens, ending in EOF."""
+def _lex(text: str, alphabet: str) -> list[tuple[str, object, int]]:
+    """Grammar source as (kind, value, start offset) tokens, ending in EOF; a
+    string literal's value is its terminals in *alphabet*."""
     toks: list[tuple[str, object, int]] = []
     for m in _TOKEN.finditer(text):
         kind, value, at = m.lastgroup, m[0], m.start()
@@ -608,7 +613,7 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
             raise _parse_error(text, at, "\\x needs two hex digits"
                                if text.startswith("x", at + 1) else "stray backslash")
         if kind == "STRING":
-            value = _string_units(text, m)
+            value = _string_terminals(text, m, alphabet)
         elif kind == "BYTE":
             value = int(value[2:], 16)
         if kind != "SKIP":
@@ -621,7 +626,7 @@ def parse_grammar(text: str, alphabet_mode: AlphabetMode = "unicode") -> Grammar
     """Parse grammar source text, every rule kept; recognition reduces it."""
     if alphabet_mode not in ("unicode", "byte"):
         raise GrammarError(f"unknown alphabet mode {alphabet_mode!r}")
-    toks = _lex(text)
+    toks = _lex(text, alphabet_mode)
     if len(toks) == 1:
         raise _parse_error(text, len(text), "expected at least one rule")
     i = 0
@@ -656,13 +661,7 @@ def parse_grammar(text: str, alphabet_mode: AlphabetMode = "unicode") -> Grammar
                 body.append(value)
                 refs.append((value, at))
             elif kind == "STRING":
-                for tag, unit in value:
-                    if tag == "esc":
-                        body.append(unit)  # code point U+00HH or byte HH
-                    elif alphabet_mode == "byte":
-                        body.extend(unit.encode("utf-8"))
-                    else:
-                        body.append(ord(unit))
+                body += value
             elif kind == "BYTE":
                 if alphabet_mode != "byte":
                     raise _parse_error(
@@ -705,16 +704,13 @@ def _quote_terminals(run: Iterable[int], alphabet: str) -> str:
 
 
 def format_grammar(g: Grammar) -> str:
-    """Render a grammar in the file format, start symbol's rules first."""
-    if not g.productions:
-        raise GrammarError("cannot format a grammar with no productions")
-    order: list[str] = [g.start]
-    groups: dict[str, list[Production]] = {g.start: []}
-    for p in g.productions:
-        if p.head not in groups:
-            order.append(p.head)
-            groups[p.head] = []
-        groups[p.head].append(p)
+    """Render a grammar in the file format, start symbol's rules first.  The
+    start, and a nonterminal used in a body, that has no rule is written
+    ``N -> N ;``, which derives nothing, so the text reads back as a
+    grammar with the same reduced form."""
+    by_head = g._rules_by_head
+    names = [g.start, *(head for head, _ in g.productions),
+             *(s for _, body in g.productions for s in body if isinstance(s, str))]
 
     def render_alt(body: tuple[str | int, ...]) -> str:
         if not body:
@@ -725,9 +721,7 @@ def format_grammar(g: Grammar) -> str:
         return " ".join(parts)
 
     lines = []
-    for head in order:
-        if not groups.get(head):
-            continue
-        alts = " | ".join(render_alt(p.body) for p in groups[head])
-        lines.append(f"{head} -> {alts} ;")
+    for head in dict.fromkeys(names):
+        alts = " | ".join(render_alt(g.productions[i].body) for i in by_head[head])
+        lines.append(f"{head} -> {alts or head} ;")
     return "\n".join(lines) + "\n"

@@ -56,9 +56,10 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
     segmentation (when it exists) comes last.  Each segmentation appears
     exactly once; an unsegmentable input yields nothing.  ``limit`` caps
     the number of items.  The walk keeps an explicit stack, so the input
-    length is not bounded by the recursion limit, and it skips cuts into
-    positions it has already left without reaching the end, so the time
-    to each next item is polynomial.
+    length is not bounded by the recursion limit.  A position is dead when
+    no item was yielded while it was on the stack: every walk from it has
+    been tried and none reached the end.  Cuts into dead positions are
+    skipped, so the time to each next item is polynomial.
     """
     if limit is not None and (type(limit) is not int or limit < 1):  # bool is no count
         raise TokenizerError(f"limit must be an int >= 1 or None, got {limit!r}")
@@ -68,19 +69,18 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
         if n == 0:
             yield []
             return
-        # stack[k] is [start, cuts from start, whether one of them has led to
-        # the end of the input] after path[:k], so len(stack) == len(path) + 1
+        # stack[k] is (start, cuts from start, items yielded before it was
+        # pushed) after path[:k], so len(stack) == len(path) + 1
         path: list[int] = []
-        stack = [[0, _cuts(t, data, 0), False]]
+        stack = [(0, _cuts(t, data, 0), 0)]
         dead: set[int] = set()  # positions from which no walk reaches the end
+        items = 0
         while stack:
             step = next(stack[-1][1], None)
             if step is None:
-                start, _, found = stack.pop()
-                if not found:
+                start, _, before = stack.pop()
+                if items == before:
                     dead.add(start)
-                elif stack:
-                    stack[-1][2] = True
                 if path:
                     path.pop()
                 continue
@@ -89,11 +89,11 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
                 continue
             path.append(tid)
             if end == n:
-                stack[-1][2] = True
+                items += 1
                 yield list(path)
                 path.pop()
             else:
-                stack.append([end, _cuts(t, data, end), False])
+                stack.append((end, _cuts(t, data, end), items))
 
     gen = walk()
     return gen if limit is None else itertools.islice(gen, limit)

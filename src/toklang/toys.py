@@ -4,7 +4,7 @@ stay cheap."""
 
 from __future__ import annotations
 
-from .bpe import Tokenizer, loads_tokenizer
+from .bpe import Tokenizer, _tokenizer_from, loads_tokenizer
 from .grammar import Grammar, parse_grammar
 
 DYCK_GRAMMAR_TEXT = """\
@@ -65,27 +65,14 @@ def bracket_tokenizer() -> Tokenizer:
     """
     vocab = [b"\x00", b"[", b"]", b"[]", b"[[", b"]]"]
     vocab += [bytes([b]) for b in range(256) if b not in (0x00, 0x5B, 0x5D)]
-    ids = {bs: i for i, bs in enumerate(vocab)}
-    merges = (
-        (ids[b"["], ids[b"["], ids[b"[["]),
-        (ids[b"]"], ids[b"]"], ids[b"]]"]),
-        (ids[b"["], ids[b"]"], ids[b"[]"]),
-    )
-    return Tokenizer(tuple(vocab), merges)
+    merges = [(b"[", b"["), (b"]", b"]"), (b"[", b"]")]
+    return _tokenizer_from(vocab, [(a, b, a + b) for a, b in merges], "merge {!r}")
 
 
 def letter_bracket_tokenizer() -> Tokenizer:
     """Byte-identity base plus merges over both letters and brackets."""
     vocab = [bytes([b]) for b in range(256)]
     vocab += [b"aa", b"aaa", b"ab", b"bb", b"[[", b"]]", b"[]"]
-    ids = {bs: i for i, bs in enumerate(vocab)}
-    merges = (
-        (ids[b"a"], ids[b"a"], ids[b"aa"]),
-        (ids[b"aa"], ids[b"a"], ids[b"aaa"]),
-        (ids[b"a"], ids[b"b"], ids[b"ab"]),
-        (ids[b"b"], ids[b"b"], ids[b"bb"]),
-        (ids[b"["], ids[b"["], ids[b"[["]),
-        (ids[b"]"], ids[b"]"], ids[b"]]"]),
-        (ids[b"["], ids[b"]"], ids[b"[]"]),
-    )
-    return Tokenizer(tuple(vocab), merges)
+    merges = [(b"a", b"a"), (b"aa", b"a"), (b"a", b"b"), (b"b", b"b"),
+              (b"[", b"["), (b"]", b"]"), (b"[", b"]")]
+    return _tokenizer_from(vocab, [(a, b, a + b) for a, b in merges], "merge {!r}")

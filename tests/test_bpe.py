@@ -367,6 +367,22 @@ def test_gpt2_loader_rejects_merge_with_unknown_token(tmp_path):
         load_gpt2_tokenizer(vocab_path, merges_path)
 
 
+def test_gpt2_loader_rejects_a_vocab_that_is_not_an_object(tmp_path):
+    vocab_path, merges_path = _write_gpt2_fixture(tmp_path)
+    vocab_path.write_text('["a"]', encoding="utf-8")
+    with pytest.raises(TokenizerError, match="^vocab file must map token strings to ids$"):
+        load_gpt2_tokenizer(vocab_path, merges_path)
+
+
+def test_gpt2_loader_rejects_a_character_outside_the_byte_table(tmp_path):
+    # the table maps each byte to a printable character; the space is not one
+    vocab_path, merges_path = _write_gpt2_fixture(tmp_path)
+    vocab_path.write_text('{"a": 0, " ": 1}', encoding="utf-8")
+    with pytest.raises(TokenizerError,
+                       match="^character ' ' is not in the byte-level codepoint table$"):
+        load_gpt2_tokenizer(vocab_path, merges_path)
+
+
 def test_real_vocab_demo_runs(tmp_path):
     table = _gpt2_byte_table()
     t = letter_bracket_tokenizer()

@@ -131,6 +131,27 @@ def test_deeply_nested_tokenizer_file_exits_2(files, capsys):
     assert captured.err == "error: tokenizer file is nested too deeply\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"version": 1, "vocab": {"a": 0, "b": 0}, "merges": []}', "duplicate token id 0"),
+    ('[{"version": 1}]', "tokenizer file must be a JSON object"),
+    ('{"version": 1, "merges": []}', "tokenizer file needs a vocab object and a merges array"),
+    ('{"version": 1, "vocab": ["a"]}', "tokenizer file needs a vocab object and a merges array"),
+    ('{"version": 1, "vocab": {"a": 0}, "merges": {}}',
+     "tokenizer file needs a vocab object and a merges array"),
+    ('{"version": 1, "vocab": {"a": 0}, "merges": [["a"]]}', "bad merge entry ['a']"),
+    ('{"version": 1, "vocab": {"a": 0}, "merges": [["a", 0]]}', "bad merge entry ['a', 0]"),
+    ('{"version": 1, "vocab": {"a": 0}, "merges": ["aa"]}', "bad merge entry 'aa'"),
+], ids=["duplicate_id", "not_an_object", "no_vocab", "vocab_not_an_object",
+        "merges_not_an_array", "merge_too_short", "merge_not_strings", "merge_not_a_list"])
+def test_refused_tokenizer_file_exits_2(files, capsys, text, message):
+    path = files["dir"] / "refused.json"
+    path.write_text(text, encoding="utf-8")
+    rc = main(["tokenize", "--tokenizer", str(path), "a"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # --- recognize -------------------------------------------------------------------
 
 
@@ -346,13 +367,20 @@ def test_transform_encode_utf8_of_a_byte_grammar_exits_2(files, capsys):
     assert captured.err == "error: --encode-utf8 needs a unicode-alphabet grammar\n"
 
 
-@pytest.mark.parametrize("flag", ["--leading-space", "--encode-utf8"])
-def test_transform_of_an_empty_language_exits_2(capsys, tmp_path, flag):
+@pytest.mark.parametrize("flags,printed", [
+    ([], "S -> S ;\n"),
+    (["--leading-space"], "S' -> S' ;\n"),
+    (["--encode-utf8"], "S -> S ;\n"),
+], ids=["plain", "--leading-space", "--encode-utf8"])
+def test_transform_of_an_empty_language_prints_a_start_deriving_nothing(
+        capsys, tmp_path, flags, printed):
     # the output is reduced: S' -> " " S would name an S with no rules
     g = tmp_path / "empty.g"
-    g.write_text("S -> S ;", encoding="utf-8")
-    rc, out = run(capsys, "transform", "--grammar", str(g), flag)
-    assert rc == 2 and out == ""
+    g.write_text('S -> A ; A -> A "a" ;', encoding="utf-8")
+    rc, out = run(capsys, "transform", "--grammar", str(g), *flags)
+    assert rc == 0 and out == printed
+    rc, _ = run(capsys, "recognize", "--grammar", str(g), "")
+    assert rc == 1
 
 
 def test_transform_leading_space_names_the_start_after_reducing(capsys, tmp_path):
@@ -399,6 +427,27 @@ def test_sample_empty_language_exit_2(capsys, tmp_path):
     g.write_text("S -> S ;", encoding="utf-8")
     rc, _ = run(capsys, "sample", "--grammar", str(g), "--count", "1")
     assert rc == 2
+
+
+def test_sample_of_a_unicode_grammar(files, capsys):
+    argv = ["sample", "--grammar", files["mix"], "--count", "3", "--seed", "0"]
+    rc, out = run(capsys, *argv)
+    assert rc == 0 and out == "aa你你\naé你\naaaaaé你你你你你\n"
+    rc, out = run(capsys, *argv, "--structured")
+    assert rc == 0 and out == ('{"command": "sample", "samples": ["aa\\u4f60\\u4f60", '
+                               '"a\\u00e9\\u4f60", "aaaaa\\u00e9\\u4f60\\u4f60\\u4f60'
+                               '\\u4f60\\u4f60"], "schema": 1}\n')
+
+
+def test_sample_exhausting_its_budget_exits_2(capsys, tmp_path):
+    # every derivation of "a" expands two nonterminals
+    g = tmp_path / "two.g"
+    g.write_text('S -> A ; A -> "a" ;', encoding="utf-8")
+    rc = main(["sample", "--grammar", str(g), "--max-expansions", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == \
+        "error: sampling budget exhausted 50 times; raise --max-expansions\n"
 
 
 def test_verify_suites(files, capsys):

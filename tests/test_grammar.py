@@ -196,6 +196,10 @@ def test_grammar_validation():
         Grammar(frozenset({"S"}), "byte", (Production("S", (300,)),), "S")
     with pytest.raises(GrammarError, match="undefined"):
         Grammar(frozenset({"S"}), "byte", (Production("S", ("A",)),), "S")
+    with pytest.raises(GrammarError, match="production head 'A' is not a declared"):
+        Grammar(frozenset({"S"}), "byte", (Production("A", ()),), "S")
+    with pytest.raises(GrammarError, match="unknown alphabet mode 'latin1'"):
+        parse_grammar('S -> "a" ;', "latin1")
 
 
 # --- reduction ---------------------------------------------------------------
@@ -930,7 +934,21 @@ def test_format_parse_round_trip(text, alphabet):
     assert back.alphabet == g.alphabet
 
 
-def test_format_empty_grammar_raises():
-    g = reduce_grammar(parse_grammar("S -> S ;"))
-    with pytest.raises(GrammarError):
-        format_grammar(g)
+@pytest.mark.parametrize("g", [
+    Grammar(frozenset({"S", "A"}), "unicode", (Production("A", (0x61,)),), "S"),
+    reduce_grammar(parse_grammar("S -> S ;")),
+], ids=["start-without-rules", "no-rules"])
+def test_format_writes_a_start_without_rules_as_deriving_nothing(g):
+    # skipping the start would read back with another start and language
+    text = format_grammar(g)
+    assert text.startswith("S -> S ;\n")
+    assert reduce_grammar(parse_grammar(text, g.alphabet)) == reduce_grammar(g)
+
+
+@settings(max_examples=300)
+@given(unreduced_small_grammars())
+def test_format_reads_back_with_the_same_reduced_form(g):
+    # start and body names without rules included; productions may come back reordered
+    back, want = reduce_grammar(parse_grammar(format_grammar(g), "byte")), reduce_grammar(g)
+    assert (back.start, back.nonterminals, set(back.productions)) == \
+        (want.start, want.nonterminals, set(want.productions))

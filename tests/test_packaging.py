@@ -1,14 +1,18 @@
 """The package has no runtime dependencies (``dependencies = []`` in
 pyproject.toml): every module it imports, at the top of a file or inside a
-function, is its own or one of the standard library's."""
+function, is its own or one of the standard library's.  And each console
+script that pyproject.toml declares resolves and runs."""
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "toklang").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "toklang").glob("*.py"))
 
 
 def absolute_imports(path: Path) -> list[str]:
@@ -29,3 +33,29 @@ def test_the_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_absolute_import_is_of_the_standard_library(path):
     assert [n for n in absolute_imports(path) if n not in sys.stdlib_module_names] == []
+
+
+def console_scripts() -> dict[str, str]:
+    """The ``name = "module:attribute"`` entries of pyproject.toml's
+    [project.scripts] table, read with a regex: Python 3.10 has no tomllib."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)[1]
+    return dict(re.findall(r'^([\w.-]+)\s*=\s*"([\w.]+:[\w.]+)"\s*$', table, re.M))
+
+
+def test_the_console_scripts_are_found():
+    assert console_scripts()["toklang"] == "toklang.cli:main"
+
+
+@pytest.mark.parametrize("name, target", sorted(console_scripts().items()))
+def test_each_console_script_runs_its_help(name, target, monkeypatch, capsys):
+    # as the installed wrapper does: call the target with no arguments
+    module, _, attribute = target.partition(":")
+    entry = importlib.import_module(module)
+    for part in attribute.split("."):
+        entry = getattr(entry, part)
+    monkeypatch.setattr(sys, "argv", [name, "--help"])
+    with pytest.raises(SystemExit) as e:
+        entry()
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")

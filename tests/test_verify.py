@@ -1,10 +1,12 @@
 import pytest
 
+import toklang.grammar
 from toklang import (
     Classification,
     Kind,
     TokenRecognizer,
     TokenSession,
+    Tokenizer,
     TokenizerError,
     find_tokenize_witness,
     run_equivalence_suite,
@@ -103,3 +105,51 @@ def test_partition_suite_ties_the_proper_label_to_tokenize(aab, monkeypatch):
 def test_partition_suite_defaults_to_single_byte_alphabet(aab):
     small = run_partition_suite(aab, max_len=2)
     assert small.cases == 7  # strings over {a, b} of length <= 2
+
+
+# --- each suite's failure branches, each under one planted fault ---------------------
+
+
+def test_homomorphism_suite_reports_a_detokenize_that_is_not_homomorphic(aab, monkeypatch):
+    # a planted fault: detokenize drops the last byte of what it joins
+    detokenize = Tokenizer.detokenize
+    monkeypatch.setattr(Tokenizer, "detokenize", lambda self, ids: detokenize(self, ids)[:-1])
+    report = run_homomorphism_suite(aab, pairs=50, seed=1)
+    assert not report.passed and report.cases == 51
+    assert all(f.startswith("detokenize not homomorphic at u=[") for f in report.failures)
+
+
+def test_homomorphism_suite_reports_a_merge_list_without_a_witness():
+    # tokenize refuses every candidate: b and c have no single-byte token
+    t = Tokenizer((b"a", b"bc", b"abc"), ((0, 1, 2),))
+    assert find_tokenize_witness(t) is None
+    report = run_homomorphism_suite(t, pairs=0)
+    assert report.cases == 1 and report.failures == [
+        "tokenizer has merges but no tokenize non-homomorphism witness was found"]
+
+
+def test_equivalence_suite_reports_an_acceptance_mismatch(dyck, brackets, monkeypatch):
+    # a planted fault: the character oracle accepts nothing
+    monkeypatch.setattr(toklang.grammar, "recognize", lambda g, w: False)
+    report = run_equivalence_suite(TokenRecognizer(dyck, brackets), max_len=1)
+    assert report.failures == ["tokens []: token stream=True, character oracle=False",
+                               "tokens [3]: token stream=True, character oracle=False"]
+
+
+def test_partition_suite_reports_a_count_mismatch(aab, monkeypatch):
+    # a planted fault: the DP counts one segmentation too many
+    count = segmentation.count_tokenizations
+    monkeypatch.setattr(segmentation, "count_tokenizations", lambda t, s: count(t, s) + 1)
+    report = run_partition_suite(aab, max_len=2)
+    assert report.cases == 7 and len(report.failures) == 7
+    assert report.failures[0] == "b'': enumeration yields 1 but DP counts 2"
+    assert report.summary().split("\n")[-1] == "  ... and 2 more"
+
+
+def test_partition_suite_reports_a_missing_proper_tokenization(aab, monkeypatch):
+    # a planted fault: enumeration leaves out its first item, the longest tokens
+    enumerate_tokenizations = segmentation.enumerate_tokenizations
+    monkeypatch.setattr(segmentation, "enumerate_tokenizations",
+                        lambda t, s: list(enumerate_tokenizations(t, s))[1:])
+    report = run_partition_suite(aab, max_len=1)
+    assert "b'a': proper tokenization missing from enumeration" in report.failures
