@@ -81,6 +81,8 @@ class Tokenizer(Frozen):
 
     def __init__(self, vocab, merges=()):
         self.__dict__.update(vocab=vocab, merges=merges)
+        if not isinstance(vocab, tuple):
+            raise TokenizerError(f"vocab must be a tuple, got {type(vocab).__name__}")
         if not self.vocab:
             raise TokenizerError("vocabulary must not be empty")
         seen: dict[bytes, int] = {}
@@ -91,9 +93,15 @@ class Tokenizer(Frozen):
                 raise TokenizerError(
                     f"tokens {seen[bs]} and {i} share byte string {escape_bytes(bs)!r}")
             seen[bs] = i
+        if not isinstance(merges, tuple):
+            raise TokenizerError(f"merges must be a tuple, got {type(merges).__name__}")
         n = len(self.vocab)
-        for rank, (left, right, merged) in enumerate(self.merges):
-            for t in (left, right, merged):
+        for rank, merge in enumerate(self.merges):
+            if not isinstance(merge, tuple) or len(merge) != 3:
+                raise TokenizerError(
+                    f"merge {rank} must be a (left, right, merged) tuple, got {merge!r}")
+            left, right, merged = merge
+            for t in merge:
                 if type(t) is not int or not 0 <= t < n:
                     raise TokenizerError(f"merge {rank} references unknown token {t}")
             if self.vocab[merged] != self.vocab[left] + self.vocab[right]:

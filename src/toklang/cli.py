@@ -151,21 +151,22 @@ def cmd_recognize(args) -> int:
             terms = _read_byte_input(args)
         else:
             terms = [ord(c) for c in _read_text_input(args)]
+        session = RecognitionSession(g)
     else:
         from .recognizer import TokenRecognizer
         rec = TokenRecognizer(_byte_grammar(args), _tokenizer(args))
-        g, ids = rec.grammar, _parse_ids(args)
-        terms = rec.tokenizer.detokenize(ids)  # died_at is a byte offset into it
-    session = RecognitionSession(g)
+        terms, session = _parse_ids(args), rec.open_session()  # died_at counts bytes
     for t in terms:
         session.feed(t)
         if not session.live:
             break
+    if mode != "chars":  # every id is checked, those past the death too
+        rec.tokenizer.check_ids(terms[session.tokens_consumed:])
     accept = session.accepts()
-    if mode == "proper" and accept and not rec.tokenizer.is_proper(ids):
+    if mode == "proper" and accept and not rec.tokenizer.is_proper(terms):
         from .segmentation import classify  # only to name the kind
         accept = False
-        reason = f"improper: {classify(rec.tokenizer, ids).kind.value}"
+        reason = f"improper: {classify(rec.tokenizer, terms).kind.value}"
 
     plain = "accept" if accept else ("reject" if reason is None else f"reject: {reason}")
     _emit(args, [plain], {

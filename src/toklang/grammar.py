@@ -65,13 +65,24 @@ class Grammar(Frozen):
     def __init__(self, nonterminals, alphabet, productions, start):
         self.__dict__.update(nonterminals=nonterminals, alphabet=alphabet,
                              productions=productions, start=start)
+        # shapes are checked, not coerced: a value keeps what it was checked as
+        if not isinstance(nonterminals, frozenset) \
+                or not all(isinstance(n, str) for n in nonterminals):
+            raise GrammarError("nonterminals must be a frozenset of str names")
         if self.alphabet not in ("unicode", "byte"):
             raise GrammarError(f"unknown alphabet mode {self.alphabet!r}")
-        if self.start not in self.nonterminals:
+        if not isinstance(productions, tuple):
+            raise GrammarError(
+                f"productions must be a tuple, got {type(productions).__name__}")
+        if not isinstance(start, str) or start not in self.nonterminals:
             raise GrammarError(
                 f"start symbol {self.start!r} is not a declared nonterminal")
-        for head, body in self.productions:
-            if head not in self.nonterminals:
+        for i, p in enumerate(self.productions):
+            if not isinstance(p, Production) or not isinstance(p.body, tuple):
+                raise GrammarError(
+                    f"productions[{i}] must be a Production with a tuple body, got {p!r}")
+            head, body = p
+            if not isinstance(head, str) or head not in self.nonterminals:
                 raise GrammarError(
                     f"production head {head!r} is not a declared nonterminal")
             for sym in body:
@@ -372,27 +383,22 @@ def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
 
 
 def recognize(g: Grammar, w) -> bool:
-    """Decide w ∈ L(g) in one batch pass."""
-    g = g._reduced
-    terms = as_terminals(g, w)
-    chart = g._chart
-    of, pos = chart.of.get, chart.initial
-    for t in terms:
-        pos = _advance(chart, pos, of(t, t))
-        if pos is None:
-            return False
-    return pos.accepting
+    """Decide w ∈ L(g) in one batch pass: a fresh session fed all of *w*."""
+    return RecognitionSession(g)._feed_checked(as_terminals(g, w)).accepts()
 
 
 class RecognitionSession:
     """Streaming recognizer state: feed terminals one at a time.
 
     ``live`` means the consumed sequence is a viable prefix of the
-    language; dead sessions are absorbing.  A session belongs to one
-    logical caller.  It holds only its last chart position, which keeps
-    alive just the positions its pending items refer to; ``clone`` is
-    O(1), since positions are immutable and shared.  ``grammar`` is the
-    reduced grammar; the positions are those of its chart.
+    language; dead sessions are absorbing, and ``died_at`` is the offset
+    of the terminal no viable prefix continues with.  ``recognize`` and
+    ``TokenSession.feed`` run its loop over whole sequences.  A session
+    belongs to one logical caller.  It holds only its last chart
+    position, which keeps alive just the positions its pending items
+    refer to; ``clone`` is O(1), since positions are immutable and
+    shared.  ``grammar`` is the reduced grammar; the positions are those
+    of its chart.
     """
 
     __slots__ = ("grammar", "consumed", "died_at", "_last", "_chart")
@@ -423,14 +429,22 @@ class RecognitionSession:
         if not _valid_terminal(terminal, self.grammar.alphabet):
             raise GrammarError(
                 f"terminal {terminal!r} outside the {self.grammar.alphabet} alphabet")
-        if self.live:
+        return self._feed_checked((terminal,))
+
+    def _feed_checked(self, terms) -> "RecognitionSession":
+        """Feed *terms*, terminals already checked: the one loop that moves a
+        chart over input.  A position's index is the terminals it consumed."""
+        if self.died_at is None:
             chart = self._chart
-            nxt = _advance(chart, self._last, chart.of.get(terminal, terminal))
-            if nxt is None:
-                self.died_at = self.consumed
-            else:
-                self._last = nxt
-        self.consumed += 1
+            of, pos = chart.of.get, self._last
+            for t in terms:
+                nxt = _advance(chart, pos, of(t, t))
+                if nxt is None:
+                    self.died_at = pos.index
+                    break
+                pos = nxt
+            self._last = pos
+        self.consumed += len(terms)
         return self
 
     def clone(self) -> "RecognitionSession":

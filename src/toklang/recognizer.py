@@ -3,10 +3,11 @@
 Detokenization is a homomorphism from token IDs to bytes, so a token
 sequence belongs to the token image of a language exactly when its
 detokenization belongs to the language.  The batch checks decide just
-that, by ``recognize`` of ``detokenize``.  For decoding, a ``TokenSession``
-drains each token's bytes, in order, into an incremental byte-level
-session, so its next-token mask is read off the chart.  Tokens may split
-multi-byte characters; bytes are bytes.
+that, by ``recognize`` of ``detokenize``.  For decoding, and for the
+command line's token modes, a ``TokenSession`` drains each token's bytes
+into a byte-level session in one call, through the same loop as
+``recognize``, so its next-token mask is read off the chart.  Tokens may
+split multi-byte characters; bytes are bytes.
 """
 
 from __future__ import annotations
@@ -108,9 +109,12 @@ class TokenSession:
         return self.inner.accepts()
 
     def feed(self, token_id: int) -> "TokenSession":
+        """Check *token_id* and drain its bytes in one call, unchecked: a
+        byte-base tokenizer's bytes are all byte terminals.  The session
+        may die inside the token; ``died_at`` is then that byte's offset,
+        and the token still counts in ``tokens_consumed``."""
         tokenizer = self.recognizer.tokenizer
-        for b in tokenizer.vocab[tokenizer.check_id(token_id)]:
-            self.inner.feed(b)
+        self.inner._feed_checked(tokenizer.vocab[tokenizer.check_id(token_id)])
         self.tokens_consumed += 1
         return self
 

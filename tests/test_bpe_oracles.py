@@ -37,7 +37,8 @@ def texts(alphabet: bytes, max_size: int) -> st.SearchStrategy[bytes]:
 def corpora(draw, max_samples: int = 8, max_size: int = 30) -> list[bytes]:
     """Small corpora over a small alphabet, so counts tie often; samples may
     be empty, one byte long or repeated."""
-    alphabet = draw(st.sampled_from([b"a", b"ab", b"abc", b"[]ab "]))
+    # byte 0 is token 0, never train's sentinel or merged-away marker
+    alphabet = draw(st.sampled_from([b"a", b"ab", b"abc", b"[]ab ", b"\x00ab"]))
     samples = draw(st.lists(texts(alphabet, max_size), max_size=max_samples))
     if samples:
         samples += draw(st.lists(st.sampled_from(samples), max_size=4))
@@ -112,6 +113,9 @@ def test_tokenize_rejects_the_same_byte_as_rescan(text):
                  b"da", b"cd", b"ad", b"ba", b"cd", b"ab", b"ca", b"db", b"bc", b"dc",
                  b"cb", b"ac", b"bd", b"da"], num_merges=20)
 @example(corpus=[b"KLMNOPQRST", b"ABCDEFGHIJ", b"ABCDEFGHIJ", b"KLMNOPQRST"], num_merges=30)
+# token 0 is the byte 0: before, after and inside merged pairs
+@example(corpus=[b"\x00a\x00a\x00", b"a\x00\x00b\x00", b"\x00\x00\x00", b"b\x00a\x00"],
+         num_merges=8)
 def test_train_matches_recount(corpus, num_merges):
     assert train(corpus, num_merges) == train_by_recount(corpus, num_merges)
 

@@ -229,6 +229,35 @@ def test_recognize_bos_strip(files, capsys):
     assert rc == 0
 
 
+def _recognize_tokens(capsys, files, mode, ids, *flags):
+    """(exit code, stdout, stderr) of recognize over the bracket tokens."""
+    rc = main(["recognize", "--grammar", files["dyck"], "--alphabet", "byte",
+               "--tokenizer", files["brackets"], "--mode", mode, *flags, ids])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize("mode", ["tokens", "proper"])
+@pytest.mark.parametrize("ids, flags, accept, died_at", [
+    ("1 5", (), False, 2),                    # "[" + "]]" dies inside its last token
+    ("", (), True, None),                     # no ids: the empty member
+    ("9 1 2 2", ("--bos-id", "9"), False, 2),  # the offset counts no stripped id
+], ids=["death-inside-a-token", "empty", "bos-and-death"])
+def test_recognize_token_modes_structured(files, capsys, mode, ids, flags, accept, died_at):
+    rc, out, err = _recognize_tokens(capsys, files, mode, ids, "--structured", *flags)
+    assert (rc, err) == (0 if accept else 1, "")
+    assert json.loads(out) == {"command": "recognize", "mode": mode, "accept": accept,
+                               "died_at": died_at, "reason": None, "schema": 1}
+
+
+@pytest.mark.parametrize("mode", ["tokens", "proper"])
+@pytest.mark.parametrize("ids", ["2 999", "999 2", "1 5 999"],
+                         ids=["after-death", "first", "after-death-in-a-token"])
+def test_recognize_token_modes_refuse_an_unknown_id_anywhere(files, capsys, mode, ids):
+    rc, out, err = _recognize_tokens(capsys, files, mode, ids)
+    assert (rc, out, err) == (2, "", "error: unknown token id 999\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["tokenize", "aab"],
     ["enumerate", "aab"],

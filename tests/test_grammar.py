@@ -789,6 +789,17 @@ def test_chart_matches_oracles_on_generated_grammars(g):
 
 
 @settings(max_examples=200)
+@given(unreduced_small_grammars(), st.lists(st.sampled_from((_A, _B)), max_size=8))
+def test_recognize_matches_the_reference_chart(g, w):
+    # the plain chart of tests/oracles.py, on the grammar as given: no
+    # reduction, no terminal classes, no session
+    pos = initial_position(g)
+    for t in w:
+        pos = pos and advance(g, pos, t)
+    assert recognize(g, w) == (pos is not None and pos.accepting)
+
+
+@settings(max_examples=200)
 @given(small_grammars())
 @example(_grammar('S -> "a" S | "b" S | "" ;'))  # one class, ab
 @example(_grammar('S -> "a" "b" | "b" "a" ;'))   # symmetric under a swap, yet two classes

@@ -12,6 +12,7 @@ from toklang import (
     GrammarError,
     Kind,
     Production,
+    RecognitionSession,
     TokenRecognizer,
     Tokenizer,
     TokenizerError,
@@ -106,6 +107,64 @@ def test_feed_tracks_detokenized_bytes(rec):
     assert s.inner.consumed == 6
     assert s.tokens_consumed == 3
     assert s.accepts()
+
+
+def test_a_token_drains_its_bytes_in_one_call(monkeypatch):
+    # the bytes of a token are checked once, with the tokenizer: no byte
+    # of it passes through RecognitionSession.feed or its terminal check
+    calls = {"feed": 0, "_valid_terminal": 0}
+    feed, valid = toklang.grammar.RecognitionSession.feed, toklang.grammar._valid_terminal
+
+    def counted_feed(session, terminal):
+        calls["feed"] += 1
+        return feed(session, terminal)
+
+    def counted_valid(terminal, alphabet):
+        calls["_valid_terminal"] += 1
+        return valid(terminal, alphabet)
+
+    vocab = tuple(bytes([b]) for b in range(256)) + (b"[[][]]",)
+    session = TokenRecognizer(dyck_grammar(), Tokenizer(vocab)).open_session()
+    monkeypatch.setattr(toklang.grammar.RecognitionSession, "feed", counted_feed)
+    monkeypatch.setattr(toklang.grammar, "_valid_terminal", counted_valid)
+    session.feed(256)
+    assert calls == {"feed": 0, "_valid_terminal": 0}
+    assert session.accepts() and session.inner.consumed == 6
+
+
+_DEATH_BYTES = 6  # the longest detokenized prefix the death test walks
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_a_token_session_dies_where_its_bytes_stop_being_viable(data):
+    """At every token prefix, the byte offset of the death is the first
+    byte whose prefix is not viable, inside a token too, and the session
+    agrees with a byte session fed the same bytes one at a time."""
+    rec = data.draw(grammars_with_vocab())
+    vocab = rec.tokenizer.vocab
+    # the tokens over the grammar's terminals, the longer ones, and one byte
+    # outside them; a long token's prefix may be viable and it not
+    candidates = sorted({*relevant_token_ids(rec), *range(256, len(vocab)), _OUTSIDE})
+    viable = prefixes_of(members_cut_at(rec.grammar, _DEATH_BYTES))
+    session, by_byte, prefix = rec.open_session(), RecognitionSession(rec.grammar), b""
+    for k in range(data.draw(st.integers(0, 4))):
+        options = [t for t in candidates if len(prefix) + len(vocab[t]) <= _DEATH_BYTES]
+        if not options:
+            break
+        tid = data.draw(st.sampled_from(options))
+        session.feed(tid)
+        for b in vocab[tid]:
+            by_byte.feed(b)
+        prefix += vocab[tid]
+        cut = next((i for i in range(len(prefix) + 1) if tuple(prefix[:i]) not in viable),
+                   None)
+        # the byte that ended the last viable prefix, or 0 for an empty language
+        assert session.died_at == (None if cut is None else max(cut - 1, 0))
+        assert session.died_at == by_byte.died_at
+        assert (session.live, session.accepts(), session.inner.consumed) == (
+            by_byte.live, by_byte.accepts(), by_byte.consumed)
+        assert session.inner.consumed == len(prefix) and session.tokens_consumed == k + 1
 
 
 def test_feed_unknown_id(rec):

@@ -142,6 +142,42 @@ def test_constructors_check_in_the_dataclass_order():
         TokenRecognizer(dyck_grammar(), Tokenizer((b"a",)))
 
 
+_S = frozenset({"S"})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    # each of these built a value that later code could not use, or raised
+    # an error that was no DataError
+    (lambda: Grammar(_S, "byte", (("S", (97,)),), "S"),
+     GrammarError, r"productions\[0\] must be a Production"),
+    (lambda: Grammar(_S, "byte", (Production("S", [97]),), "S"),
+     GrammarError, r"productions\[0\] must be a Production with a tuple body"),
+    (lambda: Grammar({"S"}, "byte", (Production("S", (97,)),), "S"),
+     GrammarError, "nonterminals must be a frozenset"),
+    (lambda: Grammar(frozenset({"S", 1}), "byte", (Production("S", (97,)),), "S"),
+     GrammarError, "nonterminals must be a frozenset of str names"),
+    (lambda: Grammar(_S, "byte", [Production("S", (97,))], "S"),
+     GrammarError, "productions must be a tuple, got list"),
+    (lambda: Grammar(_S, "byte", (), ["S"]),
+     GrammarError, "start symbol"),
+    (lambda: Grammar(_S, "byte", (Production(["S"], ()),), "S"),
+     GrammarError, "production head"),
+    (lambda: Tokenizer((b"a", b"b", b"ab"), ((0, 1),)),
+     TokenizerError, r"merge 0 must be a \(left, right, merged\) tuple"),
+    (lambda: Tokenizer((b"a", b"b", b"ab"), ([0, 1, 2],)),
+     TokenizerError, r"merge 0 must be a \(left, right, merged\) tuple"),
+    (lambda: Tokenizer([b"a", b"b"]),
+     TokenizerError, "vocab must be a tuple, got list"),
+    (lambda: Tokenizer((b"a", b"b", b"ab"), [(0, 1, 2)]),
+     TokenizerError, "merges must be a tuple, got list"),
+], ids=["plain-tuple-production", "list-body", "set-nonterminals", "int-nonterminal",
+        "list-productions", "list-start", "list-head", "two-element-merge",
+        "list-merge", "list-vocab", "list-merges"])
+def test_constructors_refuse_shapes_later_code_cannot_use(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_cached_properties_fill_on_frozen_values():
     t = Tokenizer(*FIELDS[Tokenizer][0])
     assert "trie" not in vars(t)
