@@ -191,8 +191,6 @@ class Tokenizer(Frozen):
         get = self.merge_ranks.get
         heap = [(hit[0], i) for i, hit in enumerate(map(get, zip(ids, ids[1:])))
                 if hit is not None]
-        if not heap:
-            return ids
         heapify(heap)
         # lists, not arrays: the input is short-lived and lists index faster
         nxt = list(range(1, n + 1))  # n: no right neighbour
@@ -260,17 +258,20 @@ class Tokenizer(Frozen):
 
         A tokenizer with a vocabulary byte that has no single-byte token
         can fail to tokenize a detokenization; there the whole string is
-        retokenized, so the error is the one ``tokenize`` raises.
+        retokenized, so the error is the one ``tokenize`` raises.  One call
+        of ``_properness`` decides it here, in ``classify`` and in
+        ``TokenRecognizer.accepts_proper``.
         """
-        seq = self.check_ids(ids)
-        return self._is_proper(seq, self._mergeable_at(seq))
+        return self._properness(self.check_ids(ids))[0]
 
-    def _is_proper(self, seq: list[int], mergeable_at: int | None) -> bool:
-        """is_proper of IDs already checked, given ``_mergeable_at(seq)``."""
+    def _properness(self, seq: list[int]) -> tuple[bool, int | None]:
+        """(is_proper, ``_mergeable_at``) of IDs already checked, from one
+        scan of the pairs."""
+        at = self._mergeable_at(seq)
         if len(seq) < 2 or not self._decomposable:
-            return self.tokenize(self._join(seq)) == seq
-        if mergeable_at is not None:
-            return False  # the O(1) verdict first, so no mergeable pair is memoized
+            return self.tokenize(self._join(seq)) == seq, at
+        if at is not None:
+            return False, at  # the O(1) verdict first, so no mergeable pair is memoized
         memo, vocab = self._pair_verdicts, self.vocab
         for pair in zip(seq, seq[1:]):
             ok = memo.get(pair)
@@ -278,8 +279,8 @@ class Tokenizer(Frozen):
                 a, b = pair
                 ok = memo[pair] = self.tokenize(vocab[a] + vocab[b]) == [a, b]
             if not ok:
-                return False
-        return True
+                return False, None
+        return True, None
 
     def _mergeable_at(self, seq: list[int]) -> int | None:
         """Index of the first adjacent pair of checked IDs that a merge rule

@@ -199,11 +199,21 @@ def cmd_enumerate(args) -> int:
     rows = [(ids, classify(tokenizer, ids).kind.value)
             for ids in enumerate_tokenizations(tokenizer, data, limit=args.limit)]
     lines = [f"{' '.join(map(str, ids))}\t{kind}" for ids, kind in rows]
-    _emit(args, lines + [f"total: {total}"], {
-        "command": "enumerate",
-        "total": total,
-        "items": [{"ids": ids, "kind": kind} for ids, kind in rows],
-    })
+    # the exact total can pass the int-to-str digit limit (Python 3.10.7 on),
+    # which stays in force for reading ids: lifted only while it is printed
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        digits = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(args, lines + [f"total: {total}"], {
+            "command": "enumerate",
+            "total": total,
+            "items": [{"ids": ids, "kind": kind} for ids, kind in rows],
+        })
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(digits)
     return 0
 
 

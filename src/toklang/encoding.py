@@ -15,7 +15,7 @@ from .grammar import Grammar, GrammarError, Production, _valid_terminal
 
 
 class EncodingError(DataError):
-    """A scalar value the scheme cannot encode."""
+    """A scalar value the scheme cannot encode, or a malformed scheme."""
 
 
 def _utf8_char(cp: int) -> bytes:
@@ -37,6 +37,11 @@ class EncodingScheme(Frozen):
 
     def __init__(self, name, encode_char):
         self.__dict__.update(name=name, encode_char=encode_char)
+        if not isinstance(name, str):
+            raise EncodingError(f"name must be a str, got {type(name).__name__}")
+        if not callable(encode_char):
+            raise EncodingError(
+                f"encode_char must be callable, got {type(encode_char).__name__}")
 
 
 UTF8 = EncodingScheme("utf8", _utf8_char)

@@ -193,7 +193,7 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # terminal to its class, w ∈ L ⇔ φ(w) ∈ φ(L); φ(L) is the language of the
 # chart grammar, in which each terminal is the least member of its class and
 # duplicate productions are dropped.  It is reduced when the grammar is, and
-# it is the grammar itself when every class has one member.  A fed terminal
+# equal to the grammar when every class has one member.  A fed terminal
 # is mapped to its class by one lookup; one not in the grammar maps to
 # itself, which the chart grammar does not use either.  Interchangeable
 # terminals then share every chart position, and a next-token mask advances
@@ -243,12 +243,9 @@ class _Chart(dict):
         # each least member to its class, and each terminal to its least member
         self.members = {ts[0]: tuple(ts) for ts in by_contexts.values()}
         self.of = of = {t: ts[0] for ts in by_contexts.values() for t in ts}
-        chart = g
-        if len(self.members) < len(of):
-            chart = Grammar(g.nonterminals, g.alphabet, tuple(dict.fromkeys(
-                Production(head, tuple(of.get(s, s) for s in body))
-                for head, body in g.productions)), g.start)
-        self.grammar = chart
+        self.grammar = chart = Grammar(g.nonterminals, g.alphabet, tuple(dict.fromkeys(
+            Production(head, tuple(of.get(s, s) for s in body))
+            for head, body in g.productions)), g.start)
         # rule r's item with its dot at d is id base[r] + d, so id + 1 is the
         # item with its dot stepped; per id, the symbol after the dot (None
         # once complete), the head, and whether that symbol is nullable.
@@ -282,6 +279,18 @@ class _Chart(dict):
         frozen = self[key] = _Table((sym, tuple(items)) for sym, items in table.items())
         frozen.terminals = tuple(sym for sym in frozen if sym.__class__ is int)
         return frozen
+
+    def class_trie(self, words: Iterable[tuple[int, bytes]]) -> dict[int, list]:
+        """(id, terminals) *words* of used terminals by their classes: class
+        -> [the ids of the words that end there, children of this shape]."""
+        of = self.of
+        root: dict[int, list] = {}
+        for wid, terms in words:
+            node = root
+            for t in terms[:-1]:
+                node = node.setdefault(of[t], [[], {}])[1]
+            node.setdefault(of[terms[-1]], [[], {}])[0].append(wid)
+        return root
 
 
 class _Position:
@@ -393,22 +402,21 @@ class RecognitionSession:
     ``live`` means the consumed sequence is a viable prefix of the
     language; dead sessions are absorbing, and ``died_at`` is the offset
     of the terminal no viable prefix continues with.  ``recognize`` and
-    ``TokenSession.feed`` run its loop over whole sequences.  A session
-    belongs to one logical caller.  It holds only its last chart
-    position, which keeps alive just the positions its pending items
-    refer to; ``clone`` is O(1), since positions are immutable and
-    shared.  ``grammar`` is the reduced grammar; the positions are those
-    of its chart.
+    ``TokenSession.feed`` run its loop over whole sequences, and
+    ``TokenSession.allowed_next_tokens`` its mask walk.  A session belongs
+    to one logical caller.  It holds only its last chart position, which
+    keeps alive just the positions its pending items refer to; ``clone``
+    is O(1), since positions are immutable and shared.  ``grammar`` is the
+    reduced grammar; the positions are those of its chart.
     """
 
-    __slots__ = ("grammar", "consumed", "died_at", "_last", "_chart")
+    __slots__ = ("grammar", "consumed", "died_at", "_last")
 
     def __init__(self, grammar: Grammar):
         self.grammar = grammar._reduced
         self.consumed = 0
         self.died_at: int | None = 0 if self.grammar.is_empty_language else None
-        self._chart = self.grammar._chart
-        self._last = self._chart.initial
+        self._last = self.grammar._chart.initial
 
     @property
     def live(self) -> bool:
@@ -422,20 +430,17 @@ class RecognitionSession:
         """The terminals ``feed`` would accept next; once dead, those it
         expected at ``died_at``: every member of each class the chart
         position expects."""
-        members = self._chart.members
+        members = self.grammar._chart.members
         return frozenset(t for c in _expected(self._last) for t in members[c])
 
     def feed(self, terminal: int) -> "RecognitionSession":
-        if not _valid_terminal(terminal, self.grammar.alphabet):
-            raise GrammarError(
-                f"terminal {terminal!r} outside the {self.grammar.alphabet} alphabet")
-        return self._feed_checked((terminal,))
+        return self._feed_checked(as_terminals(self.grammar, (terminal,)))
 
     def _feed_checked(self, terms) -> "RecognitionSession":
         """Feed *terms*, terminals already checked: the one loop that moves a
         chart over input.  A position's index is the terminals it consumed."""
         if self.died_at is None:
-            chart = self._chart
+            chart = self.grammar._chart
             of, pos = chart.of.get, self._last
             for t in terms:
                 nxt = _advance(chart, pos, of(t, t))
@@ -453,8 +458,31 @@ class RecognitionSession:
         s.consumed = self.consumed
         s.died_at = self.died_at
         s._last = self._last
-        s._chart = self._chart
         return s
+
+    def _allowed(self, trie: dict[int, list]) -> set[int]:
+        """The ids of the words of *trie*, a ``_Chart.class_trie``, that keep
+        this session live: a depth-first walk of the trie paired with chart
+        positions, entering only the classes a position expects.  A word
+        whose last class is expected is allowed without advancing (on a
+        reduced grammar an expected class leaves the chart live); a class
+        prefix is advanced once, for every word that shares it.  Positions
+        are immutable, so the session is never touched.  A dead one allows
+        nothing."""
+        chart = self.grammar._chart
+        allowed: set[int] = set()
+        stack = [(self._last, trie)] if self.died_at is None else []
+        while stack:
+            pos, node = stack.pop()
+            for c in _expected(pos):
+                hit = node.get(c)
+                if hit is not None:
+                    ids, children = hit
+                    if ids:
+                        allowed.update(ids)
+                    if children:
+                        stack.append((_advance(chart, pos, c), children))
+        return allowed
 
 
 def _deriving(productions, terminals: bool) -> set[str]:

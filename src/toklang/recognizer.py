@@ -5,9 +5,10 @@ sequence belongs to the token image of a language exactly when its
 detokenization belongs to the language.  The batch checks decide just
 that, by ``recognize`` of ``detokenize``.  For decoding, and for the
 command line's token modes, a ``TokenSession`` drains each token's bytes
-into a byte-level session in one call, through the same loop as
-``recognize``, so its next-token mask is read off the chart.  Tokens may
-split multi-byte characters; bytes are bytes.
+into a byte-level session in one call, and the byte session walks its
+chart for the next-token mask.  This module only maps tokens to bytes;
+chart positions are the grammar's, properness the tokenizer's.  Tokens
+may split multi-byte characters; bytes are bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable
 
 from ._value import Frozen
 from .bpe import Tokenizer, TokenizerError
-from .grammar import Grammar, GrammarError, RecognitionSession, _advance, _expected, recognize
+from .grammar import Grammar, GrammarError, RecognitionSession, recognize
 
 
 class TokenRecognizer(Frozen):
@@ -36,9 +37,13 @@ class TokenRecognizer(Frozen):
 
     def __init__(self, grammar, tokenizer):
         self.__dict__.update(grammar=grammar, tokenizer=tokenizer)
+        if not isinstance(grammar, Grammar):
+            raise GrammarError(f"grammar must be a Grammar, got {type(grammar).__name__}")
         if self.grammar.alphabet != "byte":
             raise GrammarError(
                 "token recognition needs a byte-alphabet grammar; encode it first")
+        if not isinstance(tokenizer, Tokenizer):
+            raise TokenizerError(f"tokenizer must be a Tokenizer, got {type(tokenizer).__name__}")
         if not self.tokenizer.byte_base:
             raise TokenizerError("token recognition needs a byte-base tokenizer")
 
@@ -47,18 +52,10 @@ class TokenRecognizer(Frozen):
 
     @cached_property
     def _class_trie(self) -> dict[int, list]:
-        """The relevant tokens by the classes of their bytes (see the
-        grammar's ``_Chart``): class -> [the IDs of the tokens that end
-        there, children], where children is a dict of the same shape."""
-        of = self.grammar._reduced._chart.of
+        """The relevant tokens by the classes of their bytes."""
         vocab = self.tokenizer.vocab
-        root: dict[int, list] = {}
-        for tid in relevant_token_ids(self):
-            node = root
-            for b in vocab[tid][:-1]:
-                node = node.setdefault(of[b], [[], {}])[1]
-            node.setdefault(of[vocab[tid][-1]], [[], {}])[0].append(tid)
-        return root
+        return self.grammar._reduced._chart.class_trie(
+            (tid, vocab[tid]) for tid in relevant_token_ids(self))
 
     def accepts_tokens(self, ids: Iterable[int]) -> bool:
         """True iff detokenize(ids), the one check of the ids, is a member."""
@@ -76,8 +73,7 @@ class TokenRecognizer(Frozen):
         """
         tokenizer = self.tokenizer
         seq = tokenizer.check_ids(ids)  # the one check of the ids
-        return (tokenizer._is_proper(seq, tokenizer._mergeable_at(seq))
-                and recognize(self.grammar, tokenizer._join(seq)))
+        return tokenizer._properness(seq)[0] and recognize(self.grammar, tokenizer._join(seq))
 
 
 class TokenSession:
@@ -126,33 +122,9 @@ class TokenSession:
         return s
 
     def allowed_next_tokens(self) -> set[int]:
-        """Exactly the token IDs that keep this session live.
-
-        Walks the recognizer's class trie depth first, paired with chart
-        positions, entering only the classes a position expects.  The
-        tokens whose last byte is in an expected class are allowed without
-        advancing (the chart runs on the reduced grammar, where an expected
-        class always leaves it live); a class prefix shared by longer
-        tokens is advanced once, from its parent's position, for all of
-        them, whatever bytes they spell it with.  Positions are immutable,
-        so the session is never touched.  A dead session allows nothing.
-        """
-        if not self.live:
-            return set()
-        chart = self.inner._chart
-        allowed: set[int] = set()
-        stack = [(self.inner._last, self.recognizer._class_trie)]
-        while stack:
-            pos, node = stack.pop()
-            for c in _expected(pos):
-                hit = node.get(c)
-                if hit is not None:
-                    ids, children = hit
-                    if ids:
-                        allowed.update(ids)
-                    if children:
-                        stack.append((_advance(chart, pos, c), children))
-        return allowed
+        """Exactly the token IDs that keep this session live: the byte
+        session's walk of the relevant tokens by their bytes' classes."""
+        return self.inner._allowed(self.recognizer._class_trie)
 
 
 def relevant_token_ids(rec: TokenRecognizer) -> list[int]:

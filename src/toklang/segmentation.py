@@ -176,8 +176,8 @@ def classify(t: Tokenizer, ids: Iterable[int]) -> Classification:
     does.
     """
     seq = t.check_ids(ids)  # the one check of the ids
-    at = t._mergeable_at(seq)  # the one scan of the pairs
-    if t._is_proper(seq, at):
+    proper, at = t._properness(seq)
+    if proper:
         return Classification(Kind.PROPER)
     if at is not None:
         return Classification(Kind.MERGEABLE, mergeable_at=at)

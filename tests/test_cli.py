@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import inspect
 import io
 import json
@@ -349,6 +350,33 @@ def test_enumerate_with_limit(files, capsys):
 def test_enumerate_empty_string(files, capsys):
     rc, out = run(capsys, "enumerate", "--tokenizer", files["aab"], "")
     assert rc == 0 and out == "\tProper\ntotal: 1\n"
+
+
+def test_enumerate_prints_a_total_past_the_int_to_str_digit_limit(files, capsys, tmp_path):
+    # "a", "aa" and "aaa" are tokens, so a run of n "a" has the tribonacci
+    # number T(n) = T(n-1) + T(n-2) + T(n-3) of segmentations: 4,499 digits
+    # for n = 17,000, past the default limit of 4,300.  Decimal arithmetic
+    # has no such limit, so it spells the expected total.
+    n = 17_000
+    (tmp_path / "run").write_bytes(b"a" * n)
+    counts = [decimal.Decimal(1), decimal.Decimal(1), decimal.Decimal(2)]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 10_000
+        for _ in range(n - 2):
+            counts = counts[1:] + [sum(counts)]
+    total = str(counts[-1])
+    assert len(total) == 4499
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    argv = ["enumerate", "--tokenizer", files["aab"], "--limit", "1", "--bytes",
+            "--input-file", str(tmp_path / "run")]
+    rc, out = run(capsys, *argv)
+    assert rc == 0 and out.splitlines()[-1] == f"total: {total}"
+    rc, out = run(capsys, *argv, "--structured")
+    assert rc == 0
+    data = json.loads(out, parse_int=decimal.Decimal)
+    assert str(data["total"]) == total and len(data["items"]) == 1
+    if limit is not None:  # lifted for printing only: a 5,000-digit id is still refused
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_structured_and_plain_agree(files, capsys):

@@ -327,6 +327,21 @@ def test_as_terminals_checks_all_but_bytes_on_a_byte_grammar(dyck):
         as_terminals(unicode, [0xD800])
 
 
+@pytest.mark.parametrize("alphabet", ["byte", "unicode"])
+def test_feed_and_as_terminals_refuse_the_same_values_alike(alphabet):
+    # feed checks its terminal through as_terminals, so one path refuses both
+    g = reduce_grammar(parse_grammar('S -> "a" ;', alphabet))
+    refused = [True, "a", b"a", -1, 0xD800, 0x110000] + [0x100] * (alphabet == "byte")
+    for x in refused:
+        with pytest.raises(GrammarError) as by_terms:
+            as_terminals(g, (x,))
+        with pytest.raises(GrammarError) as by_feed:
+            RecognitionSession(g).feed(x)
+        assert str(by_feed.value) == str(by_terms.value) == (
+            f"terminal {x!r} outside the {alphabet} alphabet")
+    assert RecognitionSession(g).feed(0x61).accepts()
+
+
 def test_as_terminals_refuses_a_lone_surrogate_on_a_byte_grammar(dyck):
     # str on a byte grammar is UTF-8 encoded, which a lone surrogate is not
     with pytest.raises(GrammarError, match="no UTF-8 encoding"):

@@ -423,13 +423,13 @@ def _mask_with_advances(monkeypatch, g, longer, prefix):
     for b in prefix:
         session.feed(b)
     steps = []
-    advance = toklang.recognizer._advance
+    advance = toklang.grammar._advance
 
     def counted(g, last, terminal):
         steps.append(terminal)
         return advance(g, last, terminal)
 
-    monkeypatch.setattr(toklang.recognizer, "_advance", counted)
+    monkeypatch.setattr(toklang.grammar, "_advance", counted)
     mask = session.allowed_next_tokens()
     monkeypatch.undo()
     assert mask == allowed_by_trial(session)

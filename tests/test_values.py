@@ -10,6 +10,7 @@ import toklang
 from toklang import (
     UTF8,
     Classification,
+    EncodingError,
     EncodingScheme,
     Grammar,
     GrammarError,
@@ -170,9 +171,18 @@ _S = frozenset({"S"})
      TokenizerError, "vocab must be a tuple, got list"),
     (lambda: Tokenizer((b"a", b"b", b"ab"), [(0, 1, 2)]),
      TokenizerError, "merges must be a tuple, got list"),
+    (lambda: TokenRecognizer("x", bracket_tokenizer()),
+     GrammarError, "grammar must be a Grammar, got str"),
+    (lambda: TokenRecognizer(dyck_grammar(), None),
+     TokenizerError, "tokenizer must be a Tokenizer, got NoneType"),
+    (lambda: EncodingScheme("utf8", 5),
+     EncodingError, "encode_char must be callable, got int"),
+    (lambda: EncodingScheme(None, _encode_char),
+     EncodingError, "name must be a str, got NoneType"),
 ], ids=["plain-tuple-production", "list-body", "set-nonterminals", "int-nonterminal",
         "list-productions", "list-start", "list-head", "two-element-merge",
-        "list-merge", "list-vocab", "list-merges"])
+        "list-merge", "list-vocab", "list-merges", "str-grammar", "none-tokenizer",
+        "int-encode-char", "none-name"])
 def test_constructors_refuse_shapes_later_code_cannot_use(build, error, message):
     with pytest.raises(error, match=message):
         build()
