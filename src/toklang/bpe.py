@@ -13,7 +13,7 @@ import json
 import re
 from array import array
 from collections import defaultdict
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import Iterable, Sequence
@@ -310,8 +310,8 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
     tokens; each pair keeps the array offsets of its left tokens, stale
     ones included, so a merge visits only the occurrences of its pair.  A
     bucket queue finds the most frequent pair: bucket c holds the pairs
-    counted c >= 2 times, a count that changes moves its pair one bucket
-    in O(1), and the top pointer only falls.  So after one pass over the
+    counted c >= 2 times, a round moves each changed pair once, by its net
+    change, and the top pointer only falls.  So after one pass over the
     corpus and one over its distinct pairs, a round costs what it merges,
     the empty buckets it passes, and on a tie the occurrences of the tied
     pairs; a pair counted once is never looked at again until it recurs.
@@ -329,7 +329,7 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
     n = len(seq)
     nxt = array("i", range(1, n + 1))
     prv = array("i", range(-1, n - 1))
-    where: dict[tuple[int, int], array] = {}  # pair -> offsets, stale ones too
+    where = defaultdict(partial(array, "i"))  # pair -> offsets, stale ones too
     for i, pair in enumerate(zip(seq, islice(seq, 1, None))):
         offsets = where.get(pair)
         if offsets is None:
@@ -340,9 +340,9 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
         del where[pair]
     counts = {pair: len(offsets) for pair, offsets in where.items()}
     top = max(counts.values(), default=0)
-    # buckets[c]: the pairs counted c >= 2 times.  A pair whose count falls
-    # leaves an empty set at each count it passes; the top pointer drops
-    # each empty set it passes, so they do not pile up.
+    # buckets[c]: the pairs counted c >= 2 times.  A pair that moves may
+    # leave an empty set behind; the top pointer drops each empty set it
+    # passes, so they do not pile up.
     buckets: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
     for pair, c in counts.items():
         if c > 1:
@@ -362,10 +362,12 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
     # into the same bytes b.  Trained alone, b is L', R' at the earlier
     # round and one token from then on, never L, R: a contradiction.
     #   So a merge makes pairs only with its new token, and a merged pair
-    # never occurs again: its round breaks every occurrence, left to right.
-    # The one merged pair a round meets is its own, as (right, after) in a
-    # run such as a a a.  And an occurrence adds at most one to a new pair
-    # (the new token lies only left of it), so no count passes the top.
+    # never occurs again: its round breaks every occurrence, left to right,
+    # each once, as the occurrence merged or as (right, after) in a run such
+    # as a a a, so its count falls to 0.  And an occurrence adds at most one
+    # to a new pair (the new token lies only left of it), so no count passes
+    # the top.  A pair's offsets are noted in one left-to-right pass, the
+    # initial count or the round that makes its newer token, so in order.
     for _ in range(num_merges):
         while top > 1 and not buckets.get(top):
             buckets.pop(top, None)
@@ -374,64 +376,46 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
             break
         tied = buckets[top]
         pair = min(tied, key=first) if len(tied) > 1 else next(iter(tied))
-        tied.remove(pair)
-        del counts[pair]
         left, right = pair
         merged = len(vocab)
         vocab.append(vocab[left] + vocab[right])
         merges.append((left, right, merged))
-        # drop the two pairs an occurrence breaks, add the two it makes
-        for i in sorted(where.pop(pair)):
+        # Note the pairs an occurrence breaks, its own among them, and the
+        # two it makes: at most four entries per occurrence, plus the pair.
+        delta = defaultdict(int)
+        for i in where[pair]:
             j = nxt[i]
             if seq[i] != left or seq[j] != right:
                 continue  # stale, or consumed by the merge just left of it
             p, k = prv[i], nxt[j]
             before, after = seq[p], seq[k]
-            if before >= 0:
-                other = (before, left)
-                c = counts[other]
-                if c > 1:
-                    buckets[c].remove(other)
-                    if c > 2:
-                        buckets[c - 1].add(other)
-                    counts[other] = c - 1
-                else:
-                    del counts[other], where[other]
-            other = (right, after)
-            if after >= 0 and other != pair:
-                c = counts[other]
-                if c > 1:
-                    buckets[c].remove(other)
-                    if c > 2:
-                        buckets[c - 1].add(other)
-                    counts[other] = c - 1
-                else:
-                    del counts[other], where[other]
             seq[i] = merged
             seq[j] = -1
             nxt[i], prv[k] = k, i
             if before >= 0:
-                other = (before, merged)
-                c = counts.get(other, 0) + 1
-                counts[other] = c
-                if c == 1:
-                    where[other] = array("i", (p,))
-                else:
-                    where[other].append(p)
-                    if c > 2:
-                        buckets[c - 1].remove(other)
-                    buckets[c].add(other)
+                delta[before, left] -= 1
+                other = (before, merged)  # one tuple for delta, where and counts: less memory
+                delta[other] += 1
+                where[other].append(p)
+            delta[pair] -= 1
             if after >= 0:
+                delta[right, after] -= 1
                 other = (merged, after)
-                c = counts.get(other, 0) + 1
+                delta[other] += 1
+                where[other].append(i)
+        # Then move each changed pair once, by its net change.
+        for other, d in delta.items():
+            c = counts.get(other, 0)
+            if c > 1:
+                buckets[c].remove(other)
+            c += d
+            if c > 1:
+                buckets[c].add(other)
+            if c:
                 counts[other] = c
-                if c == 1:
-                    where[other] = array("i", (i,))
-                else:
-                    where[other].append(i)
-                    if c > 2:
-                        buckets[c - 1].remove(other)
-                    buckets[c].add(other)
+            else:
+                counts.pop(other, None)  # made and broken in this round
+                del where[other]
 
     return Tokenizer(tuple(vocab), tuple(merges))
 

@@ -282,9 +282,13 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     from .verify import run_equivalence_suite, run_homomorphism_suite, run_partition_suite
+    for flag, value, suite in (("--grammar", args.grammar, "equivalence"),
+                               ("--seed", args.seed, "homomorphism")):
+        if value is not None and args.suite != suite:
+            raise CliError(f"{flag} is only read in --suite {suite}")
     budget = () if args.budget is None else (args.budget,)  # none: the suite's default
     if args.suite == "homomorphism":
-        report = run_homomorphism_suite(_tokenizer(args), *budget, seed=args.seed)
+        report = run_homomorphism_suite(_tokenizer(args), *budget, seed=args.seed or 0)
     elif args.suite == "equivalence":
         from .recognizer import TokenRecognizer
         rec = TokenRecognizer(_byte_grammar(args), _tokenizer(args))
@@ -360,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detokenize", help="token ids -> text")
     _add_artifact_flags(p, tokenizer=True, token_ids=True)
-    _add_io_flags(p, bytes_flag=True)
+    _add_io_flags(p)
+    p.add_argument("--bytes", action="store_true",
+                   help="write the detokenized bytes raw to stdout (ignored with --structured)")
     p.set_defaults(func=cmd_detokenize)
 
     p = sub.add_parser("recognize", help="decide membership (exit 0 accept, 1 reject)")
@@ -414,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_at_least(0), default=None,
                    help="random pairs (homomorphism, default 10000) or max length "
                         "(equivalence 5, partition 8)")
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_at_least(0), default=None,
+                   help="homomorphism's random seed (default 0)")
     _add_io_flags(p, input_arg=False)
     p.set_defaults(func=cmd_verify)
 

@@ -82,6 +82,18 @@ def test_detokenize_bytes_writes_raw_bytes(files, capsysbinary):
     assert rc == 0 and capsysbinary.readouterr().out == b"[[\xff"
 
 
+def test_detokenize_bytes_is_documented_as_raw_output(files, capsys):
+    with pytest.raises(SystemExit):
+        main(["detokenize", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split("--bytes", 2)[2].split())
+    assert help_text.startswith("write the detokenized bytes raw to stdout")
+    assert "(ignored with --structured)" in help_text
+    # the ids are still read as text, and under --structured the JSON is printed
+    rc, out = run(capsys, "detokenize", "--tokenizer", files["brackets"],
+                  "--bytes", "--structured", "4 258")
+    assert rc == 0 and json.loads(out)["bytes"] == "[[\\xff"
+
+
 def test_detokenize_of_bytes_that_are_not_utf8(files, capsys):
     rc = main(["detokenize", "--tokenizer", files["brackets"], "4 258"])
     captured = capsys.readouterr()
@@ -525,6 +537,31 @@ def test_verify_without_budget_runs_the_suite_default(files, capsys):
                   "--structured")
     assert rc == 0
     assert json.loads(out)["cases"] == toklang.run_partition_suite(aab_tokenizer()).cases == 511
+
+
+@pytest.mark.parametrize("argv, flag, reader", [
+    (["--tokenizer", "aab", "--suite", "partition", "--grammar", "nonexistent.g"],
+     "--grammar", "equivalence"),
+    (["--tokenizer", "aab", "--suite", "homomorphism", "--grammar", "dyck"],
+     "--grammar", "equivalence"),
+    (["--tokenizer", "aab", "--suite", "partition", "--seed", "3"],
+     "--seed", "homomorphism"),
+    (["--tokenizer", "brackets", "--grammar", "dyck", "--suite", "equivalence", "--seed", "0"],
+     "--seed", "homomorphism"),
+], ids=["partition-grammar", "homomorphism-grammar", "partition-seed", "equivalence-seed"])
+def test_verify_refuses_a_flag_its_suite_never_reads(files, capsys, argv, flag, reader):
+    rc = main(["verify", "--budget", "3", "--alphabet", "byte"] + [files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {flag} is only read in --suite {reader}\n"
+
+
+def test_verify_homomorphism_seed_defaults_to_0(files, capsys):
+    argv = ["verify", "--tokenizer", files["aab"], "--suite", "homomorphism",
+            "--budget", "200", "--structured"]
+    outs = [run(capsys, *argv + extra) for extra in ([], ["--seed", "0"], ["--seed", "1"])]
+    assert [rc for rc, _ in outs] == [0, 0, 0]
+    assert json.loads(outs[0][1]) == json.loads(outs[1][1])
 
 
 def _suite_defaults() -> dict[str, int]:
