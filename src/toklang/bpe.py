@@ -16,7 +16,7 @@ from collections import defaultdict
 from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._value import DataError, Frozen
 
@@ -313,8 +313,9 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
     counted c >= 2 times, a round moves each changed pair once, by its net
     change, and the top pointer only falls.  So after one pass over the
     corpus and one over its distinct pairs, a round costs what it merges,
-    the empty buckets it passes, and on a tie the occurrences of the tied
-    pairs; a pair counted once is never looked at again until it recurs.
+    the empty buckets it passes, and on a tie, for each tied pair, the
+    stale offsets stored before its first live one; a pair counted once is
+    never looked at again until it recurs.
     """
     if type(num_merges) is not int or num_merges < 0:  # bool is no count
         raise TokenizerError(f"num_merges must be an int >= 0, got {num_merges!r}")
@@ -331,11 +332,7 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
     prv = array("i", range(-1, n - 1))
     where = defaultdict(partial(array, "i"))  # pair -> offsets, stale ones too
     for i, pair in enumerate(zip(seq, islice(seq, 1, None))):
-        offsets = where.get(pair)
-        if offsets is None:
-            where[pair] = array("i", (i,))
-        else:
-            offsets.append(i)
+        where[pair].append(i)
     for pair in [pair for pair in where if -1 in pair]:  # across a sentinel
         del where[pair]
     counts = {pair: len(offsets) for pair, offsets in where.items()}
@@ -350,7 +347,7 @@ def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:
 
     def first(pair):
         left, right = pair
-        return min(i for i in where[pair] if seq[i] == left and seq[nxt[i]] == right)
+        return next(i for i in where[pair] if seq[i] == left and seq[nxt[i]] == right)
 
     # Every merge makes a new token.  Take a span of a sample whose ends are
     # token boundaries at some round.  They were boundaries at every round

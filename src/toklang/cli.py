@@ -53,7 +53,7 @@ def _grammar(args):
     from .grammar import parse_grammar
     if not args.grammar:
         raise CliError("this command needs --grammar")
-    return parse_grammar(_read_text(args.grammar), args.alphabet)
+    return parse_grammar(_read_text(args.grammar), args.alphabet or "unicode")
 
 
 def _tokenizer(args):
@@ -90,24 +90,25 @@ def _parse_ids(args) -> list[int]:
     return ids
 
 
-def _emit(args, lines: list[str], structured: dict | None = None) -> None:
-    """Print each of *lines*, or under --structured the *structured* object
-    as one line of JSON; a command without --structured passes no object."""
-    if structured is not None and args.structured:
+def _emit(args, lines: list[str], fields: dict | None = None) -> None:
+    """Print each of *lines*, or under --structured one line of JSON: the
+    command, *fields* and the schema; a command without it passes no fields."""
+    if fields is not None and args.structured:
         import json
-        structured["schema"] = SCHEMA_VERSION
-        print(json.dumps(structured))
+        print(json.dumps({"command": args.command, **fields, "schema": SCHEMA_VERSION}))
     else:
         for line in lines:
             print(line)
 
 
-def _byte_grammar(args):
+def _recognizer(args):
+    """The TokenRecognizer of --grammar, in bytes, and --tokenizer."""
+    from .recognizer import TokenRecognizer
     g = _grammar(args)
     if g.alphabet == "unicode":
         from .encoding import UTF8, encode_grammar
         g = encode_grammar(UTF8, g)  # auto byte transform when tokens are in play
-    return g
+    return TokenRecognizer(g, _tokenizer(args))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -115,7 +116,7 @@ def _byte_grammar(args):
 
 def cmd_tokenize(args) -> int:
     ids = _tokenizer(args).tokenize(_read_byte_input(args))
-    _emit(args, [" ".join(map(str, ids))], {"command": "tokenize", "ids": ids})
+    _emit(args, [" ".join(map(str, ids))], {"ids": ids})
     return 0
 
 
@@ -131,7 +132,7 @@ def cmd_detokenize(args) -> int:
         if not args.structured:
             raise CliError("detokenized bytes are not UTF-8; use --bytes for raw output") from None
         text = None
-    _emit(args, [text], {"command": "detokenize", "bytes": escape_bytes(data), "text": text})
+    _emit(args, [text], {"bytes": escape_bytes(data), "text": text})
     return 0
 
 
@@ -153,8 +154,7 @@ def cmd_recognize(args) -> int:
             terms = [ord(c) for c in _read_text_input(args)]
         session = RecognitionSession(g)
     else:
-        from .recognizer import TokenRecognizer
-        rec = TokenRecognizer(_byte_grammar(args), _tokenizer(args))
+        rec = _recognizer(args)
         terms, session = _parse_ids(args), rec.open_session()  # died_at counts bytes
     for t in terms:
         session.feed(t)
@@ -170,7 +170,6 @@ def cmd_recognize(args) -> int:
 
     plain = "accept" if accept else ("reject" if reason is None else f"reject: {reason}")
     _emit(args, [plain], {
-        "command": "recognize",
         "mode": mode,
         "accept": accept,
         "died_at": session.died_at,
@@ -183,7 +182,6 @@ def cmd_classify(args) -> int:
     from .segmentation import classify
     c = classify(_tokenizer(args), _parse_ids(args))
     _emit(args, [str(c)], {
-        "command": "classify",
         "kind": c.kind.value,
         "mergeable_at": c.mergeable_at,
         "proper": list(c.proper_form) if c.proper_form is not None else None,
@@ -207,7 +205,6 @@ def cmd_enumerate(args) -> int:
         sys.set_int_max_str_digits(0)
     try:
         _emit(args, lines + [f"total: {total}"], {
-            "command": "enumerate",
             "total": total,
             "items": [{"ids": ids, "kind": kind} for ids, kind in rows],
         })
@@ -276,27 +273,25 @@ def cmd_sample(args) -> int:
                 lines.append(escape_bytes(w))
         else:
             lines.append(w)
-    _emit(args, lines, {"command": "sample", "samples": lines})
+    _emit(args, lines, {"samples": lines})
     return 0
 
 
 def cmd_verify(args) -> int:
     from .verify import run_equivalence_suite, run_homomorphism_suite, run_partition_suite
     for flag, value, suite in (("--grammar", args.grammar, "equivalence"),
-                               ("--seed", args.seed, "homomorphism")):
+                               ("--seed", args.seed, "homomorphism"),
+                               ("--alphabet", args.alphabet, "equivalence")):
         if value is not None and args.suite != suite:
             raise CliError(f"{flag} is only read in --suite {suite}")
     budget = () if args.budget is None else (args.budget,)  # none: the suite's default
     if args.suite == "homomorphism":
         report = run_homomorphism_suite(_tokenizer(args), *budget, seed=args.seed or 0)
     elif args.suite == "equivalence":
-        from .recognizer import TokenRecognizer
-        rec = TokenRecognizer(_byte_grammar(args), _tokenizer(args))
-        report = run_equivalence_suite(rec, *budget)
+        report = run_equivalence_suite(_recognizer(args), *budget)
     else:
         report = run_partition_suite(_tokenizer(args), *budget)
     _emit(args, [report.summary()], {
-        "command": "verify",
         "suite": report.suite,
         "passed": report.passed,
         "cases": report.cases,
@@ -311,7 +306,7 @@ def cmd_verify(args) -> int:
 def _add_artifact_flags(p, *, grammar=False, tokenizer=False, token_ids=False):
     if grammar:
         p.add_argument("--grammar", metavar="FILE", help="grammar file")
-        p.add_argument("--alphabet", choices=["unicode", "byte"], default="unicode",
+        p.add_argument("--alphabet", choices=["unicode", "byte"], default=None,
                        help="grammar terminal alphabet (default: unicode)")
     if tokenizer:
         p.add_argument("--tokenizer", metavar="FILE", help="tokenizer file (native format)")

@@ -520,23 +520,21 @@ def reduce_grammar(g: Grammar) -> Grammar:
     grammar (the start alone, no productions) — a legal value, not an error.
     """
     generating = _deriving(g.productions, terminals=True)
-    kept = [p for p in g.productions
-            if p.head in generating
-            and all(not isinstance(s, str) or s in generating for s in p.body)]
-
-    by_head: dict[str, list[Production]] = {}
-    for p in kept:
-        by_head.setdefault(p.head, []).append(p)
+    kept = [p.head in generating
+            and all(not isinstance(s, str) or s in generating for s in p.body)
+            for p in g.productions]
     reachable = {g.start}
     frontier = [g.start]
     while frontier:
-        for p in by_head.get(frontier.pop(), ()):
-            for s in p.body:
-                if isinstance(s, str) and s not in reachable:
-                    reachable.add(s)
-                    frontier.append(s)
+        for i in g._rules_by_head[frontier.pop()]:
+            if kept[i]:
+                for s in g.productions[i].body:
+                    if isinstance(s, str) and s not in reachable:
+                        reachable.add(s)
+                        frontier.append(s)
 
-    productions = tuple(dict.fromkeys(p for p in kept if p.head in reachable))
+    productions = tuple(dict.fromkeys(
+        p for p, k in zip(g.productions, kept) if k and p.head in reachable))
     out = Grammar(frozenset(reachable), g.alphabet, productions, g.start)
     return g if out == g else out
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toklang
-from toklang import save_tokenizer
+from toklang import dumps_tokenizer, save_tokenizer, train
 from toklang.cli import main
 from toklang.toys import (
     AAB_TOKENIZER_JSON,
@@ -401,6 +401,24 @@ def test_structured_and_plain_agree(files, capsys):
     assert sum(item["kind"] == "Proper" for item in data["items"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["tokenize", "--tokenizer", "aab", "aaabb"],
+    ["detokenize", "--tokenizer", "aab", "4 5"],
+    ["recognize", "--grammar", "dyck", "--alphabet", "byte", "[]"],
+    ["recognize", "--grammar", "dyck", "--tokenizer", "brackets", "--mode", "tokens", "4 5"],
+    ["recognize", "--grammar", "dyck", "--tokenizer", "brackets", "--mode", "proper", "4 5"],
+    ["classify", "--tokenizer", "aab", "0 0 0 1 1"],
+    ["enumerate", "--tokenizer", "aab", "aab"],
+    ["sample", "--grammar", "dyck", "--alphabet", "byte", "--count", "2"],
+    ["verify", "--tokenizer", "aab", "--suite", "partition", "--budget", "3"],
+], ids=["tokenize", "detokenize", "recognize-chars", "recognize-tokens", "recognize-proper",
+        "classify", "enumerate", "sample", "verify"])
+def test_structured_output_names_its_command_first_and_its_schema_last(files, capsys, argv):
+    _, out = run(capsys, *(files.get(a, a) for a in argv), "--structured")
+    assert out.startswith(f'{{"command": "{argv[0]}", ')
+    assert out.endswith(', "schema": 1}\n') and out.count("\n") == 1
+
+
 # --- transform / train / sample / verify ---------------------------------------------
 
 
@@ -469,6 +487,20 @@ def test_train_and_use(files, capsys, tmp_path):
     assert rc == 0
     rc, out = run(capsys, "tokenize", "--tokenizer", str(out_path), "ab")
     assert rc == 0 and out == "256\n"
+
+
+def test_train_bytes_learns_from_the_raw_file(capsys, tmp_path):
+    data = b"a\r\nb\r\nc\rd\n\xff\xff\r\n"
+    corpus = tmp_path / "raw.bin"
+    corpus.write_bytes(data)
+    rc, out = run(capsys, "train", "--corpus", str(corpus), "--merges", "3", "--bytes")
+    t = train([data], 3)
+    assert rc == 0 and out == dumps_tokenizer(t) + "\n"
+    assert any(set(t.vocab[m]) & set(b"\r\n") for _, _, m in t.merges)
+    rc = main(["train", "--corpus", str(corpus), "--merges", "3"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {corpus} is not UTF-8 text")
 
 
 def test_sample(files, capsys):
@@ -548,7 +580,11 @@ def test_verify_without_budget_runs_the_suite_default(files, capsys):
      "--seed", "homomorphism"),
     (["--tokenizer", "brackets", "--grammar", "dyck", "--suite", "equivalence", "--seed", "0"],
      "--seed", "homomorphism"),
-], ids=["partition-grammar", "homomorphism-grammar", "partition-seed", "equivalence-seed"])
+    (["--tokenizer", "aab", "--suite", "partition"], "--alphabet", "equivalence"),
+    (["--tokenizer", "aab", "--suite", "homomorphism", "--alphabet", "unicode"],
+     "--alphabet", "equivalence"),
+], ids=["partition-grammar", "homomorphism-grammar", "partition-seed", "equivalence-seed",
+        "partition-alphabet", "homomorphism-alphabet"])
 def test_verify_refuses_a_flag_its_suite_never_reads(files, capsys, argv, flag, reader):
     rc = main(["verify", "--budget", "3", "--alphabet", "byte"] + [files.get(a, a) for a in argv])
     captured = capsys.readouterr()

@@ -1,7 +1,8 @@
 """The package has no runtime dependencies (``dependencies = []`` in
 pyproject.toml): every module it imports, at the top of a file or inside a
-function, is its own or one of the standard library's.  And each console
-script that pyproject.toml declares resolves and runs."""
+function, is its own or one of the standard library's.  No name that a
+module imports at its top goes unused.  And each console script that
+pyproject.toml declares resolves and runs."""
 
 import ast
 import importlib
@@ -33,6 +34,25 @@ def test_the_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_absolute_import_is_of_the_standard_library(path):
     assert [n for n in absolute_imports(path) if n not in sys.stdlib_module_names] == []
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Each name that an import at the top level of *path* binds and that
+    occurs nowhere in it as a name, the base of an attribute included;
+    annotations count, as they are parsed like any expression."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = [(alias.asname or alias.name).partition(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_import_goes_unused(path):
+    assert unused_imports(path) == []
 
 
 def console_scripts() -> dict[str, str]:
