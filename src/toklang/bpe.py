@@ -14,7 +14,6 @@ import re
 from array import array
 from collections import defaultdict
 from functools import cached_property, partial
-from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import Iterable
 
@@ -71,8 +70,8 @@ class Tokenizer(Frozen):
     (left, right, merged) ID triple whose merged byte string is the
     concatenation of the two inputs; its list position is its rank, and
     lower ranks apply first.  Immutable and shareable; ``tokenize``,
-    ``detokenize`` and ``is_proper`` are pure (``is_proper`` keeps a memo
-    of pair verdicts, which changes no result).
+    ``detokenize`` and ``is_proper`` are pure (``tokenize`` and
+    ``is_proper`` share a memo of pair verdicts, which changes no result).
     """
 
     vocab: tuple[bytes, ...]
@@ -140,19 +139,31 @@ class Tokenizer(Frozen):
         return root
 
     @cached_property
+    def _shorter(self) -> tuple[list[int], int]:
+        """(token ID -> the ID of its longest proper prefix in the
+        vocabulary, or -1; the longest token's length), for ``tokenize``."""
+        shorter = []
+        for bs in self.vocab:
+            prefix, level = -1, self.trie
+            for b in bs[:-1]:
+                tid, level = level[b]
+                if tid is not None:
+                    prefix = tid
+            shorter.append(prefix)
+        return shorter, max(map(len, self.vocab))
+
+    @cached_property
     def _decomposable(self) -> bool:
         """True iff every byte of the vocabulary has a single-byte token, so
         ``tokenize`` takes the detokenization of any sequence."""
         return set(b"".join(self.vocab)) <= self.single_byte_ids.keys()
 
     @cached_property
-    def _pair_verdicts(self) -> dict[tuple[int, int], bool]:
-        """(a, b) -> whether [a, b] is proper, for each pair ``is_proper``
-        has checked that no merge rule joins.  A cache: it grows with the
-        distinct pairs checked and never changes what a method returns.  A
-        pair's verdict is fixed, so threads that share a tokenizer and
-        write the same entry need no lock."""
-        return {}
+    def _pair_verdicts(self) -> _PairVerdicts:
+        """(a, b) -> whether [a, b] is proper, read by ``tokenize`` and
+        ``is_proper`` alike; a lookup of a pair not yet stored decides it
+        from the two tokens' own merge runs (see ``_PairVerdicts``)."""
+        return _PairVerdicts(self)
 
     def check_id(self, t: int) -> int:
         """*t*, if it is a token ID of this tokenizer; else TokenizerError."""
@@ -174,51 +185,55 @@ class Tokenizer(Frozen):
         occurrence of the lowest-ranked applicable pair until nothing
         applies.  Deterministic; empty input gives empty output.
 
-        The tokens form a linked list, and a heap holds (rank, offset) for
-        each mergeable pair, *offset* being the original byte offset of the
-        pair's left token: that offset orders the live tokens as their
-        current positions do, so the heap's minimum is the leftmost
-        occurrence of the lowest-ranked pair.  A merge pushes only the two
-        pairs it creates; entries it invalidated are skipped when popped.
-        O(n log n) for n bytes.
+        Computed as a search, not by merging.  By ``is_proper``, that
+        tokenization is the one segmentation of *data* whose adjacent pairs
+        are all proper, or, of one token, whose token is proper on its own.
+        From each offset the search walks ``trie`` and tries the tokens that
+        match there, longest first.  It takes the first whose pair with the
+        previous token is proper, read from ``_pair_verdicts``; when none is
+        left it steps back and tries the previous token's next shorter match.
+        A failed (offset, last token) is marked dead and never tried again.
+        At most L tokens end at an offset and at most L start there, for the
+        longest token length L, so the search makes O(n·L²) verdict lookups
+        on n bytes; on usual text, one or two per token.  The input's bytes
+        are checked first, so the error names the first byte with no
+        single-byte token, and no token with such a byte is ever matched.
         """
         sb = self.single_byte_ids
-        try:
-            ids = [sb[b] for b in check_bytes(data, "tokenize input")]
-        except KeyError as e:
-            raise TokenizerError(f"no single-byte token for byte 0x{e.args[0]:02x}") from None
-        n = len(ids)
-        get = self.merge_ranks.get
-        heap = [(hit[0], i) for i, hit in enumerate(map(get, zip(ids, ids[1:])))
-                if hit is not None]
-        heapify(heap)
-        # lists, not arrays: the input is short-lived and lists index faster
-        nxt = list(range(1, n + 1))  # n: no right neighbour
-        prv = list(range(-1, n - 1))  # -1: no left neighbour
-        while heap:
-            rank, i = heappop(heap)
-            left = ids[i]
-            j = nxt[i]
-            if left < 0 or j == n:
-                continue  # the left token was merged away, or is now last
-            hit = get((left, ids[j]))
-            # a rank names one pair, so an equal rank means the same pair
-            if hit is None or hit[0] != rank:
-                continue
-            ids[i] = merged = hit[1]
-            ids[j] = -1
-            k = nxt[i] = nxt[j]
-            if k < n:
-                prv[k] = i
-                hit = get((merged, ids[k]))
-                if hit is not None:
-                    heappush(heap, (hit[0], i))
-            p = prv[i]
-            if p >= 0:
-                hit = get((ids[p], merged))
-                if hit is not None:
-                    heappush(heap, (hit[0], p))
-        return [t for t in ids if t >= 0]
+        if not sb.keys() >= set(check_bytes(data, "tokenize input")):
+            bad = next(b for b in data if b not in sb)
+            raise TokenizerError(f"no single-byte token for byte 0x{bad:02x}")
+        n = len(data)
+        trie, vocab, verdicts = self.trie, self.vocab, self._pair_verdicts
+        shorter, longest = self._shorter
+        out: list[int] = []
+        dead: set[tuple[int, int]] = set()  # (offset, last token) with no proper rest
+        pos, last, t = 0, -1, None
+        while pos < n:
+            if t is None:  # the longest match at pos; its first byte always matches
+                level = trie
+                for b in data[pos:pos + longest]:
+                    node = level.get(b)
+                    if node is None:
+                        break
+                    if node[0] is not None:
+                        t = node[0]
+                    level = node[1]
+            while t >= 0:
+                end = pos + len(vocab[t])
+                if not (dead and (end, t) in dead) and (
+                        verdicts[last, t] if last >= 0 else end < n or verdicts.alone(t)):
+                    break
+                t = shorter[t]
+            if t >= 0:
+                out.append(t)
+                pos, last, t = end, t, None
+            else:  # no match at pos follows last: step back
+                dead.add((pos, last))
+                t = out.pop()
+                pos -= len(vocab[t])
+                last, t = out[-1] if out else -1, shorter[t]
+        return out
 
     def detokenize(self, ids: Iterable[int]) -> bytes:
         """Concatenate token byte strings, nothing else.
@@ -236,8 +251,10 @@ class Tokenizer(Frozen):
         joined by a merge rule (tokenize's output has no such pair: its loop
         runs until none is left) and every adjacent pair (a, b) is proper:
         ``tokenize(vocab[a] + vocab[b]) == [a, b]``.  A pair's verdict is
-        kept in a memo on the tokenizer, so a pair seen before costs one
-        lookup.  Sound for any order of the merge list:
+        read from ``_pair_verdicts``, the memo ``tokenize`` reads too, so a
+        pair seen before by either costs one lookup.  Here ``tokenize`` is
+        its merge loop; its search rests on this proof.  Sound for any
+        order of the merge list:
 
         * ``tokenize`` always merges the least applicable pair by (rank,
           offset), and within a window of adjacent tokens that is the
@@ -271,16 +288,8 @@ class Tokenizer(Frozen):
         if len(seq) < 2 or not self._decomposable:
             return self.tokenize(self._join(seq)) == seq, at
         if at is not None:
-            return False, at  # the O(1) verdict first, so no mergeable pair is memoized
-        memo, vocab = self._pair_verdicts, self.vocab
-        for pair in zip(seq, seq[1:]):
-            ok = memo.get(pair)
-            if ok is None:
-                a, b = pair
-                ok = memo[pair] = self.tokenize(vocab[a] + vocab[b]) == [a, b]
-            if not ok:
-                return False, None
-        return True, None
+            return False, at  # the O(1) verdict first
+        return all(map(self._pair_verdicts.__getitem__, zip(seq, seq[1:]))), None
 
     def _mergeable_at(self, seq: list[int]) -> int | None:
         """Index of the first adjacent pair of checked IDs that a merge rule
@@ -289,6 +298,100 @@ class Tokenizer(Frozen):
         if ranks.keys().isdisjoint(zip(seq, seq[1:])):
             return None
         return next(i for i, pair in enumerate(zip(seq, seq[1:])) if pair in ranks)
+
+
+class _PairVerdicts(dict):
+    """A memo of pair verdicts that decides a missing pair on lookup.
+
+    ``self[a, b]`` is whether ``tokenize(vocab[a] + vocab[b]) == [a, b]``,
+    for tokens whose bytes all have single-byte tokens.  A pair a merge
+    rule joins is False and is not stored, so the keys are the other
+    pairs looked up.  It grows with the distinct pairs looked up and never
+    changes what a method returns.  A pair's verdict is fixed, so threads
+    that share a tokenizer and write the same entry need no lock.
+
+    A miss runs no merge loop on the pair's bytes.  For each token t,
+    ``run(t)`` keeps ``tokenize(vocab[t])`` as its steps: per state, the
+    rank of the next merge (``none`` once no merge is left) and the first
+    and last token.  [a, b] is proper iff both runs end at their own
+    token and, stepping the two runs together, the cross pair (a's last
+    token, b's first) never wins:
+
+    * ``tokenize`` of the pair's bytes always makes the least applicable
+      merge by (rank, offset).  Until a merge crosses the boundary, a's
+      bytes and b's bytes are two windows, each running its own
+      ``tokenize`` (the window argument of ``is_proper``).  So the next
+      merge is the least of a's next merge, the cross pair and b's next
+      merge by (rank, offset), which on equal ranks is that order: an
+      equal rank names one pair, and a's window lies left of the cross
+      pair, which lies left of b's window.
+    * If the cross pair wins at some step, a merge crosses the boundary
+      and no later merge splits a token, so the result is not [a, b].
+    * If it never wins, no merge crosses the boundary, so the result is
+      a's run followed by b's run, which is [a, b] iff each run ends at
+      its own token.
+    """
+
+    __slots__ = ("vocab", "singles", "ranks", "none", "runs")
+
+    def __init__(self, tok: Tokenizer):
+        super().__init__()
+        self.vocab, self.singles, self.ranks = tok.vocab, tok.single_byte_ids, tok.merge_ranks
+        self.none = len(tok.merges)  # past every rank: no merge is left
+        self.runs: dict[int, list[tuple[int, int, int]]] = {}
+
+    def run(self, t: int) -> list[tuple[int, int, int]]:
+        """``tokenize(vocab[t])`` as (rank of the next merge, first token,
+        last token) per state, from the single-byte tokens to the last
+        state, whose next rank is ``none``.  Built on first use by merging
+        the least pair by (rank, offset) until none is left, O(L²) for a
+        token of L bytes."""
+        steps = self.runs.get(t)
+        if steps is None:
+            get, ids = self.ranks.get, [self.singles[b] for b in self.vocab[t]]
+            steps = []
+            while True:
+                least = (self.none, None)  # (rank, merged) of the least pair so far
+                for i, hit in enumerate(map(get, zip(ids, ids[1:]))):
+                    if hit is not None and hit < least:  # an equal rank names one pair
+                        least, at = hit, i
+                steps.append((least[0], ids[0], ids[-1]))
+                if least[1] is None:
+                    break
+                ids[at:at + 2] = [least[1]]
+            self.runs[t] = steps
+        return steps
+
+    def alone(self, t: int) -> bool:
+        """Whether ``tokenize(vocab[t]) == [t]``: t's run ends at t."""
+        return self.run(t)[-1][1] == t
+
+    def __missing__(self, pair: tuple[int, int]) -> bool:
+        ranks = self.ranks
+        if pair in ranks:
+            return False
+        a, b = pair
+        left, right = self.run(a), self.run(b)
+        ok = left[-1][1] == a and right[-1][1] == b
+        if ok:
+            none, i, j = self.none, 0, 0
+            next_a, _, last = left[0]
+            next_b, first, _ = right[0]
+            while True:
+                cross = ranks.get((last, first))
+                if cross is not None and cross[0] < next_a and cross[0] <= next_b:
+                    ok = False
+                    break
+                if next_a <= next_b:
+                    if next_a == none:
+                        break  # both runs are done
+                    i += 1
+                    next_a, _, last = left[i]
+                else:
+                    j += 1
+                    next_b, first, _ = right[j]
+        self[pair] = ok
+        return ok
 
 
 def train(corpus: Iterable[bytes], num_merges: int) -> Tokenizer:

@@ -141,7 +141,8 @@ def run_partition_suite(t: Tokenizer, max_len: int = 8) -> SuiteReport:
             proper = t.tokenize(s)
             if proper not in items:
                 report.failures.append(f"{s!r}: proper tokenization missing from enumeration")
-            # classify decides Proper pair by pair; this ties its verdict to tokenize
+            # classify and tokenize read one memo of pair verdicts, so this ties
+            # the two users of it; the oracle tests pin the verdict itself
             called = [item for item in items if classify(t, item).kind is Kind.PROPER]
             if called != [proper]:
                 report.failures.append(

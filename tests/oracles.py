@@ -2,7 +2,7 @@
 package's chart recognizer and DP routines, except the loops that faster
 code replaced: ``allowed_by_trial`` (the per-token trial mask that the trie
 walk replaced), ``tokenize_by_rescan`` and ``train_by_recount`` (the BPE
-loops that the heap merge and the incremental counts replaced),
+loops that the pair-test search and the incremental counts replaced),
 ``parse_grammar_by_scan`` (the character-by-character grammar reader that
 the regex lexer replaced), the reference chart ``initial_position`` /
 ``advance`` (the Earley closure that predicts item by item and walks every

@@ -1,5 +1,5 @@
-"""The heap-merge ``tokenize`` and the incremental ``train`` against the
-rescanning loops they replaced, ``tokenize_by_rescan`` and
+"""The pair-test search ``tokenize`` and the incremental ``train`` against
+the rescanning loops that define them, ``tokenize_by_rescan`` and
 ``train_by_recount`` in ``tests/oracles.py``: equal output, always."""
 
 import inspect
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from toklang import Tokenizer, TokenizerError, train
+from toklang.bpe import _PairVerdicts
 from toklang.toys import (
     aab_tokenizer,
     bracket_tokenizer,
@@ -81,12 +82,76 @@ def tokenizers(draw) -> tuple[Tokenizer, bytes]:
     return train(corpus, draw(st.integers(0, 40))), alphabet
 
 
+@st.composite
+def tokenizers_and_texts(draw) -> tuple[Tokenizer, bytes]:
+    t, alphabet = draw(tokenizers())
+    return t, draw(texts(alphabet, 300))
+
+
+def _outcome(tokenize, t: Tokenizer, text: bytes) -> list[int] | str:
+    """The tokens, or the message of the TokenizerError raised."""
+    try:
+        return tokenize(t, text)
+    except TokenizerError as e:
+        return str(e)
+
+
+# merges a+b, ab+a, a+a, ab+aa: abaa tokenizes to [aba, a], though the
+# token abaa matches all of it and has no pair to fail
+ABAA = Tokenizer((b"a", b"b", b"ab", b"aba", b"aa", b"abaa"),
+                 ((0, 1, 2), (2, 0, 3), (0, 0, 4), (2, 4, 5)))
+# no token b: abc is in the trie, yet no input may tokenize to it
+A_BC_ABC = Tokenizer((b"a", b"bc", b"abc"), ((0, 1, 2),))
+
+
 @settings(max_examples=200)
-@given(data=st.data())
-def test_tokenize_matches_rescan(data):
-    t, alphabet = data.draw(tokenizers())
-    text = data.draw(texts(alphabet, 300))
-    assert t.tokenize(text) == tokenize_by_rescan(t, text)
+@given(case=tokenizers_and_texts())
+@example(case=(ABAA, b"abaa"))
+@example(case=(A_BC_ABC, b"abc"))
+@example(case=(A_BC_ABC, b"a\x00b"))  # the error names 0x00, the first bad byte
+def test_tokenize_matches_rescan(case):
+    t, text = case
+    assert _outcome(Tokenizer.tokenize, t, text) == _outcome(tokenize_by_rescan, t, text)
+
+
+class _CountedVerdicts(_PairVerdicts):
+    """Pair verdicts that count their lookups."""
+
+    def __init__(self, tok):
+        super().__init__(tok)
+        self.lookups = 0
+
+    def __getitem__(self, pair):
+        self.lookups += 1
+        return super().__getitem__(pair)
+
+
+def _counted(t: Tokenizer) -> _CountedVerdicts:
+    t.__dict__["_pair_verdicts"] = verdicts = _CountedVerdicts(t)
+    return verdicts
+
+
+def test_tokenize_of_a_long_run_makes_a_lookup_per_token():
+    # a, aa, aaaa, aaaaaaaa by nested merges: one lookup per token taken,
+    # 1/8 per byte, and no recursion however long the input
+    t = Tokenizer((b"a", b"aa", b"aaaa", b"a" * 8), ((0, 0, 1), (1, 1, 2), (2, 2, 3)))
+    verdicts = _counted(t)
+    n = 100_000
+    assert t.tokenize(b"a" * n) == [3] * (n // 8)
+    assert verdicts.lookups <= n // 4
+
+
+def test_tokenize_backtracks_within_its_bound():
+    # abaa, the longest match at each block, is in no proper pair, and aa
+    # is followed by b, with which it is improper: the search steps back
+    # past both, to aba and a
+    t = Tokenizer(ABAA.vocab, ABAA.merges)
+    verdicts = _counted(t)
+    data = b"abaa" * 500
+    want = tokenize_by_rescan(t, data)
+    assert t.tokenize(data) == want
+    longest = max(map(len, t.vocab))
+    assert len(want) < verdicts.lookups <= len(data) * longest ** 2
 
 
 @pytest.mark.parametrize("text", [b"abc", b"cab", b"a\x00b"])

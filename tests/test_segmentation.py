@@ -15,9 +15,10 @@ from toklang import (
     train,
     unmerge,
 )
+from toklang.bpe import _PairVerdicts
 from toklang.toys import aab_tokenizer, byte_identity_tokenizer
 
-from oracles import classify_by_retokenize, segmentations
+from oracles import classify_by_retokenize, segmentations, tokenize_by_rescan
 
 ab_bytes = st.lists(st.sampled_from([97, 98]), max_size=10).map(bytes)
 
@@ -367,7 +368,7 @@ def test_classify_of_a_mergeable_sequence_does_not_tokenize(monkeypatch):
     assert classify(t, [2, 3, 1, 0, 0]) == Classification(Kind.MERGEABLE, mergeable_at=3)
     assert calls == []
     assert classify(t, [2, 3, 1]).kind is Kind.WRONG_MERGE_ORDER  # needs the proper form
-    assert calls == [b"aaab", b"aaabb"]  # the pair verdict, then the proper form
+    assert calls == [b"aaabb"]  # the proper form only: a pair verdict runs no tokenize
 
 
 def test_classify_of_a_mergeable_sequence_scans_its_pairs_once(monkeypatch):
@@ -384,18 +385,35 @@ def test_classify_of_a_mergeable_sequence_scans_its_pairs_once(monkeypatch):
     assert scans == [[2, 3, 1, 0, 0]]
 
 
+def _counting_misses(monkeypatch) -> list[tuple[int, int]]:
+    """The pairs whose verdict is decided, not read from the memo."""
+    misses = []
+    missing = _PairVerdicts.__missing__
+
+    def counted(self, pair):
+        misses.append(pair)
+        return missing(self, pair)
+
+    monkeypatch.setattr(_PairVerdicts, "__missing__", counted)
+    return misses
+
+
 def test_is_proper_tokenizes_each_distinct_pair_once(monkeypatch):
+    # [aaa, bb, aaa, bb, aaa, b], written out: tokenize would fill the memo
+    seq = [4, 5, 4, 5, 4, 1]
+    assert aab_tokenizer().tokenize(b"aaabbaaabbaaab") == seq
+    misses = _counting_misses(monkeypatch)
     calls = _counting_tokenize(monkeypatch)
     # classify decides Proper by the same pair test, so it never retokenizes
     # a proper sequence whole
     for proper in (Tokenizer.is_proper, lambda t, ids: classify(t, ids).kind is Kind.PROPER):
         t = aab_tokenizer()
-        seq = t.tokenize(b"aaabbaaabbaaab")  # [aaa, bb, aaa, bb, aaa, b]
-        calls.clear()
+        misses.clear()
         assert proper(t, seq)
-        assert calls == [b"aaabb", b"bbaaa", b"aaab"]
-        calls.clear()
+        assert misses == [(4, 5), (5, 4), (4, 1)]
+        misses.clear()
         assert proper(t, seq) and proper(t, seq[:4])
+        assert misses == []
         assert calls == []
 
 
@@ -404,11 +422,24 @@ def test_is_proper_tokenizes_each_distinct_pair_once(monkeypatch):
 def test_the_memo_holds_only_non_mergeable_pairs_checked(data):
     t = data.draw(st.one_of(_trained, _merge_lists()))
     pool = [i for i, bs in enumerate(t.vocab) if set(bs) <= set(b"abc")]
-    checked = set()
     for seq in data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=6), max_size=8)):
         assert t.is_proper(seq) == (t.tokenize(t.detokenize(seq)) == seq)
-        checked.update(zip(seq, seq[1:]))
-    assert t._pair_verdicts.keys() <= checked - t.merge_ranks.keys()
+    # filled by is_proper and by tokenize's search alike
+    memo = t._pair_verdicts
+    assert memo.keys().isdisjoint(t.merge_ranks)
+    for (a, b), ok in memo.items():
+        assert ok == (tokenize_by_rescan(t, t.vocab[a] + t.vocab[b]) == [a, b])
+
+
+@settings(max_examples=200)
+@given(st.one_of(_trained, _merge_lists()))
+def test_every_pair_verdict_matches_the_rescan_of_its_bytes(t):
+    # every pair of tokens over a, b and c, mergeable ones included
+    pool = [i for i, bs in enumerate(t.vocab) if set(bs) <= set(b"abc")]
+    for a, b in itertools.product(pool, repeat=2):
+        want = tokenize_by_rescan(t, t.vocab[a] + t.vocab[b]) == [a, b]
+        assert t._pair_verdicts[a, b] == want
+    assert t._pair_verdicts.keys().isdisjoint(t.merge_ranks)
 
 
 def test_the_pair_condition_alone_is_not_enough():
