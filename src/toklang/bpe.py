@@ -39,27 +39,20 @@ def escape_bytes(data: bytes) -> str:
 
 
 _HEX_ESCAPE = re.compile(r"\\x([0-9a-fA-F]{2})")
+_ESCAPED = re.compile(r"(?:[\x20-\x5b\x5d-\x7e]|\\x[0-9a-fA-F]{2})*")  # escape_bytes's output
 
 
 def unescape_bytes(text: str) -> bytes:
-    """Inverse of :func:`escape_bytes`."""
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\":
-            m = _HEX_ESCAPE.match(text, i)
-            if m is None:
-                raise TokenizerError(f"bad escape in token string {text!r}")
-            out.append(int(m[1], 16))
-            i += 4
-        else:
-            o = ord(c)
-            if not 0x20 <= o <= 0x7E:
-                raise TokenizerError(f"unescaped non-ASCII character in {text!r}")
-            out.append(o)
-            i += 1
-    return bytes(out)
+    """Inverse of :func:`escape_bytes`.  The error names what ends the
+    longest well-formed prefix: a bad escape, or a non-printable character."""
+    end = _ESCAPED.match(text).end()
+    if end < len(text):
+        if text[end] == "\\":
+            raise TokenizerError(f"bad escape in token string {text!r}")
+        raise TokenizerError(f"unescaped non-ASCII character in {text!r}")
+    if "\\" not in text:  # no escape, as in most tokens of text
+        return text.encode()
+    return _HEX_ESCAPE.sub(lambda m: chr(int(m[1], 16)), text).encode("latin-1")
 
 
 class Tokenizer(Frozen):
@@ -154,8 +147,8 @@ class Tokenizer(Frozen):
 
     @cached_property
     def _decomposable(self) -> bool:
-        """True iff every byte of the vocabulary has a single-byte token, so
-        ``tokenize`` takes the detokenization of any sequence."""
+        """True iff every vocabulary byte has a single-byte token: then no
+        detokenization fails ``_check_covered``, so ``_properness`` skips it."""
         return set(b"".join(self.vocab)) <= self.single_byte_ids.keys()
 
     @cached_property
@@ -178,6 +171,13 @@ class Tokenizer(Frozen):
         """detokenize of IDs already checked."""
         return b"".join([self.vocab[t] for t in seq])
 
+    def _check_covered(self, data: bytes) -> None:
+        """``tokenize``'s error on the first byte of *data* with no single-byte token."""
+        sb = self.single_byte_ids
+        if not sb.keys() >= set(data):
+            bad = next(b for b in data if b not in sb)
+            raise TokenizerError(f"no single-byte token for byte 0x{bad:02x}")
+
     def tokenize(self, data: bytes) -> list[int]:
         """The tokenization the tokenizer actually returns for *data*.
 
@@ -199,10 +199,7 @@ class Tokenizer(Frozen):
         are checked first, so the error names the first byte with no
         single-byte token, and no token with such a byte is ever matched.
         """
-        sb = self.single_byte_ids
-        if not sb.keys() >= set(check_bytes(data, "tokenize input")):
-            bad = next(b for b in data if b not in sb)
-            raise TokenizerError(f"no single-byte token for byte 0x{bad:02x}")
+        self._check_covered(check_bytes(data, "tokenize input"))
         n = len(data)
         trie, vocab, verdicts = self.trie, self.vocab, self._pair_verdicts
         shorter, longest = self._shorter
@@ -273,22 +270,24 @@ class Tokenizer(Frozen):
           state and makes that same merge next, so that pair is improper,
           against the assumption.
 
-        A tokenizer with a vocabulary byte that has no single-byte token
-        can fail to tokenize a detokenization; there the whole string is
-        retokenized, so the error is the one ``tokenize`` raises.  One call
-        of ``_properness`` decides it here, in ``classify`` and in
-        ``TokenRecognizer.accepts_proper``.
+        So no ``tokenize`` runs: the empty sequence is proper, one token
+        reads ``_pair_verdicts.alone`` and a longer one its pairs.  Where a
+        vocabulary byte has no single-byte token, the bytes are checked
+        first, with ``tokenize``'s error.  One call of ``_properness``
+        decides it here, in ``classify`` and in ``accepts_proper``.
         """
         return self._properness(self.check_ids(ids))[0]
 
     def _properness(self, seq: list[int]) -> tuple[bool, int | None]:
         """(is_proper, ``_mergeable_at``) of IDs already checked, from one
         scan of the pairs."""
+        if not self._decomposable:
+            self._check_covered(self._join(seq))
         at = self._mergeable_at(seq)
-        if len(seq) < 2 or not self._decomposable:
-            return self.tokenize(self._join(seq)) == seq, at
         if at is not None:
             return False, at  # the O(1) verdict first
+        if len(seq) == 1:
+            return self._pair_verdicts.alone(seq[0]), None
         return all(map(self._pair_verdicts.__getitem__, zip(seq, seq[1:]))), None
 
     def _mergeable_at(self, seq: list[int]) -> int | None:

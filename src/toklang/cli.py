@@ -155,13 +155,12 @@ def cmd_recognize(args) -> int:
         session = RecognitionSession(g)
     else:
         rec = _recognizer(args)
-        terms, session = _parse_ids(args), rec.open_session()  # died_at counts bytes
+        terms = rec.tokenizer.check_ids(_parse_ids(args))  # every id, past a death too
+        session = rec.open_session()  # died_at counts bytes
     for t in terms:
         session.feed(t)
         if not session.live:
             break
-    if mode != "chars":  # every id is checked, those past the death too
-        rec.tokenizer.check_ids(terms[session.tokens_consumed:])
     accept = session.accepts()
     if mode == "proper" and accept and not rec.tokenizer.is_proper(terms):
         from .segmentation import classify  # only to name the kind

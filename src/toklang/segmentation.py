@@ -167,13 +167,13 @@ def unmerge(t: Tokenizer, ids: Iterable[int]) -> list[int]:
 def classify(t: Tokenizer, ids: Iterable[int]) -> Classification:
     """Sort a token sequence into Proper / Mergeable / WrongMergeOrder.
 
-    Properness is ``Tokenizer.is_proper``'s pair test, so a proper
-    sequence is never retokenized whole.  An improper one is Mergeable at
+    Proper and Mergeable are decided by ``Tokenizer.is_proper``'s pair
+    rule, which runs no ``tokenize``: an improper sequence is Mergeable at
     its first pair that a merge rule joins, if it has one.  Only the rest
     are retokenized, as tokenize(detokenize(ids)), because WrongMergeOrder
     carries the proper form.  A tokenizer with a vocabulary byte that has
-    no single-byte token raises where ``tokenize`` does, as ``is_proper``
-    does.
+    no single-byte token checks the detokenization's bytes first, so it
+    raises where ``tokenize`` does, as ``is_proper`` does.
     """
     seq = t.check_ids(ids)  # the one check of the ids
     proper, at = t._properness(seq)

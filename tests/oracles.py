@@ -4,7 +4,8 @@ code replaced: ``allowed_by_trial`` (the per-token trial mask that the trie
 walk replaced), ``tokenize_by_rescan`` and ``train_by_recount`` (the BPE
 loops that the pair-test search and the incremental counts replaced),
 ``parse_grammar_by_scan`` (the character-by-character grammar reader that
-the regex lexer replaced), the reference chart ``initial_position`` /
+the regex lexer replaced), ``unescape_bytes_by_loop`` (the per-character
+token-string reader that one regex match and one substitution replaced), the reference chart ``initial_position`` /
 ``advance`` (the Earley closure that predicts item by item and walks every
 completion's waiters, which the shared prediction tables and Leo
 items replaced), and ``classify_by_retokenize`` /
@@ -17,6 +18,7 @@ interned ids replaced).  Only usable at toy scale."""
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_right
 from collections import Counter
 
@@ -178,6 +180,31 @@ def tokenize_by_rescan(t, data: bytes) -> list[int]:
             break
         ids[best_i:best_i + 2] = [best_m]
     return ids
+
+
+_HEX_ESCAPE = re.compile(r"\\x([0-9a-fA-F]{2})")
+
+
+def unescape_bytes_by_loop(text: str) -> bytes:
+    """``unescape_bytes`` character by character: a backslash must start a
+    \\xHH escape, and any other character must be printable ASCII."""
+    out = bytearray()
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "\\":
+            m = _HEX_ESCAPE.match(text, i)
+            if m is None:
+                raise TokenizerError(f"bad escape in token string {text!r}")
+            out.append(int(m[1], 16))
+            i += 4
+        else:
+            o = ord(c)
+            if not 0x20 <= o <= 0x7E:
+                raise TokenizerError(f"unescaped non-ASCII character in {text!r}")
+            out.append(o)
+            i += 1
+    return bytes(out)
 
 
 def classify_by_retokenize(t, ids) -> Classification:

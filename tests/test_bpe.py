@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from toklang import (
     Tokenizer,
@@ -26,6 +26,8 @@ from toklang.toys import (
     byte_identity_tokenizer,
     letter_bracket_tokenizer,
 )
+
+from oracles import unescape_bytes_by_loop
 
 DEEP_JSON = "[" * 100000 + "]" * 100000
 
@@ -225,6 +227,35 @@ def test_escape_specifics():
     for text in ("\\y00", "café", "\\x f", "\\x+f", "\\xf ", "\\x-0"):
         with pytest.raises(TokenizerError, match="escape|non-ASCII"):
             unescape_bytes(text)
+
+
+_token_string_chars = st.one_of(
+    st.sampled_from("\\xX"),  # what starts an escape, or looks like it
+    st.sampled_from("0123456789abcdefABCDEF"),
+    st.sampled_from("gGzZ+- "),  # no hex digits
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x7F),  # DEL, and all past ASCII
+)
+
+
+def _unescaped(unescape, text: str) -> bytes | str:
+    """The bytes of *text*, or the message of the TokenizerError raised."""
+    try:
+        return unescape(text)
+    except TokenizerError as e:
+        return str(e)
+
+
+@given(st.lists(_token_string_chars, max_size=16).map("".join))
+@example("\\x4")
+@example("\\X41")
+@example("ab\\")
+@example("\\x7f")
+@example("\x7f")
+@example("\\x41\\x5cx41")  # an escaped backslash starts no escape
+def test_unescape_matches_the_loop(text):
+    assert _unescaped(unescape_bytes, text) == _unescaped(unescape_bytes_by_loop, text)
 
 
 # --- native file format ----------------------------------------------------------

@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toklang import (
     Classification,
     Kind,
+    TokenRecognizer,
     Tokenizer,
     TokenizerError,
     classify,
@@ -16,9 +17,15 @@ from toklang import (
     unmerge,
 )
 from toklang.bpe import _PairVerdicts
-from toklang.toys import aab_tokenizer, byte_identity_tokenizer
+from toklang.toys import (
+    aab_tokenizer,
+    byte_identity_tokenizer,
+    dyck_letters_grammar,
+    letter_bracket_tokenizer,
+)
 
 from oracles import classify_by_retokenize, segmentations, tokenize_by_rescan
+from test_bpe_oracles import A_BC_ABC
 
 ab_bytes = st.lists(st.sampled_from([97, 98]), max_size=10).map(bytes)
 
@@ -269,10 +276,20 @@ def test_segmentation_refuses_input_that_is_no_bytes(aab, call):
 
 
 def _bigram_proper(t: Tokenizer, seq: list[int]) -> tuple[bool, bool]:
-    """(every token is its own tokenization, every adjacent pair is)."""
-    own = all(t.tokenize(t.vocab[a]) == [a] for a in seq)
-    pairs = all(t.tokenize(t.vocab[a] + t.vocab[b]) == [a, b] for a, b in zip(seq, seq[1:]))
+    """(every token is its own tokenization, every adjacent pair is).  Every
+    token is tokenized, in order, so an error names the first byte of the
+    sequence that has no single-byte token, as the whole-string one does."""
+    own = all([t.tokenize(t.vocab[a]) == [a] for a in seq])
+    pairs = all([t.tokenize(t.vocab[a] + t.vocab[b]) == [a, b] for a, b in zip(seq, seq[1:])])
     return own, pairs
+
+
+def _outcome(check, *args):
+    """The value of *check*, or the message of the TokenizerError raised."""
+    try:
+        return check(*args)
+    except TokenizerError as e:
+        return str(e)
 
 
 @st.composite
@@ -294,6 +311,25 @@ def _merge_lists(draw) -> Tokenizer:
     return Tokenizer(tuple(vocab), tuple(draw(st.permutations(merges))))
 
 
+@st.composite
+def _with_an_uncovered_byte(draw) -> Tokenizer:
+    """A merge list of ``_merge_lists`` plus a token with the byte d, which
+    has no single-byte token, and maybe a merge that joins that token with
+    another, drawn into any rank: a tokenizer that is not decomposable."""
+    t = draw(_merge_lists())
+    vocab, merges = list(t.vocab), list(t.merges)
+    d = len(vocab)
+    vocab.append(draw(st.sampled_from([b"d", b"dd"])) + draw(st.sampled_from(vocab)))
+    if draw(st.booleans()):
+        other = draw(st.integers(0, d))
+        left, right = draw(st.sampled_from([(other, d), (d, other)]))
+        vocab.append(vocab[left] + vocab[right])
+        merges.insert(draw(st.integers(0, len(merges))), (left, right, len(vocab) - 1))
+    t = Tokenizer(tuple(vocab), tuple(merges))
+    assert not t._decomposable
+    return t
+
+
 _trained = st.builds(
     train,
     st.lists(st.lists(st.sampled_from(b"abc"), max_size=16).map(bytes), max_size=4),
@@ -302,8 +338,8 @@ _trained = st.builds(
 
 @st.composite
 def _tokenizer_and_sequence(draw):
-    t = draw(st.one_of(_trained, _merge_lists()))
-    pool = [i for i, bs in enumerate(t.vocab) if set(bs) <= set(b"abc")]
+    t = draw(st.one_of(_trained, _merge_lists(), _with_an_uncovered_byte()))
+    pool = [i for i, bs in enumerate(t.vocab) if set(bs) <= set(b"abcd")]
     seq = draw(st.one_of(
         st.lists(st.sampled_from(pool), max_size=6),
         st.lists(st.sampled_from(b"abc"), max_size=12).map(lambda s: t.tokenize(bytes(s)))))
@@ -312,23 +348,37 @@ def _tokenizer_and_sequence(draw):
 
 ABAA = Tokenizer((b"a", b"b", b"ab", b"aba", b"aa", b"abaa"),
                  ((0, 1, 2), (2, 0, 3), (0, 0, 4), (2, 4, 5)))
+# no token d: not decomposable, yet every sequence over a and b is covered
+AB_DD = Tokenizer((b"a", b"b", b"ab", b"dd"), ((0, 1, 2),))
+
+
+def _not_decomposable_examples(test):
+    """*test* with examples of tokenizers that are not decomposable: the
+    empty and one-token sequences, and sequences each with and without an
+    uncovered byte."""
+    for case in [(A_BC_ABC, []), (A_BC_ABC, [0]), (A_BC_ABC, [0, 1]), (A_BC_ABC, [1, 0]),
+                 (AB_DD, [2]), (AB_DD, [3]), (AB_DD, [2, 2, 0]), (AB_DD, [0, 1, 3])]:
+        test = example(case=case)(test)
+    return test
 
 
 @settings(max_examples=400)
 @given(_tokenizer_and_sequence())
+@_not_decomposable_examples
 def test_proper_iff_every_token_and_every_pair_is_its_own_tokenization(case):
     t, seq = case
-    proper = classify_by_retokenize(t, seq).kind is Kind.PROPER
-    assert all(_bigram_proper(t, seq)) == proper
-    assert t.is_proper(seq) == proper
-    assert t.is_proper(seq) == proper  # again, from the memo
+    proper = _outcome(lambda: classify_by_retokenize(t, seq).kind is Kind.PROPER)
+    assert _outcome(lambda: all(_bigram_proper(t, seq))) == proper
+    assert _outcome(t.is_proper, seq) == proper
+    assert _outcome(t.is_proper, seq) == proper  # again, from the memo
 
 
 @settings(max_examples=400)
 @given(_tokenizer_and_sequence())
+@_not_decomposable_examples
 def test_classify_matches_the_retokenize_oracle(case):
     t, seq = case
-    assert classify(t, seq) == classify_by_retokenize(t, seq)
+    assert _outcome(classify, t, seq) == _outcome(classify_by_retokenize, t, seq)
 
 
 def test_a_merge_may_join_a_token_only_a_later_merge_makes():
@@ -359,6 +409,26 @@ def _counting_tokenize(monkeypatch) -> list[bytes]:
 
     monkeypatch.setattr(Tokenizer, "tokenize", counted)
     return calls
+
+
+@pytest.mark.parametrize("t, proper, mergeable", [
+    (aab_tokenizer(), [[], [4], [4, 5, 0]], [[0, 0, 1]]),
+    (AB_DD, [[], [2], [2, 2, 0]], [[2, 0, 1]]),
+    (letter_bracket_tokenizer(), [[], [257], [257, 259, 97]], [[97, 97, 98]]),
+], ids=["aab", "not_decomposable", "byte_base"])
+def test_properness_never_tokenizes(monkeypatch, t, proper, mergeable):
+    # accepts_proper needs a byte-base tokenizer, so only the last case has it
+    rec = TokenRecognizer(dyck_letters_grammar(), t) if t.byte_base else None
+    calls = _counting_tokenize(monkeypatch)
+    for seq in proper:
+        assert t.is_proper(seq), seq
+        assert classify(t, seq) == Classification(Kind.PROPER), seq
+        assert rec is None or rec.accepts_proper(seq), seq
+    for seq in mergeable:
+        assert not t.is_proper(seq), seq
+        assert classify(t, seq).kind is Kind.MERGEABLE, seq
+        assert rec is None or not rec.accepts_proper(seq), seq
+    assert calls == []
 
 
 def test_classify_of_a_mergeable_sequence_does_not_tokenize(monkeypatch):
