@@ -9,6 +9,7 @@ different token sequences for the same text.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from array import array
@@ -38,7 +39,6 @@ def escape_bytes(data: bytes) -> str:
         chr(b) if 0x20 <= b <= 0x7E and b != 0x5C else f"\\x{b:02x}" for b in data)
 
 
-_HEX_ESCAPE = re.compile(r"\\x([0-9a-fA-F]{2})")
 _ESCAPED = re.compile(r"(?:[\x20-\x5b\x5d-\x7e]|\\x[0-9a-fA-F]{2})*")  # escape_bytes's output
 
 
@@ -50,9 +50,7 @@ def unescape_bytes(text: str) -> bytes:
         if text[end] == "\\":
             raise TokenizerError(f"bad escape in token string {text!r}")
         raise TokenizerError(f"unescaped non-ASCII character in {text!r}")
-    if "\\" not in text:  # no escape, as in most tokens of text
-        return text.encode()
-    return _HEX_ESCAPE.sub(lambda m: chr(int(m[1], 16)), text).encode("latin-1")
+    return codecs.escape_decode(text)[0]  # only \xHH escapes are left to decode
 
 
 class Tokenizer(Frozen):

@@ -154,6 +154,15 @@ def allowed_by_trial(session) -> set[int]:
     return allowed
 
 
+def outcome(check, *args):
+    """The value of *check*, or the message of the TokenizerError raised:
+    a reference and the package must agree on errors as well as values."""
+    try:
+        return check(*args)
+    except TokenizerError as e:
+        return str(e)
+
+
 def tokenize_by_rescan(t, data: bytes) -> list[int]:
     """``Tokenizer.tokenize`` by rescanning every pair before each merge:
     merge the leftmost occurrence of the lowest-ranked pair until none

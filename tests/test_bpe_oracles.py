@@ -19,7 +19,7 @@ from toklang.toys import (
     letter_bracket_tokenizer,
 )
 
-from oracles import tokenize_by_rescan, train_by_recount
+from oracles import outcome, tokenize_by_rescan, train_by_recount
 
 
 def texts(alphabet: bytes, max_size: int) -> st.SearchStrategy[bytes]:
@@ -88,14 +88,6 @@ def tokenizers_and_texts(draw) -> tuple[Tokenizer, bytes]:
     return t, draw(texts(alphabet, 300))
 
 
-def _outcome(tokenize, t: Tokenizer, text: bytes) -> list[int] | str:
-    """The tokens, or the message of the TokenizerError raised."""
-    try:
-        return tokenize(t, text)
-    except TokenizerError as e:
-        return str(e)
-
-
 # merges a+b, ab+a, a+a, ab+aa: abaa tokenizes to [aba, a], though the
 # token abaa matches all of it and has no pair to fail
 ABAA = Tokenizer((b"a", b"b", b"ab", b"aba", b"aa", b"abaa"),
@@ -111,7 +103,7 @@ A_BC_ABC = Tokenizer((b"a", b"bc", b"abc"), ((0, 1, 2),))
 @example(case=(A_BC_ABC, b"a\x00b"))  # the error names 0x00, the first bad byte
 def test_tokenize_matches_rescan(case):
     t, text = case
-    assert _outcome(Tokenizer.tokenize, t, text) == _outcome(tokenize_by_rescan, t, text)
+    assert outcome(Tokenizer.tokenize, t, text) == outcome(tokenize_by_rescan, t, text)
 
 
 class _CountedVerdicts(_PairVerdicts):

@@ -24,7 +24,7 @@ from toklang.toys import (
     letter_bracket_tokenizer,
 )
 
-from oracles import classify_by_retokenize, segmentations, tokenize_by_rescan
+from oracles import classify_by_retokenize, outcome, segmentations, tokenize_by_rescan
 from test_bpe_oracles import A_BC_ABC
 
 ab_bytes = st.lists(st.sampled_from([97, 98]), max_size=10).map(bytes)
@@ -284,14 +284,6 @@ def _bigram_proper(t: Tokenizer, seq: list[int]) -> tuple[bool, bool]:
     return own, pairs
 
 
-def _outcome(check, *args):
-    """The value of *check*, or the message of the TokenizerError raised."""
-    try:
-        return check(*args)
-    except TokenizerError as e:
-        return str(e)
-
-
 @st.composite
 def _merge_lists(draw) -> Tokenizer:
     """A valid merge list over a, b and c, in any order: each merge joins
@@ -367,10 +359,10 @@ def _not_decomposable_examples(test):
 @_not_decomposable_examples
 def test_proper_iff_every_token_and_every_pair_is_its_own_tokenization(case):
     t, seq = case
-    proper = _outcome(lambda: classify_by_retokenize(t, seq).kind is Kind.PROPER)
-    assert _outcome(lambda: all(_bigram_proper(t, seq))) == proper
-    assert _outcome(t.is_proper, seq) == proper
-    assert _outcome(t.is_proper, seq) == proper  # again, from the memo
+    proper = outcome(lambda: classify_by_retokenize(t, seq).kind is Kind.PROPER)
+    assert outcome(lambda: all(_bigram_proper(t, seq))) == proper
+    assert outcome(t.is_proper, seq) == proper
+    assert outcome(t.is_proper, seq) == proper  # again, from the memo
 
 
 @settings(max_examples=400)
@@ -378,7 +370,7 @@ def test_proper_iff_every_token_and_every_pair_is_its_own_tokenization(case):
 @_not_decomposable_examples
 def test_classify_matches_the_retokenize_oracle(case):
     t, seq = case
-    assert _outcome(classify, t, seq) == _outcome(classify_by_retokenize, t, seq)
+    assert outcome(classify, t, seq) == outcome(classify_by_retokenize, t, seq)
 
 
 def test_a_merge_may_join_a_token_only_a_later_merge_makes():
