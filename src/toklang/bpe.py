@@ -132,7 +132,9 @@ class Tokenizer(Frozen):
     @cached_property
     def _shorter(self) -> tuple[list[int], int]:
         """(token ID -> the ID of its longest proper prefix in the
-        vocabulary, or -1; the longest token's length), for ``tokenize``."""
+        vocabulary, or -1; the longest token's length): from the longest
+        match ``_longest`` finds at an offset, this chain steps through
+        every shorter one, longest first."""
         shorter = []
         for bs in self.vocab:
             prefix, level = -1, self.trie
@@ -186,10 +188,11 @@ class Tokenizer(Frozen):
         Computed as a search, not by merging.  By ``is_proper``, that
         tokenization is the one segmentation of *data* whose adjacent pairs
         are all proper, or, of one token, whose token is proper on its own.
-        From each offset the search walks ``trie`` and tries the tokens that
-        match there, longest first.  It takes the first whose pair with the
-        previous token is proper, read from ``_pair_verdicts``; when none is
-        left it steps back and tries the previous token's next shorter match.
+        From each offset the search tries the tokens that match there,
+        longest first: ``_longest``, then the ``_shorter`` chain.  It takes
+        the first whose pair with the previous token is proper, read from
+        ``_pair_verdicts``; when none is left it steps back and tries the
+        previous token's next shorter match.
         A failed (offset, last token) is marked dead and never tried again.
         At most L tokens end at an offset and at most L start there, for the
         longest token length L, so the search makes O(n·L²) verdict lookups
@@ -203,17 +206,9 @@ class Tokenizer(Frozen):
         shorter, longest = self._shorter
         out: list[int] = []
         dead: set[tuple[int, int]] = set()  # (offset, last token) with no proper rest
-        pos, last, t = 0, -1, None
+        pos, last = 0, -1
+        t = _longest(trie, data, 0, longest)  # below n, its first byte always matches
         while pos < n:
-            if t is None:  # the longest match at pos; its first byte always matches
-                level = trie
-                for b in data[pos:pos + longest]:
-                    node = level.get(b)
-                    if node is None:
-                        break
-                    if node[0] is not None:
-                        t = node[0]
-                    level = node[1]
             while t >= 0:
                 end = pos + len(vocab[t])
                 if not (dead and (end, t) in dead) and (
@@ -222,7 +217,7 @@ class Tokenizer(Frozen):
                 t = shorter[t]
             if t >= 0:
                 out.append(t)
-                pos, last, t = end, t, None
+                pos, last, t = end, t, _longest(trie, data, end, longest)
             else:  # no match at pos follows last: step back
                 dead.add((pos, last))
                 t = out.pop()
@@ -295,6 +290,22 @@ class Tokenizer(Frozen):
         if ranks.keys().isdisjoint(zip(seq, seq[1:])):
             return None
         return next(i for i, pair in enumerate(zip(seq, seq[1:])) if pair in ranks)
+
+
+def _longest(trie: dict[int, list], data: bytes, pos: int, longest: int) -> int:
+    """The ID of the longest token that *data* has at *pos*, or -1, by one
+    walk of ``Tokenizer.trie`` of at most *longest* bytes, the longest
+    token's length.  ``Tokenizer._shorter`` leads from it to the shorter
+    ones.  A function, not a method: the callers' loops hold the trie."""
+    t, level = -1, trie
+    for b in data[pos:pos + longest]:
+        node = level.get(b)
+        if node is None:
+            break
+        if node[0] is not None:
+            t = node[0]
+        level = node[1]
+    return t
 
 
 class _PairVerdicts(dict):

@@ -22,7 +22,7 @@ import itertools
 from typing import Iterable, Iterator
 
 from ._value import Frozen
-from .bpe import Tokenizer, TokenizerError, check_bytes
+from .bpe import Tokenizer, TokenizerError, _longest, check_bytes
 
 
 class Kind(enum.Enum):
@@ -55,11 +55,14 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
     Longest token first at each cut, depth first, so the all-single-byte
     segmentation (when it exists) comes last.  Each segmentation appears
     exactly once; an unsegmentable input yields nothing.  ``limit`` caps
-    the number of items.  The walk keeps an explicit stack, so the input
-    length is not bounded by the recursion limit.  A position is dead when
-    no item was yielded while it was on the stack: every walk from it has
-    been tried and none reached the end.  Cuts into dead positions are
-    skipped, so the time to each next item is polynomial.
+    the number of items.  The tokens at an offset are its ``_longest``
+    match, then the ``_shorter`` chain, the order ``tokenize`` tries them
+    in; a step back resumes at the next shorter token, so the walk keeps
+    only its path and the input length is not bounded by the recursion
+    limit.  A position is dead when no item was yielded while it was on
+    the path: every walk from it has been tried and none reached the end.
+    Cuts into dead positions are skipped, so the time to each next item
+    is polynomial.
     """
     if limit is not None and (type(limit) is not int or limit < 1):  # bool is no count
         raise TokenizerError(f"limit must be an int >= 1 or None, got {limit!r}")
@@ -69,72 +72,54 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
         if n == 0:
             yield []
             return
-        # stack[k] is (start, cuts from start, items yielded before it was
-        # pushed) after path[:k], so len(stack) == len(path) + 1
+        trie, vocab = t.trie, t.vocab
+        shorter, longest = t._shorter
         path: list[int] = []
-        stack = [(0, _cuts(t, data, 0), 0)]
+        before: list[int] = []  # before[k]: items yielded when path[k] was taken
         dead: set[int] = set()  # positions from which no walk reaches the end
-        items = 0
-        while stack:
-            step = next(stack[-1][1], None)
-            if step is None:
-                start, _, before = stack.pop()
-                if items == before:
-                    dead.add(start)
-                if path:
-                    path.pop()
-                continue
-            tid, end = step
-            if end in dead:
-                continue
-            path.append(tid)
-            if end == n:
-                items += 1
-                yield list(path)
-                path.pop()
+        items, pos = 0, 0
+        tid = _longest(trie, data, 0, longest)
+        while True:
+            while tid >= 0:
+                end = pos + len(vocab[tid])
+                if end == n:
+                    items += 1
+                    yield path + [tid]
+                elif end not in dead:
+                    break
+                tid = shorter[tid]
+            if tid >= 0:  # take tid and go on from end
+                path.append(tid)
+                before.append(items)
+                pos, tid = end, _longest(trie, data, end, longest)
+            elif path:  # every token at pos is tried: step back
+                if items == before.pop():
+                    dead.add(pos)
+                tid = path.pop()
+                pos -= len(vocab[tid])
+                tid = shorter[tid]
             else:
-                stack.append((end, _cuts(t, data, end), items))
+                return
 
     gen = walk()
     return gen if limit is None else itertools.islice(gen, limit)
 
 
 def count_tokenizations(t: Tokenizer, data: bytes) -> int:
-    """Number of segmentations, by suffix DP in O(len · max token length)."""
+    """Number of segmentations, by suffix DP in O(len · max token length):
+    at each offset, the ``_longest`` match and its ``_shorter`` chain."""
     n = len(check_bytes(data, "data"))
     counts = [0] * (n + 1)
     counts[n] = 1
-    trie = t.trie
+    trie, vocab = t.trie, t.vocab
+    shorter, longest = t._shorter
     for pos in range(n - 1, -1, -1):
-        # the walk of _cuts, inlined: this loop is all the DP costs
-        total = 0
-        node = trie
-        for end in range(pos + 1, n + 1):
-            hit = node.get(data[end - 1])
-            if hit is None:
-                break
-            tid, node = hit
-            if tid is not None:
-                total += counts[end]
+        total, tid = 0, _longest(trie, data, pos, longest)
+        while tid >= 0:
+            total += counts[pos + len(vocab[tid])]
+            tid = shorter[tid]
         counts[pos] = total
     return counts[0]
-
-
-def _cuts(t: Tokenizer, data: bytes, pos: int) -> Iterator[tuple[int, int]]:
-    """(token ID, end) for each vocabulary token *data* has at *pos*,
-    longest first, by one walk down the vocabulary trie."""
-    found = []
-    node = t.trie
-    for end in range(pos + 1, len(data) + 1):
-        hit = node.get(data[end - 1])
-        if hit is None:
-            break
-        tid, node = hit
-        if tid is not None:
-            found.append((tid, end))
-        if not node:
-            break
-    return reversed(found)
 
 
 def find_mergeable_pair(t: Tokenizer, ids: Iterable[int]) -> int | None:

@@ -33,6 +33,7 @@ from toklang import (
     TokenizerError,
     recognize,
 )
+from toklang._value import DataError
 from toklang.grammar import AlphabetMode
 
 
@@ -155,12 +156,13 @@ def allowed_by_trial(session) -> set[int]:
 
 
 def outcome(check, *args):
-    """The value of *check*, or the message of the TokenizerError raised:
-    a reference and the package must agree on errors as well as values."""
+    """The value of *check*, or the DataError raised as (type, message,
+    line, column), the last two None where the error has none: a reference
+    and the package must agree on errors as well as values."""
     try:
         return check(*args)
-    except TokenizerError as e:
-        return str(e)
+    except DataError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
 
 
 def tokenize_by_rescan(t, data: bytes) -> list[int]:

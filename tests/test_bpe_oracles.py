@@ -48,8 +48,11 @@ def corpora(draw, max_samples: int = 8, max_size: int = 30) -> list[bytes]:
 
 @st.composite
 def merge_lists(draw) -> Tokenizer:
-    """A valid tokenizer over a, b, c: each merge joins any two tokens, and
-    merged bytes that spell an existing token reuse it; pairs may repeat."""
+    """A valid tokenizer over a, b, c, with its merge list in any order.
+    The list is drawn in build order: each merge joins any two tokens made
+    so far, merged bytes that spell an existing token reuse it, and pairs
+    may repeat.  Then it is shuffled, so a merge may join a token that only
+    a later merge produces."""
     vocab = [b"a", b"b", b"c"]
     ids = {bs: i for i, bs in enumerate(vocab)}
     merges = []
@@ -61,7 +64,7 @@ def merge_lists(draw) -> Tokenizer:
             ids[bs] = len(vocab)
             vocab.append(bs)
         merges.append((left, right, ids[bs]))
-    return Tokenizer(tuple(vocab), tuple(merges))
+    return Tokenizer(tuple(vocab), tuple(draw(st.permutations(merges))))
 
 
 _TOYS = [(aab_tokenizer(), b"ab"), (bracket_tokenizer(), b"[]a"),

@@ -40,6 +40,7 @@ from oracles import (
     deriving_by_fixpoint,
     initial_position,
     members_cut_at,
+    outcome,
     parse_grammar_by_scan,
     prefixes_of,
     strings_up_to,
@@ -161,13 +162,6 @@ def _edited_rule_groups(draw):
         [text[:at] + char + text[at:], text[:at] + char + text[at + 1:], text[:at] + text[at + 1:]]))
 
 
-def _outcome(parse, text, alphabet):
-    try:
-        return parse(text, alphabet)
-    except GrammarError as e:
-        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
-
-
 @settings(max_examples=500)
 @given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
                  _edited_rule_groups()))
@@ -177,8 +171,8 @@ def _outcome(parse, text, alphabet):
 @example('S -> "a\udcff" ;')                   # a lone surrogate in a literal
 def test_parse_matches_the_scanning_reader(text):
     for alphabet in ("unicode", "byte"):
-        assert _outcome(parse_grammar, text, alphabet) == \
-            _outcome(parse_grammar_by_scan, text, alphabet)
+        assert outcome(parse_grammar, text, alphabet) == \
+            outcome(parse_grammar_by_scan, text, alphabet)
 
 
 @pytest.mark.parametrize("alphabet", ["unicode", "byte"])

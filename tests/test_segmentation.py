@@ -25,7 +25,7 @@ from toklang.toys import (
 )
 
 from oracles import classify_by_retokenize, outcome, segmentations, tokenize_by_rescan
-from test_bpe_oracles import A_BC_ABC
+from test_bpe_oracles import A_BC_ABC, merge_lists
 
 ab_bytes = st.lists(st.sampled_from([97, 98]), max_size=10).map(bytes)
 
@@ -112,20 +112,40 @@ def test_enumerate_skips_dead_ends(make, data, total):
     t = make()
     lookups = [0]
     t.__dict__["trie"] = _CountedTrie(t.trie, lookups)  # the cached trie
+    bound = (len(data) + 1) * max(map(len, t.vocab))
     first = next(enumerate_tokenizations(t, data), None)
     # each position's cuts are tried at most once before the first item
-    assert lookups[0] <= (len(data) + 1) * max(map(len, t.vocab))
+    assert lookups[0] <= bound
+    lookups[0] = 0
+    # the count walks each position once, no further than the longest token
     assert count_tokenizations(t, data) == total
+    assert lookups[0] <= bound
     assert (first is None) == (total == 0)
     assert first is None or t.detokenize(first) == data
 
 
-@pytest.mark.parametrize("make", [aab_tokenizer, _dead_ends_tokenizer])
-@given(data=st.lists(st.sampled_from(b"abc"), max_size=10).map(bytes))
-def test_enumeration_with_dead_ends_matches_brute_force(make, data):
-    t = make()
-    got = [tuple(t.vocab[i] for i in ids) for ids in enumerate_tokenizations(t, data)]
-    assert got == list(reversed(segmentations(set(t.vocab), data)))
+@st.composite
+def _vocab_sets(draw) -> Tokenizer:
+    """A vocabulary of 1 to 5 strings over a, b and c, with or without the
+    single bytes: a token's prefixes in the vocabulary may skip lengths,
+    as aaaa's skip aaa in ``_dead_ends_tokenizer``."""
+    words = draw(st.sets(st.lists(st.sampled_from(b"abc"), min_size=1, max_size=4).map(bytes),
+                         min_size=1, max_size=5))
+    if draw(st.booleans()):
+        words |= {b"a", b"b", b"c"}
+    return Tokenizer(tuple(sorted(words)))
+
+
+@pytest.mark.parametrize("tokenizers", [
+    st.builds(aab_tokenizer), st.builds(_dead_ends_tokenizer), _vocab_sets(), merge_lists(),
+], ids=["aab_tokenizer", "_dead_ends_tokenizer", "vocab_sets", "merge_lists"])
+@given(data=st.data())
+def test_enumeration_with_dead_ends_matches_brute_force(tokenizers, data):
+    t = data.draw(tokenizers)
+    text = data.draw(st.lists(st.sampled_from(b"abc"), max_size=10).map(bytes))
+    got = [tuple(t.vocab[i] for i in ids) for ids in enumerate_tokenizations(t, text)]
+    assert got == list(reversed(segmentations(set(t.vocab), text)))
+    assert count_tokenizations(t, text) == len(got)
 
 
 def test_count_examples(aab):
@@ -285,30 +305,11 @@ def _bigram_proper(t: Tokenizer, seq: list[int]) -> tuple[bool, bool]:
 
 
 @st.composite
-def _merge_lists(draw) -> Tokenizer:
-    """A valid merge list over a, b and c, in any order: each merge joins
-    two tokens of the vocabulary, and its output may be one already.  The
-    list is drawn in build order, where each merge joins tokens that
-    earlier ones made, and then shuffled, so a merge may join a token that
-    only a later merge produces."""
-    vocab = [b"a", b"b", b"c"]
-    merges = []
-    for _ in range(draw(st.integers(0, 8))):
-        left, right = draw(st.integers(0, len(vocab) - 1)), draw(st.integers(0, len(vocab) - 1))
-        joined = vocab[left] + vocab[right]
-        if joined not in vocab:
-            vocab.append(joined)
-        if all(m[:2] != (left, right) for m in merges):
-            merges.append((left, right, vocab.index(joined)))
-    return Tokenizer(tuple(vocab), tuple(draw(st.permutations(merges))))
-
-
-@st.composite
 def _with_an_uncovered_byte(draw) -> Tokenizer:
-    """A merge list of ``_merge_lists`` plus a token with the byte d, which
+    """A merge list of ``merge_lists`` plus a token with the byte d, which
     has no single-byte token, and maybe a merge that joins that token with
     another, drawn into any rank: a tokenizer that is not decomposable."""
-    t = draw(_merge_lists())
+    t = draw(merge_lists())
     vocab, merges = list(t.vocab), list(t.merges)
     d = len(vocab)
     vocab.append(draw(st.sampled_from([b"d", b"dd"])) + draw(st.sampled_from(vocab)))
@@ -330,7 +331,7 @@ _trained = st.builds(
 
 @st.composite
 def _tokenizer_and_sequence(draw):
-    t = draw(st.one_of(_trained, _merge_lists(), _with_an_uncovered_byte()))
+    t = draw(st.one_of(_trained, merge_lists(), _with_an_uncovered_byte()))
     pool = [i for i, bs in enumerate(t.vocab) if set(bs) <= set(b"abcd")]
     seq = draw(st.one_of(
         st.lists(st.sampled_from(pool), max_size=6),
@@ -482,7 +483,7 @@ def test_is_proper_tokenizes_each_distinct_pair_once(monkeypatch):
 @settings(max_examples=200)
 @given(st.data())
 def test_the_memo_holds_only_non_mergeable_pairs_checked(data):
-    t = data.draw(st.one_of(_trained, _merge_lists()))
+    t = data.draw(st.one_of(_trained, merge_lists()))
     pool = [i for i, bs in enumerate(t.vocab) if set(bs) <= set(b"abc")]
     for seq in data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=6), max_size=8)):
         assert t.is_proper(seq) == (t.tokenize(t.detokenize(seq)) == seq)
@@ -494,7 +495,7 @@ def test_the_memo_holds_only_non_mergeable_pairs_checked(data):
 
 
 @settings(max_examples=200)
-@given(st.one_of(_trained, _merge_lists()))
+@given(st.one_of(_trained, merge_lists()))
 def test_every_pair_verdict_matches_the_rescan_of_its_bytes(t):
     # every pair of tokens over a, b and c, mergeable ones included
     pool = [i for i, bs in enumerate(t.vocab) if set(bs) <= set(b"abc")]
