@@ -21,7 +21,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bpe": ("Tokenizer", "TokenizerError", "dumps_tokenizer", "escape_bytes",
+    "bpe": ("Kind", "Tokenizer", "TokenizerError", "dumps_tokenizer", "escape_bytes",
             "load_gpt2_tokenizer", "load_tokenizer", "loads_tokenizer", "save_tokenizer",
             "train", "unescape_bytes"),
     "encoding": ("UTF8", "EncodingError", "EncodingScheme", "encode_grammar",
@@ -30,7 +30,7 @@ _EXPORTS = {
                 "RecognitionSession", "add_leading_space", "as_terminals", "format_grammar",
                 "parse_grammar", "recognize", "reduce_grammar", "sample"),
     "recognizer": ("TokenRecognizer", "TokenSession", "relevant_token_ids"),
-    "segmentation": ("Classification", "Kind", "classify", "count_tokenizations",
+    "segmentation": ("Classification", "classify", "count_tokenizations",
                      "enumerate_tokenizations", "find_mergeable_pair", "unmerge"),
     "verify": ("SuiteReport", "find_tokenize_witness", "run_equivalence_suite",
                "run_homomorphism_suite", "run_partition_suite"),

@@ -10,6 +10,7 @@ different token sequences for the same text.
 from __future__ import annotations
 
 import codecs
+import enum
 import json
 import re
 from array import array
@@ -23,6 +24,14 @@ from ._value import DataError, Frozen
 
 class TokenizerError(DataError):
     """Malformed tokenizer data or invalid token input."""
+
+
+class Kind(enum.Enum):
+    """Where a token sequence falls, told apart only by
+    ``Tokenizer._properness``; one with both defects is Mergeable."""
+    PROPER = "Proper"  # what the tokenizer returns for its own detokenization
+    MERGEABLE = "Mergeable"  # some adjacent pair matches a merge rule
+    WRONG_MERGE_ORDER = "WrongMergeOrder"  # no pair merges, yet it is not proper
 
 
 def check_bytes(data, what: str):
@@ -192,12 +201,13 @@ class Tokenizer(Frozen):
         longest first: ``_longest``, then the ``_shorter`` chain.  It takes
         the first whose pair with the previous token is proper, read from
         ``_pair_verdicts``; when none is left it steps back and tries the
-        previous token's next shorter match.
-        A failed (offset, last token) is marked dead and never tried again.
-        At most L tokens end at an offset and at most L start there, for the
-        longest token length L, so the search makes O(n·L²) verdict lookups
-        on n bytes; on usual text, one or two per token.  The input's bytes
-        are checked first, so the error names the first byte with no
+        previous token's next shorter match.  By ``is_proper``, two or more
+        tokens taken, each in a proper pair with the one before, are the
+        tokenization of their bytes: no (offset, last token) is reached
+        twice.  At most L tokens end at an offset and at most L start there,
+        for the longest token length L, so the search makes O(n·L²) verdict
+        lookups on n bytes; on usual text, one or two per token.  The input's
+        bytes are checked first, so the error names the first byte with no
         single-byte token, and no token with such a byte is ever matched.
         """
         self._check_covered(check_bytes(data, "tokenize input"))
@@ -205,21 +215,18 @@ class Tokenizer(Frozen):
         trie, vocab, verdicts = self.trie, self.vocab, self._pair_verdicts
         shorter, longest = self._shorter
         out: list[int] = []
-        dead: set[tuple[int, int]] = set()  # (offset, last token) with no proper rest
         pos, last = 0, -1
         t = _longest(trie, data, 0, longest)  # below n, its first byte always matches
         while pos < n:
             while t >= 0:
                 end = pos + len(vocab[t])
-                if not (dead and (end, t) in dead) and (
-                        verdicts[last, t] if last >= 0 else end < n or verdicts.alone(t)):
+                if verdicts[last, t] if last >= 0 else end < n or verdicts.alone(t):
                     break
                 t = shorter[t]
             if t >= 0:
                 out.append(t)
                 pos, last, t = end, t, _longest(trie, data, end, longest)
             else:  # no match at pos follows last: step back
-                dead.add((pos, last))
                 t = out.pop()
                 pos -= len(vocab[t])
                 last, t = out[-1] if out else -1, shorter[t]
@@ -267,21 +274,23 @@ class Tokenizer(Frozen):
         reads ``_pair_verdicts.alone`` and a longer one its pairs.  Where a
         vocabulary byte has no single-byte token, the bytes are checked
         first, with ``tokenize``'s error.  One call of ``_properness``
-        decides it here, in ``classify`` and in ``accepts_proper``.
+        decides it here, and names the kind for ``classify`` and the CLI.
         """
-        return self._properness(self.check_ids(ids))[0]
+        return self._properness(self.check_ids(ids))[0] is Kind.PROPER
 
-    def _properness(self, seq: list[int]) -> tuple[bool, int | None]:
-        """(is_proper, ``_mergeable_at``) of IDs already checked, from one
-        scan of the pairs."""
+    def _properness(self, seq: list[int]) -> tuple[Kind, int | None]:
+        """(kind, ``_mergeable_at``) of IDs already checked, from one scan
+        of the pairs: ``is_proper``'s rule, Mergeable checked first."""
         if not self._decomposable:
             self._check_covered(self._join(seq))
         at = self._mergeable_at(seq)
         if at is not None:
-            return False, at  # the O(1) verdict first
+            return Kind.MERGEABLE, at  # the O(1) verdict first
         if len(seq) == 1:
-            return self._pair_verdicts.alone(seq[0]), None
-        return all(map(self._pair_verdicts.__getitem__, zip(seq, seq[1:]))), None
+            proper = self._pair_verdicts.alone(seq[0])
+        else:
+            proper = all(map(self._pair_verdicts.__getitem__, zip(seq, seq[1:])))
+        return (Kind.PROPER if proper else Kind.WRONG_MERGE_ORDER), None
 
     def _mergeable_at(self, seq: list[int]) -> int | None:
         """Index of the first adjacent pair of checked IDs that a merge rule
@@ -343,7 +352,6 @@ class _PairVerdicts(dict):
     __slots__ = ("vocab", "singles", "ranks", "none", "runs")
 
     def __init__(self, tok: Tokenizer):
-        super().__init__()
         self.vocab, self.singles, self.ranks = tok.vocab, tok.single_byte_ids, tok.merge_ranks
         self.none = len(tok.merges)  # past every rank: no merge is left
         self.runs: dict[int, list[tuple[int, int, int]]] = {}

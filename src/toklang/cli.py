@@ -162,10 +162,11 @@ def cmd_recognize(args) -> int:
         if not session.live:
             break
     accept = session.accepts()
-    if mode == "proper" and accept and not rec.tokenizer.is_proper(terms):
-        from .segmentation import classify  # only to name the kind
-        accept = False
-        reason = f"improper: {classify(rec.tokenizer, terms).kind.value}"
+    if mode == "proper" and accept:
+        from .bpe import Kind
+        kind = rec.tokenizer._properness(terms)[0]  # terms are checked ids
+        if kind is not Kind.PROPER:
+            accept, reason = False, f"improper: {kind.value}"
 
     plain = "accept" if accept else ("reject" if reason is None else f"reject: {reason}")
     _emit(args, [plain], {
@@ -189,11 +190,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .segmentation import classify, count_tokenizations, enumerate_tokenizations
+    from .segmentation import count_tokenizations, enumerate_tokenizations
     tokenizer = _tokenizer(args)
     data = _read_byte_input(args)
     total = count_tokenizations(tokenizer, data)
-    rows = [(ids, classify(tokenizer, ids).kind.value)
+    rows = [(ids, tokenizer._properness(ids)[0].value)  # ids of the vocabulary
             for ids in enumerate_tokenizations(tokenizer, data, limit=args.limit)]
     lines = [f"{' '.join(map(str, ids))}\t{kind}" for ids, kind in rows]
     # the exact total can pass the int-to-str digit limit (Python 3.10.7 on),

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable
 
 from ._value import Frozen
-from .bpe import Tokenizer, TokenizerError
+from .bpe import Kind, Tokenizer, TokenizerError
 from .grammar import Grammar, GrammarError, RecognitionSession, recognize
 
 
@@ -71,9 +71,9 @@ class TokenRecognizer(Frozen):
         memo for pairs seen before, and comes first: a sequence that is not
         proper never runs the chart.
         """
-        tokenizer = self.tokenizer
-        seq = tokenizer.check_ids(ids)  # the one check of the ids
-        return tokenizer._properness(seq)[0] and recognize(self.grammar, tokenizer._join(seq))
+        t = self.tokenizer
+        seq = t.check_ids(ids)  # the one check of the ids
+        return t._properness(seq)[0] is Kind.PROPER and recognize(self.grammar, t._join(seq))
 
 
 class TokenSession:

@@ -2,13 +2,10 @@
 
 A byte string usually has many segmentations into vocabulary tokens; the
 tokenizer returns exactly one of them.  This module enumerates and counts
-all of them, and sorts any given token sequence into one of three kinds:
+all of them, and sorts any given token sequence into one of the three
+``Kind``s that ``Tokenizer._properness`` tells apart, adding the proper
+form to a WrongMergeOrder one.
 
-* Proper — equal to what the tokenizer returns for its own detokenization;
-* Mergeable — some adjacent pair matches a merge rule;
-* WrongMergeOrder — no pair merges, yet it is not the proper form.
-
-A sequence with both defects counts as Mergeable: the pair scan runs first.
 Properness is 2-local (see ``Tokenizer.is_proper``): a sequence is proper
 exactly when each adjacent pair is, or, for one token, when that token is.
 So the proper sequences form a regular set, and so do the Mergeable ones
@@ -17,18 +14,11 @@ So the proper sequences form a regular set, and so do the Mergeable ones
 
 from __future__ import annotations
 
-import enum
 import itertools
 from typing import Iterable, Iterator
 
 from ._value import Frozen
-from .bpe import Tokenizer, TokenizerError, _longest, check_bytes
-
-
-class Kind(enum.Enum):
-    PROPER = "Proper"
-    MERGEABLE = "Mergeable"
-    WRONG_MERGE_ORDER = "WrongMergeOrder"
+from .bpe import Kind, Tokenizer, TokenizerError, _longest, check_bytes
 
 
 class Classification(Frozen):
@@ -152,18 +142,13 @@ def unmerge(t: Tokenizer, ids: Iterable[int]) -> list[int]:
 def classify(t: Tokenizer, ids: Iterable[int]) -> Classification:
     """Sort a token sequence into Proper / Mergeable / WrongMergeOrder.
 
-    Proper and Mergeable are decided by ``Tokenizer.is_proper``'s pair
-    rule, which runs no ``tokenize``: an improper sequence is Mergeable at
-    its first pair that a merge rule joins, if it has one.  Only the rest
-    are retokenized, as tokenize(detokenize(ids)), because WrongMergeOrder
-    carries the proper form.  A tokenizer with a vocabulary byte that has
-    no single-byte token checks the detokenization's bytes first, so it
-    raises where ``tokenize`` does, as ``is_proper`` does.
+    The kind, and where Mergeable the first pair a merge rule joins, is
+    ``Tokenizer._properness``'s, which raises where ``is_proper`` does and
+    runs no ``tokenize``.  Only WrongMergeOrder is retokenized, as
+    tokenize(detokenize(ids)), because it carries the proper form.
     """
     seq = t.check_ids(ids)  # the one check of the ids
-    proper, at = t._properness(seq)
-    if proper:
-        return Classification(Kind.PROPER)
-    if at is not None:
-        return Classification(Kind.MERGEABLE, mergeable_at=at)
-    return Classification(Kind.WRONG_MERGE_ORDER, proper_form=tuple(t.tokenize(t._join(seq))))
+    kind, at = t._properness(seq)
+    if kind is Kind.WRONG_MERGE_ORDER:
+        return Classification(kind, proper_form=tuple(t.tokenize(t._join(seq))))
+    return Classification(kind, mergeable_at=at)

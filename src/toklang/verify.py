@@ -23,7 +23,7 @@ import random
 from typing import TYPE_CHECKING
 
 from ._value import Value
-from .bpe import Tokenizer, TokenizerError
+from .bpe import Kind, Tokenizer, TokenizerError
 
 if TYPE_CHECKING:
     from .recognizer import TokenRecognizer
@@ -126,10 +126,15 @@ def run_equivalence_suite(rec: TokenRecognizer, max_len: int = 5) -> SuiteReport
 
 
 def run_partition_suite(t: Tokenizer, max_len: int = 8) -> SuiteReport:
-    from .segmentation import Kind, classify, count_tokenizations, enumerate_tokenizations
+    """Checks every string of up to *max_len* bytes drawn from the bytes of
+    single-byte tokens that occur in a longer token, plus the least that
+    occurs in none, which stands for all such: each is a token of its own
+    wherever it occurs, and no merge touches it."""
+    from .segmentation import classify, count_tokenizations, enumerate_tokenizations
     _check_count("max_len", max_len)
     report = SuiteReport("partition", 0)
-    alphabet = sorted(t.single_byte_ids)
+    singles, inner = t.single_byte_ids.keys(), {b for bs in t.vocab if len(bs) > 1 for b in bs}
+    alphabet = sorted(singles & inner) + sorted(singles - inner)[:1]
     for length in range(max_len + 1):
         for combo in itertools.product(alphabet, repeat=length):
             s = bytes(combo)

@@ -217,6 +217,24 @@ def test_recognize_proper_names_a_mergeable_member(files, capsys):
         "reason": "improper: Mergeable", "schema": 1}
 
 
+def test_the_kind_a_command_prints_is_one_properness_scan(files, capsys, monkeypatch):
+    calls = []
+    for name in ("_properness", "tokenize"):
+        def counted(self, arg, name=name, method=getattr(toklang.Tokenizer, name)):
+            calls.append(name)
+            return method(self, arg)
+        monkeypatch.setattr(toklang.Tokenizer, name, counted)
+    for ids, kind in (("1 3 2", "WrongMergeOrder"), ("1 1 2 2", "Mergeable")):
+        calls.clear()
+        rc, out = run(capsys, "recognize", "--grammar", files["dyck"], "--alphabet", "byte",
+                      "--tokenizer", files["brackets"], "--mode", "proper", ids)
+        assert (rc, out) == (1, f"reject: improper: {kind}\n")
+        assert calls == ["_properness"]
+    calls.clear()
+    rc, _ = run(capsys, "enumerate", "--tokenizer", files["aab"], "--limit", "3", "aaaa")
+    assert rc == 0 and calls == ["_properness"] * 3  # one per row, and no tokenize
+
+
 def test_recognize_structured_reports_death_offset(files, capsys):
     rc, out = run(capsys, "recognize", "--grammar", files["dyck"], "--alphabet", "byte",
                   "--structured", "][")
@@ -754,6 +772,9 @@ def bare_interpreter_modules():
      ["grammar", "recognizer", "encoding"]),
     (["recognize", "--grammar", "{dyck}", "--alphabet", "byte", "--tokenizer", "{brackets}",
       "--mode", "proper", "4 5"], 0,
+     ["encoding", "segmentation", "verify"]),
+    (["recognize", "--grammar", "{dyck}", "--alphabet", "byte", "--tokenizer", "{brackets}",
+      "--mode", "proper", "1 3 2"], 1,
      ["encoding", "segmentation", "verify"]),
 ])
 def test_a_command_loads_only_the_modules_it_runs(files, bare_interpreter_modules,

@@ -215,6 +215,12 @@ def test_classify_empty_sequence(aab):
     assert classify(aab, []).kind is Kind.PROPER
 
 
+def test_kind_is_one_class_wherever_it_is_named():
+    import toklang.bpe
+    import toklang.segmentation
+    assert Kind is toklang.bpe.Kind is toklang.segmentation.Kind
+
+
 def test_classify_mixed_defects_prefers_mergeable(aab):
     # [aa, ab, b, a, a] has wrong order up front AND a mergeable tail pair
     c = classify(aab, [2, 3, 1, 0, 0])

@@ -20,6 +20,7 @@ from toklang.toys import (
     bracket_tokenizer,
     byte_identity_tokenizer,
     dyck_grammar,
+    letter_bracket_tokenizer,
 )
 
 
@@ -105,6 +106,17 @@ def test_partition_suite_ties_the_proper_label_to_tokenize(aab, monkeypatch):
 def test_partition_suite_defaults_to_single_byte_alphabet(aab):
     small = run_partition_suite(aab, max_len=2)
     assert small.cases == 7  # strings over {a, b} of length <= 2
+
+
+@pytest.mark.parametrize("t, bytes_used", [
+    (byte_identity_tokenizer(), 1),  # no longer token: one byte stands for all
+    (bracket_tokenizer(), 3),  # [ and ], and the byte 0x00
+    (letter_bracket_tokenizer(), 5),  # a, b, [ and ], and the byte 0x00
+])
+def test_partition_suite_ranges_over_the_bytes_of_longer_tokens_and_one_more(t, bytes_used):
+    # over all 256 single-byte tokens, max_len 2 would be 65,793 strings
+    report = run_partition_suite(t, max_len=2)
+    assert report.passed and report.cases == 1 + bytes_used + bytes_used ** 2
 
 
 # --- each suite's failure branches, each under one planted fault ---------------------
