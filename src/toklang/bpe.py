@@ -155,6 +155,46 @@ class Tokenizer(Frozen):
         return shorter, max(map(len, self.vocab))
 
     @cached_property
+    def _automaton(self) -> tuple[list[dict[int, int]], list[int], list[tuple[int, ...]], int]:
+        """(children, failure, ends, the longest token's length): the
+        Aho–Corasick automaton of the vocabulary.
+
+        State s, numbered from the root 0, stands for a prefix of some
+        token.  ``children[s]`` maps a byte to the state of the prefix and
+        that byte; the root has a child for every byte, itself where no
+        token starts.  ``failure[s]`` is the state of the prefix's longest
+        proper suffix that is a prefix too, so every failure chain ends at
+        the root.  ``ends[s]`` is minus the lengths of the tokens that end
+        the prefix, longest first.  Breadth first, a state's failure state,
+        being shallower, is done before it.
+        """
+        children: list[dict[int, int]] = [{}]
+        ends: list[tuple[int, ...]] = [()]  # so far, the state's own token only
+        for bs in self.vocab:
+            s = 0
+            for b in bs:
+                nxt = children[s].get(b)
+                if nxt is None:
+                    nxt = children[s][b] = len(children)
+                    children.append({})
+                    ends.append(())
+                s = nxt
+            ends[s] = (-len(bs),)
+        failure = [0] * len(children)
+        order = list(children[0].values())  # one byte deep: failure state the root
+        for b in range(256):
+            children[0].setdefault(b, 0)
+        for s in order:  # grows as it goes: breadth first
+            for b, c in children[s].items():
+                f = failure[s]
+                while b not in children[f]:
+                    f = failure[f]
+                f = failure[c] = children[f][b]
+                ends[c] += ends[f]
+                order.append(c)
+        return children, failure, ends, max(map(len, self.vocab))
+
+    @cached_property
     def _decomposable(self) -> bool:
         """True iff every vocabulary byte has a single-byte token: then no
         detokenization fails ``_check_covered``, so ``_properness`` skips it."""

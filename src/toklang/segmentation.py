@@ -15,6 +15,7 @@ So the proper sequences form a regular set, and so do the Mergeable ones
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Iterable, Iterator
 
 from ._value import Frozen
@@ -96,20 +97,31 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
 
 
 def count_tokenizations(t: Tokenizer, data: bytes) -> int:
-    """Number of segmentations, by suffix DP in O(len · max token length):
-    at each offset, the ``_longest`` match and its ``_shorter`` chain."""
-    n = len(check_bytes(data, "data"))
-    counts = [0] * (n + 1)
-    counts[n] = 1
-    trie, vocab = t.trie, t.vocab
-    shorter, longest = t._shorter
-    for pos in range(n - 1, -1, -1):
-        total, tid = 0, _longest(trie, data, pos, longest)
-        while tid >= 0:
-            total += counts[pos + len(vocab[tid])]
-            tid = shorter[tid]
-        counts[pos] = total
-    return counts[0]
+    """Number of segmentations, by one forward pass of
+    ``Tokenizer._automaton``: the count up to an offset is the sum of the
+    counts up to the start of each token that ends there.
+
+    Per byte: one transition, amortized (a failure step makes the state
+    shallower, a byte deepens it by one at most), and one big-integer
+    addition fewer than the tokens that end there, each O(n) as the counts
+    grow exponentially.  Only the last L counts are kept, for the longest
+    token length L.
+    """
+    check_bytes(data, "data")
+    children, failure, ends, longest = t._automaton
+    last = deque([1], maxlen=longest)  # the counts up to the last L offsets, latest last
+    state = 0
+    for b in data:
+        nxt = children[state].get(b)
+        while nxt is None:
+            state = failure[state]
+            nxt = children[state].get(b)
+        state = nxt
+        total = 0
+        for k in ends[state]:
+            total = total + last[k] if total else last[k]
+        last.append(total)
+    return last[-1]
 
 
 def find_mergeable_pair(t: Tokenizer, ids: Iterable[int]) -> int | None:

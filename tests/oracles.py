@@ -11,9 +11,11 @@ completion's waiters, which the shared prediction tables and Leo
 items replaced), and ``classify_by_retokenize`` /
 ``accepts_proper_by_retokenize`` (the whole-string retokenize that the
 pair-by-pair properness check replaced), ``deriving_by_fixpoint`` (the
-rescan of every production that the reduction's worklist replaced) and
+rescan of every production that the reduction's worklist replaced),
 ``terminal_classes_by_slices`` (the terminal contexts as body slices, which
-interned ids replaced).  Only usable at toy scale."""
+interned ids replaced) and ``count_by_suffix_dp`` (the count of
+segmentations from every offset's trie matches, which the forward pass of
+the vocabulary automaton replaced).  Only usable at toy scale."""
 
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ from toklang import (
     recognize,
 )
 from toklang._value import DataError
+from toklang.bpe import _longest
 from toklang.grammar import AlphabetMode
 
 
@@ -194,6 +197,24 @@ def tokenize_by_rescan(t, data: bytes) -> list[int]:
 
 
 _HEX_ESCAPE = re.compile(r"\\x([0-9a-fA-F]{2})")
+
+
+def count_by_suffix_dp(t, data: bytes) -> int:
+    """``count_tokenizations`` by a suffix DP: the count from each offset,
+    last offset first, is the sum of the counts after each token that
+    matches there, the ``_longest`` match and its ``_shorter`` chain.
+    Keeps all n + 1 counts."""
+    n = len(data)
+    counts = [0] * (n + 1)
+    counts[n] = 1
+    shorter, longest = t._shorter
+    for pos in range(n - 1, -1, -1):
+        total, tid = 0, _longest(t.trie, data, pos, longest)
+        while tid >= 0:
+            total += counts[pos + len(t.vocab[tid])]
+            tid = shorter[tid]
+        counts[pos] = total
+    return counts[0]
 
 
 def unescape_bytes_by_loop(text: str) -> bytes:

@@ -1,7 +1,8 @@
 import itertools
+import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from toklang import (
     Classification,
@@ -24,7 +25,13 @@ from toklang.toys import (
     letter_bracket_tokenizer,
 )
 
-from oracles import classify_by_retokenize, outcome, segmentations, tokenize_by_rescan
+from oracles import (
+    classify_by_retokenize,
+    count_by_suffix_dp,
+    outcome,
+    segmentations,
+    tokenize_by_rescan,
+)
 from test_bpe_oracles import A_BC_ABC, merge_lists
 
 ab_bytes = st.lists(st.sampled_from([97, 98]), max_size=10).map(bytes)
@@ -90,18 +97,22 @@ def _dead_ends_tokenizer() -> Tokenizer:
     return Tokenizer((b"b", b"ba", b"aa", b"aaaa", b"c"))
 
 
-class _CountedTrie(dict):
-    """A copy of a vocabulary trie whose nodes count their lookups in one
-    shared one-element list."""
+class _Counted(dict):
+    """A dict that counts its ``get`` calls in one shared one-element list."""
 
-    def __init__(self, node, lookups):
-        super().__init__((b, [tid, _CountedTrie(children, lookups)])
-                         for b, (tid, children) in node.items())
-        self.lookups = lookups
+    def __init__(self, items, calls):
+        super().__init__(items)
+        self.calls = calls
 
     def get(self, key, default=None):
-        self.lookups[0] += 1
+        self.calls[0] += 1
         return super().get(key, default)
+
+
+def _counted_trie(node, calls) -> _Counted:
+    """A copy of a vocabulary trie whose nodes count their lookups."""
+    return _Counted(((b, [tid, _counted_trie(children, calls)])
+                     for b, (tid, children) in node.items()), calls)
 
 
 @pytest.mark.parametrize("make, data, total", [
@@ -111,15 +122,19 @@ class _CountedTrie(dict):
 def test_enumerate_skips_dead_ends(make, data, total):
     t = make()
     lookups = [0]
-    t.__dict__["trie"] = _CountedTrie(t.trie, lookups)  # the cached trie
+    t.__dict__["trie"] = _counted_trie(t.trie, lookups)  # the cached trie
     bound = (len(data) + 1) * max(map(len, t.vocab))
     first = next(enumerate_tokenizations(t, data), None)
     # each position's cuts are tried at most once before the first item
     assert lookups[0] <= bound
-    lookups[0] = 0
-    # the count walks each position once, no further than the longest token
+    children, failure, ends, longest = t._automaton
+    transitions = [0]  # lookups of a child, after a failure step or not
+    t.__dict__["_automaton"] = (
+        [_Counted(c, transitions) for c in children], failure, ends, longest)
+    # the count takes one transition per byte, and at most one failure step
+    # per byte before it
     assert count_tokenizations(t, data) == total
-    assert lookups[0] <= bound
+    assert transitions[0] <= 2 * len(data) + 1
     assert (first is None) == (total == 0)
     assert first is None or t.detokenize(first) == data
 
@@ -152,6 +167,48 @@ def test_count_examples(aab):
     assert count_tokenizations(aab, b"aaaa") == 7
     assert count_tokenizations(aab, b"aaabb") == 10
     assert count_tokenizations(aab, b"") == 1
+    # only the failure links find bc: no token goes on from ab with c, so
+    # the scan falls from ab to b, which does
+    t = Tokenizer((b"a", b"b", b"c", b"d", b"abd", b"bc"))
+    assert count_tokenizations(t, b"abc") == 2
+
+
+@st.composite
+def _lacking_single_bytes(draw) -> Tokenizer:
+    """The vocabulary of a ``merge_lists`` tokenizer without one to three of
+    its single bytes, so some inputs have no segmentation."""
+    vocab = draw(merge_lists()).vocab
+    keep = draw(st.sets(st.sampled_from(b"abc"), max_size=2))
+    vocab = tuple(bs for bs in vocab if len(bs) > 1 or bs[0] in keep)
+    assume(vocab)
+    return Tokenizer(vocab)
+
+
+@pytest.mark.parametrize("tokenizers", [
+    _vocab_sets(), merge_lists(), _lacking_single_bytes(),
+], ids=["vocab_sets", "merge_lists", "lacking_single_bytes"])
+@given(data=st.data())
+def test_count_matches_the_suffix_dp(tokenizers, data):
+    t = data.draw(tokenizers)
+    text = data.draw(st.one_of(
+        st.lists(st.sampled_from(b"abc"), max_size=300).map(bytes),
+        st.lists(st.sampled_from(t.vocab), max_size=75).map(b"".join)))
+    assert count_tokenizations(t, text) == count_by_suffix_dp(t, text)
+
+
+def test_count_keeps_only_the_last_counts():
+    t = letter_bracket_tokenizer()
+    count_tokenizations(t, b"a")  # builds the cached automaton
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        count_tokenizations(t, b"a" * 16384)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # every suffix count at once would take about 16 MB
+    assert peak < 256 * 1024
 
 
 @given(ab_bytes)
