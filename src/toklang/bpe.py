@@ -127,61 +127,57 @@ class Tokenizer(Frozen):
         return len(self.single_byte_ids) == 256
 
     @cached_property
-    def trie(self) -> dict[int, list]:
-        """The vocabulary by bytes: byte -> [token ID or None, children],
-        where children is a dict of the same shape."""
-        root: dict[int, list] = {}
-        for tid, bs in enumerate(self.vocab):
-            node = root
-            for b in bs[:-1]:
-                node = node.setdefault(b, [None, {}])[1]
-            node.setdefault(bs[-1], [None, {}])[0] = tid
-        return root
-
-    @cached_property
-    def _shorter(self) -> tuple[list[int], int]:
-        """(token ID -> the ID of its longest proper prefix in the
-        vocabulary, or -1; the longest token's length): from the longest
-        match ``_longest`` finds at an offset, this chain steps through
-        every shorter one, longest first."""
-        shorter = []
-        for bs in self.vocab:
-            prefix, level = -1, self.trie
-            for b in bs[:-1]:
-                tid, level = level[b]
-                if tid is not None:
-                    prefix = tid
-            shorter.append(prefix)
-        return shorter, max(map(len, self.vocab))
-
-    @cached_property
-    def _automaton(self) -> tuple[list[dict[int, int]], list[int], list[tuple[int, ...]], int]:
-        """(children, failure, ends, the longest token's length): the
-        Aho–Corasick automaton of the vocabulary.
+    def _trie(self) -> tuple[list[dict[int, int]], list[int], list[int], int]:
+        """(children, token, shorter, the longest token's length): the
+        vocabulary's prefix tree, the one ``tokenize``,
+        ``enumerate_tokenizations`` and ``_automaton`` walk.
 
         State s, numbered from the root 0, stands for a prefix of some
-        token.  ``children[s]`` maps a byte to the state of the prefix and
-        that byte; the root has a child for every byte, itself where no
-        token starts.  ``failure[s]`` is the state of the prefix's longest
-        proper suffix that is a prefix too, so every failure chain ends at
-        the root.  ``ends[s]`` is minus the lengths of the tokens that end
-        the prefix, longest first.  Breadth first, a state's failure state,
-        being shallower, is done before it.
+        token; ``children[s]`` maps a byte to the state of the prefix and
+        that byte, and ``token[s]`` is the ID of the token that is the
+        prefix, or -1.  ``shorter`` maps a token ID to the ID of its longest
+        proper prefix in the vocabulary, or -1: from the longest match
+        ``_longest`` finds at an offset, that chain steps through every
+        shorter one, longest first.  ``_automaton`` adds the root's
+        self-loops to ``children[0]``.
         """
         children: list[dict[int, int]] = [{}]
-        ends: list[tuple[int, ...]] = [()]  # so far, the state's own token only
-        for bs in self.vocab:
+        token = [-1]
+        for tid, bs in enumerate(self.vocab):
             s = 0
             for b in bs:
                 nxt = children[s].get(b)
                 if nxt is None:
                     nxt = children[s][b] = len(children)
                     children.append({})
-                    ends.append(())
+                    token.append(-1)
                 s = nxt
-            ends[s] = (-len(bs),)
+            token[s] = tid
+        shorter = [-1] * len(self.vocab)
+        stack = [(0, -1)]  # a state, and the ID of the longest token above it
+        while stack:
+            s, above = stack.pop()
+            if token[s] >= 0:
+                shorter[token[s]], above = above, token[s]
+            stack.extend((c, above) for c in children[s].values())
+        return children, token, shorter, max(map(len, self.vocab))
+
+    @cached_property
+    def _automaton(self) -> tuple[list[dict[int, int]], list[int], list[tuple[int, ...]], int]:
+        """(children, failure, ends, the longest token's length): the
+        Aho–Corasick automaton of the vocabulary, over ``_trie``.
+
+        ``children`` is ``_trie``'s, the root given a child for every byte:
+        itself where no token starts.  ``failure[s]`` is the state of the
+        prefix's longest proper suffix that is a prefix too, so every
+        failure chain ends at the root.  ``ends[s]`` is minus the lengths of
+        the tokens that end the prefix, longest first.  Breadth first, a
+        state's failure state, being shallower, is done before it.
+        """
+        children, token, _, longest = self._trie
+        ends = [(-len(self.vocab[t]),) if t >= 0 else () for t in token]  # so far, its own only
         failure = [0] * len(children)
-        order = list(children[0].values())  # one byte deep: failure state the root
+        order = [c for c in children[0].values() if c]  # one byte deep: failure state the root
         for b in range(256):
             children[0].setdefault(b, 0)
         for s in order:  # grows as it goes: breadth first
@@ -192,7 +188,7 @@ class Tokenizer(Frozen):
                 f = failure[c] = children[f][b]
                 ends[c] += ends[f]
                 order.append(c)
-        return children, failure, ends, max(map(len, self.vocab))
+        return children, failure, ends, longest
 
     @cached_property
     def _decomposable(self) -> bool:
@@ -238,25 +234,26 @@ class Tokenizer(Frozen):
         tokenization is the one segmentation of *data* whose adjacent pairs
         are all proper, or, of one token, whose token is proper on its own.
         From each offset the search tries the tokens that match there,
-        longest first: ``_longest``, then the ``_shorter`` chain.  It takes
-        the first whose pair with the previous token is proper, read from
-        ``_pair_verdicts``; when none is left it steps back and tries the
-        previous token's next shorter match.  By ``is_proper``, two or more
-        tokens taken, each in a proper pair with the one before, are the
-        tokenization of their bytes: no (offset, last token) is reached
-        twice.  At most L tokens end at an offset and at most L start there,
-        for the longest token length L, so the search makes O(n·L²) verdict
-        lookups on n bytes; on usual text, one or two per token.  The input's
-        bytes are checked first, so the error names the first byte with no
-        single-byte token, and no token with such a byte is ever matched.
+        longest first: ``_longest``, then the ``shorter`` chain of
+        ``_trie``.  It takes the first whose pair with the previous token is
+        proper, read from ``_pair_verdicts``; when none is left it steps
+        back and tries the previous token's next shorter match.  By
+        ``is_proper``, two or more tokens taken, each in a proper pair with
+        the one before, are the tokenization of their bytes: no (offset,
+        last token) is reached twice.  At most L tokens end at an offset and
+        at most L start there, for the longest token length L, so the search
+        makes O(n·L²) verdict lookups on n bytes; on usual text, one or two
+        per token.  The input's bytes are checked first, so the error names
+        the first byte with no single-byte token, and no token with such a
+        byte is ever matched.
         """
         self._check_covered(check_bytes(data, "tokenize input"))
         n = len(data)
-        trie, vocab, verdicts = self.trie, self.vocab, self._pair_verdicts
-        shorter, longest = self._shorter
+        children, token, shorter, longest = self._trie
+        vocab, verdicts = self.vocab, self._pair_verdicts
         out: list[int] = []
         pos, last = 0, -1
-        t = _longest(trie, data, 0, longest)  # below n, its first byte always matches
+        t = _longest(children, token, data, 0, longest)  # below n, its first byte always matches
         while pos < n:
             while t >= 0:
                 end = pos + len(vocab[t])
@@ -265,7 +262,7 @@ class Tokenizer(Frozen):
                 t = shorter[t]
             if t >= 0:
                 out.append(t)
-                pos, last, t = end, t, _longest(trie, data, end, longest)
+                pos, last, t = end, t, _longest(children, token, data, end, longest)
             else:  # no match at pos follows last: step back
                 t = out.pop()
                 pos -= len(vocab[t])
@@ -341,19 +338,22 @@ class Tokenizer(Frozen):
         return next(i for i, pair in enumerate(zip(seq, seq[1:])) if pair in ranks)
 
 
-def _longest(trie: dict[int, list], data: bytes, pos: int, longest: int) -> int:
+def _longest(children: list[dict[int, int]], token: list[int], data: bytes, pos: int,
+             longest: int) -> int:
     """The ID of the longest token that *data* has at *pos*, or -1, by one
-    walk of ``Tokenizer.trie`` of at most *longest* bytes, the longest
-    token's length.  ``Tokenizer._shorter`` leads from it to the shorter
-    ones.  A function, not a method: the callers' loops hold the trie."""
-    t, level = -1, trie
+    walk down ``Tokenizer._trie`` of at most *longest* bytes, the longest
+    token's length; its ``shorter`` chain leads on to the shorter ones.
+    The walk stops at a missing child or at the root, state 0: once
+    ``_automaton`` is built, the root maps every byte, to itself where no
+    token starts.  A function, not a method: the callers' loops hold the
+    tree."""
+    t, s = -1, 0
     for b in data[pos:pos + longest]:
-        node = level.get(b)
-        if node is None:
+        s = children[s].get(b, 0)
+        if not s:
             break
-        if node[0] is not None:
-            t = node[0]
-        level = node[1]
+        if token[s] >= 0:
+            t = token[s]
     return t
 
 

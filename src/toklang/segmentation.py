@@ -47,13 +47,13 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
     segmentation (when it exists) comes last.  Each segmentation appears
     exactly once; an unsegmentable input yields nothing.  ``limit`` caps
     the number of items.  The tokens at an offset are its ``_longest``
-    match, then the ``_shorter`` chain, the order ``tokenize`` tries them
-    in; a step back resumes at the next shorter token, so the walk keeps
-    only its path and the input length is not bounded by the recursion
-    limit.  A position is dead when no item was yielded while it was on
-    the path: every walk from it has been tried and none reached the end.
-    Cuts into dead positions are skipped, so the time to each next item
-    is polynomial.
+    match, then the ``shorter`` chain of ``Tokenizer._trie``, the order
+    ``tokenize`` tries them in; a step back resumes at the next shorter
+    token, so the walk keeps only its path and the input length is not
+    bounded by the recursion limit.  A position is dead when no item was
+    yielded while it was on the path: every walk from it has been tried
+    and none reached the end.  Cuts into dead positions are skipped, so
+    the time to each next item is polynomial.
     """
     if limit is not None and (type(limit) is not int or limit < 1):  # bool is no count
         raise TokenizerError(f"limit must be an int >= 1 or None, got {limit!r}")
@@ -63,13 +63,13 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
         if n == 0:
             yield []
             return
-        trie, vocab = t.trie, t.vocab
-        shorter, longest = t._shorter
+        children, token, shorter, longest = t._trie
+        vocab = t.vocab
         path: list[int] = []
         before: list[int] = []  # before[k]: items yielded when path[k] was taken
         dead: set[int] = set()  # positions from which no walk reaches the end
         items, pos = 0, 0
-        tid = _longest(trie, data, 0, longest)
+        tid = _longest(children, token, data, 0, longest)
         while True:
             while tid >= 0:
                 end = pos + len(vocab[tid])
@@ -82,7 +82,7 @@ def enumerate_tokenizations(t: Tokenizer, data: bytes,
             if tid >= 0:  # take tid and go on from end
                 path.append(tid)
                 before.append(items)
-                pos, tid = end, _longest(trie, data, end, longest)
+                pos, tid = end, _longest(children, token, data, end, longest)
             elif path:  # every token at pos is tried: step back
                 if items == before.pop():
                     dead.add(pos)

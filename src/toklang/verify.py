@@ -11,9 +11,9 @@ Each suite checks one structural claim about tokenization:
   string, exhaustively over short sequences of grammar-relevant tokens,
   and its next-token mask allows exactly the relevant tokens that keep a
   clone of it live;
-* partition — enumeration of a string's tokenization space matches the
-  DP count and contains the tokenizer's own output, and ``classify``
-  calls that output Proper and no other point.
+* partition — enumeration of a string's tokenization space matches
+  ``count_tokenizations`` and contains the tokenizer's own output, and
+  ``classify`` calls that output Proper and no other point.
 """
 
 from __future__ import annotations
@@ -138,11 +138,11 @@ def run_partition_suite(t: Tokenizer, max_len: int = 8) -> SuiteReport:
     for length in range(max_len + 1):
         for combo in itertools.product(alphabet, repeat=length):
             s = bytes(combo)
-            items = list(enumerate_tokenizations(t, s))
-            if len(items) != count_tokenizations(t, s):
+            items, total = list(enumerate_tokenizations(t, s)), count_tokenizations(t, s)
+            if len(items) != total:
                 report.failures.append(
-                    f"{s!r}: enumeration yields {len(items)} but DP counts "
-                    f"{count_tokenizations(t, s)}")
+                    f"{s!r}: enumeration yields {len(items)} but count_tokenizations "
+                    f"gives {total}")
             proper = t.tokenize(s)
             if proper not in items:
                 report.failures.append(f"{s!r}: proper tokenization missing from enumeration")

@@ -14,8 +14,8 @@ pair-by-pair properness check replaced), ``deriving_by_fixpoint`` (the
 rescan of every production that the reduction's worklist replaced),
 ``terminal_classes_by_slices`` (the terminal contexts as body slices, which
 interned ids replaced) and ``count_by_suffix_dp`` (the count of
-segmentations from every offset's trie matches, which the forward pass of
-the vocabulary automaton replaced).  Only usable at toy scale."""
+segmentations from every offset's matches, which the forward pass of the
+vocabulary automaton replaced).  Only usable at toy scale."""
 
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ from toklang import (
     recognize,
 )
 from toklang._value import DataError
-from toklang.bpe import _longest
 from toklang.grammar import AlphabetMode
 
 
@@ -202,18 +201,17 @@ _HEX_ESCAPE = re.compile(r"\\x([0-9a-fA-F]{2})")
 def count_by_suffix_dp(t, data: bytes) -> int:
     """``count_tokenizations`` by a suffix DP: the count from each offset,
     last offset first, is the sum of the counts after each token that
-    matches there, the ``_longest`` match and its ``_shorter`` chain.
-    Keeps all n + 1 counts."""
+    matches there, found by looking up the bytes from that offset in the
+    vocabulary at each length up to the longest token's.  Keeps all n + 1
+    counts, and reads no prefix tree."""
+    vocab = set(t.vocab)
+    longest = max(map(len, t.vocab))
     n = len(data)
     counts = [0] * (n + 1)
     counts[n] = 1
-    shorter, longest = t._shorter
     for pos in range(n - 1, -1, -1):
-        total, tid = 0, _longest(t.trie, data, pos, longest)
-        while tid >= 0:
-            total += counts[pos + len(t.vocab[tid])]
-            tid = shorter[tid]
-        counts[pos] = total
+        counts[pos] = sum(counts[pos + k] for k in range(1, min(longest, n - pos) + 1)
+                          if data[pos:pos + k] in vocab)
     return counts[0]
 
 

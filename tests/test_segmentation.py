@@ -17,7 +17,7 @@ from toklang import (
     train,
     unmerge,
 )
-from toklang.bpe import _PairVerdicts
+from toklang.bpe import _PairVerdicts, _longest
 from toklang.toys import (
     aab_tokenizer,
     byte_identity_tokenizer,
@@ -109,12 +109,6 @@ class _Counted(dict):
         return super().get(key, default)
 
 
-def _counted_trie(node, calls) -> _Counted:
-    """A copy of a vocabulary trie whose nodes count their lookups."""
-    return _Counted(((b, [tid, _counted_trie(children, calls)])
-                     for b, (tid, children) in node.items()), calls)
-
-
 @pytest.mark.parametrize("make, data, total", [
     (aab_tokenizer, b"a" * 24 + b"c", 0),
     (_dead_ends_tokenizer, b"b" + b"a" * 60 + b"c", 1_346_269),
@@ -122,19 +116,17 @@ def _counted_trie(node, calls) -> _Counted:
 def test_enumerate_skips_dead_ends(make, data, total):
     t = make()
     lookups = [0]
-    t.__dict__["trie"] = _counted_trie(t.trie, lookups)  # the cached trie
+    children = t._trie[0]  # the one tree's, which the automaton shares
+    children[:] = [_Counted(c, lookups) for c in children]
     bound = (len(data) + 1) * max(map(len, t.vocab))
     first = next(enumerate_tokenizations(t, data), None)
     # each position's cuts are tried at most once before the first item
     assert lookups[0] <= bound
-    children, failure, ends, longest = t._automaton
-    transitions = [0]  # lookups of a child, after a failure step or not
-    t.__dict__["_automaton"] = (
-        [_Counted(c, transitions) for c in children], failure, ends, longest)
+    lookups[0] = 0  # now lookups of a child, after a failure step or not
     # the count takes one transition per byte, and at most one failure step
     # per byte before it
     assert count_tokenizations(t, data) == total
-    assert transitions[0] <= 2 * len(data) + 1
+    assert t._automaton[0] is children and lookups[0] <= 2 * len(data) + 1
     assert (first is None) == (total == 0)
     assert first is None or t.detokenize(first) == data
 
@@ -171,6 +163,10 @@ def test_count_examples(aab):
     # the scan falls from ab to b, which does
     t = Tokenizer((b"a", b"b", b"c", b"d", b"abd", b"bc"))
     assert count_tokenizations(t, b"abc") == 2
+    # a second build, as two threads' first counts may make, runs over the
+    # shared tree whose root already maps every byte
+    del t.__dict__["_automaton"]
+    assert count_tokenizations(t, b"abc") == 2
 
 
 @st.composite
@@ -194,6 +190,35 @@ def test_count_matches_the_suffix_dp(tokenizers, data):
         st.lists(st.sampled_from(b"abc"), max_size=300).map(bytes),
         st.lists(st.sampled_from(t.vocab), max_size=75).map(b"".join)))
     assert count_tokenizations(t, text) == count_by_suffix_dp(t, text)
+
+
+@pytest.mark.parametrize("tokenizers", [
+    _vocab_sets(), merge_lists(), _lacking_single_bytes(),
+], ids=["vocab_sets", "merge_lists", "lacking_single_bytes"])
+@given(data=st.data())
+def test_longest_and_its_shorter_chain_list_every_match(tokenizers, data):
+    # d starts no token, so the walk must stop at the root's self-loops
+    # once the automaton has added them
+    t = data.draw(tokenizers)
+    text = data.draw(st.lists(st.sampled_from(b"abcd"), max_size=12).map(bytes))
+    want = [sorted((bs for bs in t.vocab if text.startswith(bs, pos)), key=len, reverse=True)
+            for pos in range(len(text) + 1)]
+
+    def matches() -> list[list[bytes]]:
+        children, token, shorter, longest = t._trie
+        got = []
+        for pos in range(len(text) + 1):
+            at, tid = [], _longest(children, token, text, pos, longest)
+            while tid >= 0:
+                at.append(t.vocab[tid])
+                tid = shorter[tid]
+            got.append(at)
+        return got
+
+    assert "_automaton" not in vars(t)
+    assert matches() == want
+    assert t._automaton[0] is t._trie[0] and len(t._trie[0][0]) == 256
+    assert matches() == want
 
 
 def test_count_keeps_only_the_last_counts():

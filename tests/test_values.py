@@ -190,8 +190,8 @@ def test_constructors_refuse_shapes_later_code_cannot_use(build, error, message)
 
 def test_cached_properties_fill_on_frozen_values():
     t = Tokenizer(*FIELDS[Tokenizer][0])
-    assert "trie" not in vars(t)
-    assert t.trie is t.trie and "trie" in vars(t)
+    assert "_trie" not in vars(t)
+    assert t._trie is t._trie and "_trie" in vars(t)
     g = Grammar(frozenset({"S", "U"}), "byte", (Production("U", (97,)),), "S")
     assert "_reduced" not in vars(g)
     assert g._reduced is g._reduced and "_reduced" in vars(g)

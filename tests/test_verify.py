@@ -149,12 +149,12 @@ def test_equivalence_suite_reports_an_acceptance_mismatch(dyck, brackets, monkey
 
 
 def test_partition_suite_reports_a_count_mismatch(aab, monkeypatch):
-    # a planted fault: the DP counts one segmentation too many
+    # a planted fault: the count gives one segmentation too many
     count = segmentation.count_tokenizations
     monkeypatch.setattr(segmentation, "count_tokenizations", lambda t, s: count(t, s) + 1)
     report = run_partition_suite(aab, max_len=2)
     assert report.cases == 7 and len(report.failures) == 7
-    assert report.failures[0] == "b'': enumeration yields 1 but DP counts 2"
+    assert report.failures[0] == "b'': enumeration yields 1 but count_tokenizations gives 2"
     assert report.summary().split("\n")[-1] == "  ... and 2 more"
 
 
