@@ -173,6 +173,8 @@ def cmd_recognize(args) -> int:
         "mode": mode,
         "accept": accept,
         "died_at": session.died_at,
+        # token modes: the tokens fed, the one the session died in counted
+        **({} if mode == "chars" else {"tokens_consumed": session.tokens_consumed}),
         "reason": reason,
     })
     return 0 if accept else 1

@@ -160,9 +160,9 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # rule was predicted; an item still there is a bare id: a position never
 # refers to itself, so it is freed by reference counting once no pending item
 # names it.  A finalized position keeps its index, its items keyed by the
-# symbol after their dot, an accept flag and its Leo items.  Positions never
-# change once built, so clones share them, and every session starts from the
-# chart's one position 0.
+# symbol after their dot, an accept flag, its Leo items and its scans.
+# Positions never change once built, so clones share them, and every session
+# starts from the chart's one position 0.
 #
 # Two shortcuts cut the work per position.  The items predicted at a
 # position (bare ids) depend only on the nonterminals its kernel items,
@@ -181,9 +181,21 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # recursion costs a constant per terminal instead of the depth of the open
 # spine.  Each step of a path moves to a strictly earlier origin and
 # position 0 holds only predicted items, so paths end, and a topmost item
-# carries the real origin the accept test reads.  The plain chart without
-# either shortcut is kept in tests/oracles.py as the reference the property
-# tests compare with.
+# carries the real origin the accept test reads.
+#
+# And a leaf, a nonterminal with no occurrence but the last of a body on a
+# cycle in its reach, such as Word in ``Word -> Ch | Ch Word``, is scanned:
+# its language is regular (Chomsky 1959).  A table holds the start of a lazy
+# DFA over its words instead of its items; a state is a set of NFA stacks of
+# item ids, an item before a nonterminal pushing itself stepped unless that
+# ends its rule, so stacks are finitely many.  A position carries its scans,
+# (state, base position, templates); when a state accepts, the completion
+# from the base is closed once into a template whose wait, pred, leo and
+# accept flag later positions of the word share.  So a position holds no
+# item of a leaf's rules, and a byte inside a word costs a DFA step and one
+# _Position.  Dyck-letters has no leaf: its chart and masks are as before.
+# The plain chart without these shortcuts is kept in tests/oracles.py as the
+# reference the property tests compare with.
 #
 # The chart runs on classes of terminals, not on terminals.  Two terminals
 # share a class iff they occur in the same contexts ``(head, body[:k],
@@ -202,23 +214,35 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 
 class _Table(dict):
     """A read-only prediction table, with the terminals among its keys."""
-    __slots__ = ("terminals",)
+    __slots__ = ("terminals", "start")
+
+
+class _ScanState(dict):
+    """A state of the leaves' DFA: the NFA stacks each class steps it to, the
+    leaves it accepts, and, as a dict, the state a class steps it to, or None."""
+    __slots__ = ("chart", "on", "accepts")
+
+    def __missing__(self, terminal: int) -> "_ScanState | None":
+        nxt = self[terminal] = self.chart.scan(self.on[terminal]) if terminal in self.on else None
+        return nxt
 
 
 class _Chart(dict):
     """What the chart reads of one reduced grammar: the chart grammar over
     its terminal classes, the class maps, the flat LR(0) items of the chart
-    grammar with each head's own prediction entries, and position 0.
+    grammar with each head's own prediction entries, the leaves' DFA, and
+    position 0.
 
     As a dict, for each set of nonterminals that the kernel items of a chart
     position wait on, the items predicted there, as one read-only table
     ``{symbol: tuple of item ids}`` shared by every position with that set:
     the own entries of each nonterminal that predicting the set reaches,
-    dots stepped over a nullable prefix and completed items left out.  A
-    table is built on its first lookup, one per set the inputs meet."""
+    dots stepped over a nullable prefix and completed items left out, and
+    the scan state of the leaves it reaches, each class that state takes a
+    key.  A table is built on its first lookup, one per set the inputs meet."""
 
     __slots__ = ("grammar", "of", "members", "base", "syms", "heads", "nullable", "own",
-                 "initial")
+                 "initial", "leaves", "ends", "frames", "stacks", "states")
 
     def __init__(self, g: Grammar):
         super().__init__()
@@ -262,6 +286,9 @@ class _Chart(dict):
             syms += body + (None,)
             heads += [head] * (len(body) + 1)
         self.nullable = [s in nullables for s in syms]
+        self.ends = {heads[lr]: lr for lr, sym in enumerate(syms) if sym is None}
+        # an NFA stack is an interned int: frames[stack] is (item, stack below)
+        self.leaves, self.frames, self.stacks, self.states = _leaves(chart), {}, {}, {}
         self.initial = pos = _Position(0)
         pos.pred = self[frozenset((g.start,))]
         pos.accepting = g.start in nullables
@@ -270,15 +297,61 @@ class _Chart(dict):
         order = sorted(key)
         reached = set(order)
         table: dict[str | int, list[tuple]] = {}
-        for n in order:  # grows while it is walked
-            for sym, item in self.own[n]:
+        for n in order:  # grows while it is walked; a leaf is not entered
+            for sym, item in () if n in self.leaves else self.own[n]:
                 table.setdefault(sym, []).append(item)
                 if sym.__class__ is str and sym not in reached:
                     reached.add(sym)
                     order.append(sym)
-        frozen = self[key] = _Table((sym, tuple(items)) for sym, items in table.items())
+        frozen = _Table((sym, tuple(items)) for sym, items in table.items())
+        stacks = [self.push(item, self.push(self.ends[n], None))  # over a frame accepting n
+                  for n in order if n in self.leaves for _, item in self.own[n]]
+        frozen.start = self.scan(stacks) if stacks else None
+        if stacks:  # and each class the start takes is a key
+            frozen.update((t, ()) for t in frozen.start.on if t not in frozen)
         frozen.terminals = tuple(sym for sym in frozen if sym.__class__ is int)
-        return frozen
+        return self.setdefault(key, frozen)  # published once built
+
+    def push(self, item: int, below: int | None) -> int:
+        """The stack of *item* on top of *below*: the id of its frame, which
+        ``frames`` keeps alive, so two threads' first pushes agree."""
+        frame = (item, below)
+        stack = self.stacks.get(frame)
+        if stack is None:
+            self.frames[id(frame)] = frame
+            stack = self.stacks.setdefault(frame, id(frame))
+        return stack
+
+    def scan(self, stacks: list[int]) -> _ScanState:
+        """The scan state of the NFA *stacks* and their closure, built once."""
+        key = frozenset(stacks)
+        state = self.states.get(key)
+        if state is None:
+            syms, frames, push = self.syms, self.frames, self.push
+            state, on, accepts = _ScanState(), {}, set()
+            todo, seen = list(key), set(key)
+            for stack in todo:  # grows while it is walked
+                lr, below = frames[stack]
+                sym = syms[lr]
+                if sym is None:  # back to the stack below; the bottom accepts
+                    if below is None:
+                        accepts.add(self.heads[lr])
+                        continue
+                    more = [below]
+                elif sym.__class__ is int:
+                    on.setdefault(sym, []).append(push(lr + 1, below))
+                    continue
+                else:  # enter sym, over the item stepped past it unless that is done
+                    under = below if syms[lr + 1] is None else push(lr + 1, below)
+                    more = [push(item, under) for _, item in self.own[sym]]
+                    if self.nullable[lr]:
+                        more.append(push(lr + 1, below))
+                more = set(more) - seen
+                seen |= more
+                todo += more
+            state.chart, state.on, state.accepts = self, on, frozenset(accepts)
+            state = self.states.setdefault(key, state)  # published once built
+        return state
 
     def class_trie(self, words: Iterable[tuple[int, bytes]]) -> dict[int, list]:
         """(id, terminals) *words* of used terminals by their classes: class
@@ -295,6 +368,7 @@ class _Chart(dict):
 
 class _Position:
     __slots__ = ("index", "wait", "pred", "accepting", "leo")
+    scans: list[tuple] | tuple = ()  # the words under way, a _Scanning's own
 
     def __init__(self, index: int):
         self.index = index
@@ -303,6 +377,26 @@ class _Position:
         self.accepting = False
         # nonterminal -> topmost item of its reduction path from here
         self.leo: dict[str, tuple] = {}
+
+    def expected(self) -> list[int]:
+        """The terminals this position advances on, each once: those its
+        kernel items wait on that its prediction table lacks, then the
+        table's own."""
+        pred = self.pred
+        out = [sym for sym in self.wait if sym.__class__ is int and sym not in pred]
+        out += pred.terminals
+        return out
+
+
+class _Scanning(_Position):
+    """A position of a chart with leaves, with the words under way there,
+    each (scan state, base position, templates)."""
+    __slots__ = ("scans",)
+
+    def expected(self) -> list[int]:
+        """And the classes the words under way take, each once."""
+        scanned = [t for state, _, _ in self.scans for t in state.on]
+        return [*dict.fromkeys(super().expected() + scanned)]
 
 
 def _close(chart: _Chart, pos: _Position, seeds) -> int:
@@ -369,16 +463,9 @@ def _close(chart: _Chart, pos: _Position, seeds) -> int:
     return len(items)
 
 
-def _expected(pos: _Position) -> list[int]:
-    """The terminals *pos* advances on, each once: those its kernel items
-    wait on that its prediction table lacks, then the table's own."""
-    pred = pos.pred
-    out = [sym for sym in pos.wait if sym.__class__ is int and sym not in pred]
-    out += pred.terminals
-    return out
-
-
 def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
+    if chart.leaves:
+        return _scan(chart, last, terminal)
     kernel = last.wait.get(terminal, ())
     predicted = last.pred.get(terminal, ())
     if not (kernel or predicted):
@@ -387,6 +474,47 @@ def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
     seeds = [(lr + 1, o) for lr, o in kernel]
     if predicted:
         seeds += [(lr + 1, last) for lr in predicted]
+    _close(chart, pos, seeds)
+    return pos
+
+
+def _scan(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
+    """``_advance`` on a chart with leaves: the chart items, the words under
+    way and those of the leaves *last* predicts step by *terminal*."""
+    scans, done = [], 0  # the words that go on, and how many of them end here
+    start = last.pred.start
+    for state, base, templates in last.scans if start is None else (
+            *last.scans, (start, last, None)):
+        state = state[terminal]
+        if state is not None:
+            scans.append((state, base, {} if templates is None else templates))
+            if state.accepts:
+                done, ended = done + 1, scans[-1]
+    kernel = last.wait.get(terminal, ())
+    predicted = last.pred.get(terminal, ())
+    if not (kernel or predicted or done > 1):  # words alone go on
+        if not scans:
+            return None
+        pos = object.__new__(_Scanning)
+        pos.index, pos.scans = last.index + 1, scans
+        if not done:
+            pos.wait, pos.pred, pos.leo, pos.accepting = {}, chart[frozenset()], {}, False
+            return pos
+        state, base, templates = ended  # and one ends: share its template
+        template = templates.get(state.accepts)
+        if template is None:
+            template = templates[state.accepts] = _Position(base.index)
+            _close(chart, template, [(chart.ends[leaf], base) for leaf in state.accepts])
+        pos.wait, pos.pred, pos.leo = template.wait, template.pred, template.leo
+        pos.accepting = template.accepting
+        return pos
+    pos = _Scanning(last.index + 1)
+    pos.scans = scans
+    seeds = [(lr + 1, o) for lr, o in kernel]
+    if predicted:
+        seeds += [(lr + 1, last) for lr in predicted]
+    if done:  # and the words that end here
+        seeds += [(chart.ends[leaf], base) for state, base, _ in scans for leaf in state.accepts]
     _close(chart, pos, seeds)
     return pos
 
@@ -431,7 +559,7 @@ class RecognitionSession:
         expected at ``died_at``: every member of each class the chart
         position expects."""
         members = self.grammar._chart.members
-        return frozenset(t for c in _expected(self._last) for t in members[c])
+        return frozenset(t for c in self._last.expected() for t in members[c])
 
     def feed(self, terminal: int) -> "RecognitionSession":
         return self._feed_checked(as_terminals(self.grammar, (terminal,)))
@@ -442,8 +570,9 @@ class RecognitionSession:
         if self.died_at is None:
             chart = self.grammar._chart
             of, pos = chart.of.get, self._last
+            advance = _scan if chart.leaves else _advance  # what _advance would call
             for t in terms:
-                nxt = _advance(chart, pos, of(t, t))
+                nxt = advance(chart, pos, of(t, t))
                 if nxt is None:
                     self.died_at = pos.index
                     break
@@ -474,7 +603,7 @@ class RecognitionSession:
         stack = [(self._last, trie)] if self.died_at is None else []
         while stack:
             pos, node = stack.pop()
-            for c in _expected(pos):
+            for c in pos.expected():
                 hit = node.get(c)
                 if hit is not None:
                     ids, children = hit
@@ -510,6 +639,39 @@ def _deriving(productions, terminals: bool) -> set[str]:
                 if not missing[i]:
                     heads.append(productions[i].head)
     return found
+
+
+def _leaves(g: Grammar) -> frozenset[str]:
+    """The leaves of *g*.  An occurrence on a cycle lies inside a strongly
+    connected component: Tarjan's, with an explicit stack, from a root that
+    calls every nonterminal, each judged after the ones it calls."""
+    calls: dict = {n: [] for n in g.nonterminals}
+    for head, body in g.productions:
+        calls[head] += [(s, k == len(body) - 1) for k, s in enumerate(body) if s.__class__ is str]
+    calls[None] = [(n, True) for n in g.nonterminals]
+    index, low, path, leaf = {None: 0}, {None: 0}, [None], {}  # leaf: judged -> is a leaf
+    work = [(None, iter(calls[None]))]
+    while work:
+        n, callees = work[-1]
+        for m, _ in callees:
+            if m not in index:
+                index[m] = low[m] = len(index)
+                path.append(m)
+                work.append((m, iter(calls[m])))
+                break
+            if m not in leaf:
+                low[n] = min(low[n], index[m])
+        else:
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[n])
+            if low[n] == index[n]:
+                comp = {path.pop()}
+                while n not in comp:
+                    comp.add(path.pop())
+                ok = all(last if m in comp else leaf[m] for h in comp for m, last in calls[h])
+                leaf.update(dict.fromkeys(comp, ok))
+    return frozenset(n for n, ok in leaf.items() if ok and n is not None)
 
 
 def reduce_grammar(g: Grammar) -> Grammar:

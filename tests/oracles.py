@@ -336,6 +336,27 @@ def terminal_classes_by_slices(g: Grammar) -> dict[int, int]:
     return {t: min(u for u in contexts if contexts[u] == contexts[t]) for t in contexts}
 
 
+def leaves_by_reach(g: Grammar) -> set[str]:
+    """The nonterminals of *g* none of whose reach has an occurrence, other
+    than the last of its body, of a nonterminal that reaches back to the
+    occurrence's head: every reach found by a walk of its own."""
+    def reach(n: str) -> set[str]:
+        found, todo = {n}, [n]
+        while todo:
+            head = todo.pop()
+            for h, body in g.productions:
+                for s in body:
+                    if h == head and isinstance(s, str) and s not in found:
+                        found.add(s)
+                        todo.append(s)
+        return found
+
+    reaches = {n: reach(n) for n in g.nonterminals}
+    return {n for n in g.nonterminals if not any(
+        isinstance(s, str) and h in reaches[s]
+        for h, body in g.productions if h in reaches[n] for s in body[:-1])}
+
+
 # --- the chart that predicted item by item and walked every completion ---
 #
 # Positions as in toklang.grammar, but every item is stored, as (rule index,

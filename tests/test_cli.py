@@ -214,7 +214,7 @@ def test_recognize_proper_names_a_mergeable_member(files, capsys):
     rc, out = run(capsys, *argv, "--structured")
     assert rc == 1 and json.loads(out) == {
         "command": "recognize", "mode": "proper", "accept": False, "died_at": None,
-        "reason": "improper: Mergeable", "schema": 1}
+        "tokens_consumed": 4, "reason": "improper: Mergeable", "schema": 1}
 
 
 def test_the_kind_a_command_prints_is_one_properness_scan(files, capsys, monkeypatch):
@@ -250,7 +250,8 @@ def test_recognize_token_modes_report_death_offset_in_bytes(files, capsys, mode)
                   "--tokenizer", files["brackets"], "--mode", mode, "--structured", "3 2")
     assert rc == 1
     assert json.loads(out) == {"command": "recognize", "mode": mode, "accept": False,
-                               "died_at": 2, "reason": None, "schema": 1}
+                               "died_at": 2, "tokens_consumed": 2, "reason": None,
+                               "schema": 1}
 
 
 def test_recognize_bos_strip(files, capsys):
@@ -269,16 +270,36 @@ def _recognize_tokens(capsys, files, mode, ids, *flags):
 
 
 @pytest.mark.parametrize("mode", ["tokens", "proper"])
-@pytest.mark.parametrize("ids, flags, accept, died_at", [
-    ("1 5", (), False, 2),                    # "[" + "]]" dies inside its last token
-    ("", (), True, None),                     # no ids: the empty member
-    ("9 1 2 2", ("--bos-id", "9"), False, 2),  # the offset counts no stripped id
+@pytest.mark.parametrize("ids, flags, accept, died_at, consumed", [
+    ("1 5", (), False, 2, 2),                    # "[" + "]]" dies inside its last token
+    ("", (), True, None, 0),                     # no ids: the empty member
+    ("9 1 2 2", ("--bos-id", "9"), False, 2, 3),  # the offsets count no stripped id
 ], ids=["death-inside-a-token", "empty", "bos-and-death"])
-def test_recognize_token_modes_structured(files, capsys, mode, ids, flags, accept, died_at):
+def test_recognize_token_modes_structured(files, capsys, mode, ids, flags, accept, died_at,
+                                          consumed):
     rc, out, err = _recognize_tokens(capsys, files, mode, ids, "--structured", *flags)
     assert (rc, err) == (0 if accept else 1, "")
     assert json.loads(out) == {"command": "recognize", "mode": mode, "accept": accept,
-                               "died_at": died_at, "reason": None, "schema": 1}
+                               "died_at": died_at, "tokens_consumed": consumed,
+                               "reason": None, "schema": 1}
+
+
+@pytest.mark.parametrize("mode", ["tokens", "proper"])
+def test_recognize_token_modes_name_the_token_they_die_in(files, capsys, mode):
+    # "[[" "]]" "[" "]" then "]": the fifth token dies, and the sixth is not
+    # fed; the plain output is the bare verdict, byte for byte
+    ids = "4 5 1 2 2 4"
+    rc, out, err = _recognize_tokens(capsys, files, mode, ids, "--structured")
+    assert (rc, err) == (1, "")
+    data = json.loads(out)
+    assert (data["died_at"], data["tokens_consumed"]) == (6, 5)
+    assert _recognize_tokens(capsys, files, mode, ids) == (1, "reject\n", "")
+    rc, out, err = _recognize_tokens(capsys, files, mode, "4 5 3", "--structured")
+    assert (rc, json.loads(out)["tokens_consumed"]) == (0, 3)  # all of a member
+    # chars mode feeds no tokens, and names none
+    rc, out = run(capsys, "recognize", "--grammar", files["dyck"], "--alphabet", "byte",
+                  "--structured", "[]]")
+    assert rc == 1 and "tokens_consumed" not in json.loads(out)
 
 
 @pytest.mark.parametrize("mode", ["tokens", "proper"])

@@ -1,5 +1,7 @@
 import gc
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -39,6 +41,7 @@ from oracles import (
     bracket_prefix_viable,
     deriving_by_fixpoint,
     initial_position,
+    leaves_by_reach,
     members_cut_at,
     outcome,
     parse_grammar_by_scan,
@@ -414,14 +417,142 @@ def test_dyck_chart_work_per_byte_is_flat(monkeypatch):
     assert per_advance[0] == per_advance[1]
 
 
+def _left_corner_chain(n: int) -> Grammar:
+    return _grammar(" ".join(f'A{i} -> A{i + 1} "x" | "y" ;' for i in range(n))
+                    + f' A{n} -> "z" ;')
+
+
 def test_prediction_closures_are_built_on_demand():
-    # a left-corner chain of 2000 nonterminals: two tables are built, the
-    # start's and the empty set's, as kernel items only ever wait on "x"
+    # a left-corner chain of 2000 nonterminals is finite, so A0 is a leaf and
+    # is scanned: two tables are built, the start's, which holds the start of
+    # A0's words, and the empty set's, of the positions inside them
     n = 2000
-    g = _grammar(" ".join(f'A{i} -> A{i + 1} "x" | "y" ;' for i in range(n)) + f' A{n} -> "z" ;')
+    g = _left_corner_chain(n)
     assert recognize(g, b"y" + b"x" * 5)
     assert recognize(g, b"z" + b"x" * n)
     assert list(g._reduced._chart) == [frozenset({"A0"}), frozenset()]
+    assert g._reduced._chart.leaves == {f"A{i}" for i in range(n + 1)}
+
+
+def test_the_scan_of_a_left_corner_chain_is_linear():
+    # the DFA's stacks are interned cons pairs, so a step costs no stack depth:
+    # the stacks and states built grow with n, and z x^n builds all of them
+    built = []
+    for n in (500, 1000, 2000):
+        g = _left_corner_chain(n)
+        assert recognize(g, b"z" + b"x" * n) and not recognize(g, b"z" + b"x" * (n - 1))
+        chart = g._reduced._chart
+        built.append((len(chart.frames), len(chart.states)))
+        assert recognize(g, b"y" + b"x" * 5)
+        assert len(chart.frames) == built[-1][0]
+    assert built == [(5 * n + 3, n + 2) for n in (500, 1000, 2000)]
+
+
+def test_a_word_costs_no_closure_per_byte(monkeypatch):
+    # inside a word of the document grammar a byte takes a DFA step, and the
+    # word's completion is closed once, not once per byte
+    g = _doc_grammar()
+    assert g._reduced._chart.leaves == {"Word", "Ch"}
+    counts = kernel_items(monkeypatch)
+    for word in ("a", "aé你" * 3, "aé你" * 3334):
+        counts.clear()
+        session = RecognitionSession(g).feed(0x5B)._feed_checked(word.encode())
+        assert session.live and not session.accepts()
+        assert len(counts) <= 3, len(counts)
+        assert session._last.scans and not any(
+            head in ("Word", "Ch") for head in chart_heads(session._last, g._reduced._chart))
+        assert session._feed_checked(b"]\n").accepts()
+    assert len(word.encode()) > 10_000
+
+
+def chart_heads(pos, chart) -> set[str]:
+    """The heads of the rules of the items that *pos* holds."""
+    return {chart.heads[lr] for items in pos.wait.values() for lr, _ in items} | {
+        chart.heads[lr] for ids in pos.pred.values() for lr in ids}
+
+
+def test_dyck_letters_has_no_leaf_and_never_scans(monkeypatch):
+    # the decoding grammar is self-embedding throughout: every position is
+    # the plain chart's, with no DFA state, stack or scan built
+    def scan(*args):
+        raise AssertionError("a chart with no leaf entered the scan path")
+
+    monkeypatch.setattr(toklang.grammar, "_scan", scan)
+    g = dyck_letters_grammar()
+    tokenizer = letter_bracket_tokenizer()
+    session = TokenRecognizer(g, tokenizer).open_session()
+    for tid in tokenizer.tokenize(b"[a[b]ab][[ab]a]" * 10):
+        assert session.allowed_next_tokens()
+        session.feed(tid)
+    chart = g._reduced._chart
+    assert not chart.leaves and not chart.states and not chart.frames
+    assert all(table.start is None for table in chart.values())
+    assert all(type(pos) is toklang.grammar._Position
+               for pos in _positions_behind(session.inner._last))
+
+
+def test_threads_sharing_a_fresh_grammar_build_its_scanner_alike():
+    # the tables, scan states and stacks are built on first use; threads that
+    # race to build them must each read a whole, consistent one
+    docs = [_doc(random.Random(seed), 300) for seed in range(4)]
+    cases = [(_doc_grammar, [*docs, *(d[:-1] + b"]" for d in docs), *(d[:150] for d in docs)]),
+             (lambda: _left_corner_chain(150),
+              [b"y" + b"x" * k for k in range(0, 160, 7)] + [b"z" + b"x" * k for k in (149, 150)])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for grammar, inputs in cases * 2:
+            want = [recognize(grammar(), w) for w in inputs]
+            g, got = grammar(), [None] * 8
+
+            def run(i):
+                got[i] = [recognize(g, w) for w in inputs[i:] + inputs[:i]]
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want[i:] + want[:i] for i in range(8)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_expected_and_died_at_inside_a_word():
+    g = _doc_grammar()
+    session = RecognitionSession(g).feed(0x5B).feed(0x61).feed(0xC3)  # "[a" and half an é
+    assert session.expected() == {0xA9, 0xBC, 0x9F}  # é, ü, ß
+    assert session.feed(0x61).died_at == 3
+    session = RecognitionSession(g).feed(0x5B).feed(0x61)
+    assert session.expected() == set(b"abcxy,]\xc3\xe4\xe5")  # more letters, or after the word
+    assert not session.accepts() and session.feed(0x5D).feed(0x0A).accepts()
+
+
+def test_positions_hold_no_reference_cycles():
+    # reference counting alone frees every position a session, its clones
+    # and its masks made, words under way and their templates included
+    for g, data in [(dyck_grammar(), b"[[][[]]]" * 40),
+                    (_grammar('S -> W "a" | "b" S "b" ; W -> "a" W | "a" ;'),
+                     b"b" * 30 + b"a" * 40 + b"b" * 30),
+                    (_doc_grammar(), _doc(random.Random(6), 1024))]:
+        tokenizer = train([data], 20)
+        assert recognize(g, data)  # builds the grammar's cached tables first
+        TokenRecognizer(g, tokenizer).open_session().allowed_next_tokens()
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session = TokenRecognizer(g, tokenizer).open_session()
+            for tid in tokenizer.tokenize(data):
+                session.clone().allowed_next_tokens()
+                session.feed(tid)
+            assert session.accepts()
+            del session
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # A copy of the grammar of the validate_docs benchmark: lines of bracketed
@@ -739,11 +870,26 @@ def _grammar(text):
 @example(_grammar('S -> "a" S | "" ;'))         # the accept sits on a Leo top at origin 0
 @example(_grammar('S -> A ; A -> "a" A | B ; B -> "b" B | "" ;'))  # chained right recursion
 @example(_grammar('S -> "a" S | "b" S | "" ;'))  # one terminal class, ab
+# leaves, scanned rather than predicted into: W overlaps the "a" after it
+@example(_grammar('S -> W "a" ; W -> "a" W | "a" ;'))
+@example(_grammar('S -> W "a" | "b" S "b" ; W -> "a" W | "a" ;'))
+@example(_grammar('S -> "b" W S "b" | "" ; W -> "a" W | "" ;'))  # a nullable leaf
+@example(_grammar('S -> "a" S | "b" "a" S | "b" ;'))             # the start is a leaf
+@example(_grammar('S -> "b" S "b" | A B ; A -> "a" A | "a" ; B -> "b" B | "" ;'))  # in a row
+@example(_grammar('S -> "b" S "b" | A ; A -> "a" B ; B -> "b" A | "a" ;'))  # one calling another
+@example(_grammar('S -> W S | "b" S "b" | "" ; W -> "a" W | "a" ;'))  # two words end at once
 def test_chart_matches_oracles_on_generated_grammars(g):
     members = strings_up_to(g, 5)
     viable = prefixes_of(members_cut_at(g, 5))
     # the chart runs on the chart grammar, fed the class of each terminal
     chart = g._reduced._chart
+    heads = [head for head, _ in chart.grammar.productions]
+
+    def outside_leaves(sets):
+        # a position holds no item of a leaf's rules: the words of the
+        # leaves are scanned, so only the other items compare
+        return {sym: kept for sym, items in sets.items()
+                if (kept := {item for item in items if heads[item[0]] not in chart.leaves})}
 
     def step(ref, t, consumed):
         # a reference walk is its last position and died_at, as in a session
@@ -762,7 +908,8 @@ def test_chart_matches_oracles_on_generated_grammars(g):
         assert session.expected() == {t for k in ref_last.wait if isinstance(k, int)
                                       for t in chart.members[k]}
         assert session._last.accepting == ref_last.accepting
-        assert wait_sets(session._last, chart) == wait_sets(ref_last)
+        assert (outside_leaves(wait_sets(session._last, chart))
+                == outside_leaves(wait_sets(ref_last)))
 
     def check(prefix, session):
         # the first cut of the prefix that is not viable: died_at is the byte
@@ -783,6 +930,8 @@ def test_chart_matches_oracles_on_generated_grammars(g):
         assert all(o is not None and o.index < last.index
                    for items in last.wait.values() for _, o in items)
         assert all(type(lr) is int for ids in last.pred.values() for lr in ids)
+        # and the mask walk steps each class it expects once
+        assert len(last.expected()) == len(set(last.expected()))
 
     def walk(prefix, session, ref):
         check(prefix, session)
@@ -795,6 +944,17 @@ def test_chart_matches_oracles_on_generated_grammars(g):
 
     walk((), RecognitionSession(g),
          (initial_position(chart.grammar), 0 if g.is_empty_language else None))
+
+
+@settings(max_examples=300)
+@given(small_grammars())
+@example(_grammar('S -> W S | "b" S "b" | "" ; W -> "a" W | "a" ;'))
+@example(_grammar('S -> A | "a" ; A -> B | "b" ; B -> S ;'))    # a unit cycle is a leaf
+@example(_grammar('S -> S "a" | "" ;'))                         # left recursion is not
+def test_leaves_match_their_definition(g):
+    # Tarjan's components, against every reach walked on its own; the chart
+    # grammar's classes leave the nonterminals' occurrences as they are
+    assert toklang.grammar._leaves(g) == leaves_by_reach(g) == g._chart.leaves
 
 
 @settings(max_examples=200)
