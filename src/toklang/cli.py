@@ -137,7 +137,7 @@ def cmd_detokenize(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    from .grammar import RecognitionSession
+    from .grammar import RecognitionSession, as_terminals
     mode = args.mode
     reason = None
     if args.bytes and (mode != "chars" or args.alphabet != "byte"):
@@ -148,19 +148,16 @@ def cmd_recognize(args) -> int:
             if value is not None:
                 raise CliError(f"{flag} is only read in --mode tokens or proper")
         g = _grammar(args)
-        if g.alphabet == "byte":
-            terms = _read_byte_input(args)
-        else:
-            terms = [ord(c) for c in _read_text_input(args)]
-        session = RecognitionSession(g)
+        data = _read_byte_input(args) if g.alphabet == "byte" else _read_text_input(args)
+        session = RecognitionSession(g)._feed_checked(as_terminals(g, data))
     else:
         rec = _recognizer(args)
         terms = rec.tokenizer.check_ids(_parse_ids(args))  # every id, past a death too
         session = rec.open_session()  # died_at counts bytes
-    for t in terms:
-        session.feed(t)
-        if not session.live:
-            break
+        for t in terms:
+            session.feed(t)
+            if not session.live:
+                break
     accept = session.accepts()
     if mode == "proper" and accept:
         from .bpe import Kind

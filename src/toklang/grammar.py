@@ -193,7 +193,9 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # from the base is closed once into a template whose wait, pred, leo and
 # accept flag later positions of the word share.  So a position holds no
 # item of a leaf's rules, and a byte inside a word costs a DFA step and one
-# _Position.  Dyck-letters has no leaf: its chart and masks are as before.
+# _Position.  One _Position class and one step, _advance, serve every chart;
+# a chart with no leaf, such as Dyck-letters', has no word under way at any
+# position, and each of its steps pays one test for that.
 # The plain chart without these shortcuts is kept in tests/oracles.py as the
 # reference the property tests compare with.
 #
@@ -367,36 +369,29 @@ class _Chart(dict):
 
 
 class _Position:
-    __slots__ = ("index", "wait", "pred", "accepting", "leo")
-    scans: list[tuple] | tuple = ()  # the words under way, a _Scanning's own
+    """A chart position; its scans are the words under way there, each
+    (scan state, base position, templates): a non-empty list, or ``()``."""
+    __slots__ = ("index", "wait", "pred", "accepting", "leo", "scans")
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, scans: list[tuple] | tuple = ()):
         self.index = index
         self.wait: dict[str | int, list[tuple]] = {}  # kernel items only
         self.pred: _Table  # shared, never mutated; set by the closure
         self.accepting = False
         # nonterminal -> topmost item of its reduction path from here
         self.leo: dict[str, tuple] = {}
+        self.scans = scans
 
     def expected(self) -> list[int]:
         """The terminals this position advances on, each once: those its
         kernel items wait on that its prediction table lacks, then the
-        table's own."""
+        table's own, then the classes the words under way take."""
         pred = self.pred
         out = [sym for sym in self.wait if sym.__class__ is int and sym not in pred]
         out += pred.terminals
+        if self.scans:
+            out = [*dict.fromkeys(out + [t for state, _, _ in self.scans for t in state.on])]
         return out
-
-
-class _Scanning(_Position):
-    """A position of a chart with leaves, with the words under way there,
-    each (scan state, base position, templates)."""
-    __slots__ = ("scans",)
-
-    def expected(self) -> list[int]:
-        """And the classes the words under way take, each once."""
-        scanned = [t for state, _, _ in self.scans for t in state.on]
-        return [*dict.fromkeys(super().expected() + scanned)]
 
 
 def _close(chart: _Chart, pos: _Position, seeds) -> int:
@@ -464,38 +459,26 @@ def _close(chart: _Chart, pos: _Position, seeds) -> int:
 
 
 def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
-    if chart.leaves:
-        return _scan(chart, last, terminal)
+    """The position after *last* on *terminal*, or None: the chart items,
+    the words under way and those of the leaves *last* predicts step by
+    *terminal*, the words only where some are under way or start."""
+    scans, pred, done = last.scans, last.pred, 0  # done: how many words end here
+    if scans or pred.start is not None:
+        going = []  # the words that go on
+        for state, base, templates in scans if pred.start is None else (
+                *scans, (pred.start, last, None)):
+            state = state[terminal]
+            if state is not None:
+                going.append((state, base, {} if templates is None else templates))
+                if state.accepts:
+                    done, ended = done + 1, going[-1]
+        scans = going or ()
     kernel = last.wait.get(terminal, ())
-    predicted = last.pred.get(terminal, ())
-    if not (kernel or predicted):
-        return None
-    pos = _Position(last.index + 1)
-    seeds = [(lr + 1, o) for lr, o in kernel]
-    if predicted:
-        seeds += [(lr + 1, last) for lr in predicted]
-    _close(chart, pos, seeds)
-    return pos
-
-
-def _scan(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
-    """``_advance`` on a chart with leaves: the chart items, the words under
-    way and those of the leaves *last* predicts step by *terminal*."""
-    scans, done = [], 0  # the words that go on, and how many of them end here
-    start = last.pred.start
-    for state, base, templates in last.scans if start is None else (
-            *last.scans, (start, last, None)):
-        state = state[terminal]
-        if state is not None:
-            scans.append((state, base, {} if templates is None else templates))
-            if state.accepts:
-                done, ended = done + 1, scans[-1]
-    kernel = last.wait.get(terminal, ())
-    predicted = last.pred.get(terminal, ())
+    predicted = pred.get(terminal, ())
     if not (kernel or predicted or done > 1):  # words alone go on
         if not scans:
             return None
-        pos = object.__new__(_Scanning)
+        pos = object.__new__(_Position)
         pos.index, pos.scans = last.index + 1, scans
         if not done:
             pos.wait, pos.pred, pos.leo, pos.accepting = {}, chart[frozenset()], {}, False
@@ -508,8 +491,7 @@ def _scan(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
         pos.wait, pos.pred, pos.leo = template.wait, template.pred, template.leo
         pos.accepting = template.accepting
         return pos
-    pos = _Scanning(last.index + 1)
-    pos.scans = scans
+    pos = _Position(last.index + 1, scans)
     seeds = [(lr + 1, o) for lr, o in kernel]
     if predicted:
         seeds += [(lr + 1, last) for lr in predicted]
@@ -570,9 +552,8 @@ class RecognitionSession:
         if self.died_at is None:
             chart = self.grammar._chart
             of, pos = chart.of.get, self._last
-            advance = _scan if chart.leaves else _advance  # what _advance would call
             for t in terms:
-                nxt = advance(chart, pos, of(t, t))
+                nxt = _advance(chart, pos, of(t, t))
                 if nxt is None:
                     self.died_at = pos.index
                     break

@@ -184,6 +184,30 @@ def test_recognize_chars_unicode_grammar(files, capsys):
     assert rc == 1
 
 
+def test_recognize_chars_checks_once_and_feeds_in_one_call(files, capsys, monkeypatch):
+    # the input is checked as a whole and run by the session's one feed
+    # loop, not fed a terminal at a time, with a death inside it too
+    checked = []
+    check = toklang.grammar.as_terminals
+
+    def counted(g, w):
+        checked.append(w)
+        return check(g, w)
+
+    def feed(*args):
+        raise AssertionError("chars mode fed one terminal at a time")
+
+    monkeypatch.setattr(toklang.grammar, "as_terminals", counted)
+    monkeypatch.setattr(toklang.grammar.RecognitionSession, "feed", feed)
+    for argv, rc_want, died_at in (([files["dyck"], "--alphabet", "byte", "[[]]"], 0, None),
+                                   ([files["dyck"], "--alphabet", "byte", "[]]["], 1, 2),
+                                   ([files["mix"], "aé你"], 0, None)):
+        checked.clear()
+        rc, out = run(capsys, "recognize", "--structured", "--grammar", *argv)
+        assert rc == rc_want and json.loads(out)["died_at"] == died_at
+        assert len(checked) == 1
+
+
 def test_recognize_tokens(files, capsys):
     rc, _ = run(capsys, "recognize", "--grammar", files["dyck"], "--alphabet", "byte",
                 "--tokenizer", files["brackets"], "--mode", "tokens", "4 5")

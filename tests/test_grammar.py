@@ -472,12 +472,12 @@ def chart_heads(pos, chart) -> set[str]:
 
 
 def test_dyck_letters_has_no_leaf_and_never_scans(monkeypatch):
-    # the decoding grammar is self-embedding throughout: every position is
-    # the plain chart's, with no DFA state, stack or scan built
+    # the decoding grammar is self-embedding throughout: no position has a
+    # word under way, and no DFA state, stack or scan is built
     def scan(*args):
-        raise AssertionError("a chart with no leaf entered the scan path")
+        raise AssertionError("a chart with no leaf built a scan state")
 
-    monkeypatch.setattr(toklang.grammar, "_scan", scan)
+    monkeypatch.setattr(toklang.grammar._Chart, "scan", scan)
     g = dyck_letters_grammar()
     tokenizer = letter_bracket_tokenizer()
     session = TokenRecognizer(g, tokenizer).open_session()
@@ -487,8 +487,18 @@ def test_dyck_letters_has_no_leaf_and_never_scans(monkeypatch):
     chart = g._reduced._chart
     assert not chart.leaves and not chart.states and not chart.frames
     assert all(table.start is None for table in chart.values())
-    assert all(type(pos) is toklang.grammar._Position
-               for pos in _positions_behind(session.inner._last))
+    assert all(pos.scans == () for pos in _positions_behind(session.inner._last))
+
+
+def test_a_position_with_no_word_under_way_holds_no_list():
+    # every word dies at some bytes that still have chart items: the
+    # position there holds (), as a chart with no leaf does, not []
+    g = _doc_grammar()
+    session = RecognitionSession(g)
+    positions = [session.feed(b)._last for b in "[aé,b]\n[]\n".encode()]
+    assert session.accepts() and len(positions) == 11
+    assert all(pos.scans == () or (type(pos.scans) is list and pos.scans) for pos in positions)
+    assert any(pos.scans == () for pos in positions) and any(pos.scans for pos in positions)
 
 
 def test_threads_sharing_a_fresh_grammar_build_its_scanner_alike():
