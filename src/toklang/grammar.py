@@ -189,13 +189,13 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # DFA over its words instead of its items; a state is a set of NFA stacks of
 # item ids, an item before a nonterminal pushing itself stepped unless that
 # ends its rule, so stacks are finitely many.  A position carries its scans,
-# (state, base position, templates); when a state accepts, the completion
-# from the base is closed once into a template whose wait, pred, leo and
-# accept flag later positions of the word share.  So a position holds no
-# item of a leaf's rules, and a byte inside a word costs a DFA step and one
-# _Position.  One _Position class and one step, _advance, serve every chart;
-# a chart with no leaf, such as Dyck-letters', has no word under way at any
-# position, and each of its steps pays one test for that.
+# (state, base position, templates); a state that accepts closes the base's
+# completion once into a template.  A position of words alone shares the
+# wait, pred, leo and accept flag of the one ending word's template, or of
+# the chart's empty position.  So it holds no item of a leaf's rules, and a
+# byte inside a word costs a DFA step and one _Position.  One _Position class
+# and one step, _advance, serve every chart; a chart with no leaf, such as
+# Dyck-letters', has no word under way, and each step pays one test for that.
 # The plain chart without these shortcuts is kept in tests/oracles.py as the
 # reference the property tests compare with.
 #
@@ -232,8 +232,8 @@ class _ScanState(dict):
 class _Chart(dict):
     """What the chart reads of one reduced grammar: the chart grammar over
     its terminal classes, the class maps, the flat LR(0) items of the chart
-    grammar with each head's own prediction entries, the leaves' DFA, and
-    position 0.
+    grammar with each head's own prediction entries, the leaves' DFA,
+    position 0 and the empty position.
 
     As a dict, for each set of nonterminals that the kernel items of a chart
     position wait on, the items predicted there, as one read-only table
@@ -241,10 +241,10 @@ class _Chart(dict):
     the own entries of each nonterminal that predicting the set reaches,
     dots stepped over a nullable prefix and completed items left out, and
     the scan state of the leaves it reaches, each class that state takes a
-    key.  A table is built on its first lookup, one per set the inputs meet."""
+    key.  A table is built on its first lookup, the empty set's with the chart."""
 
     __slots__ = ("grammar", "of", "members", "base", "syms", "heads", "nullable", "own",
-                 "initial", "leaves", "ends", "frames", "stacks", "states")
+                 "initial", "empty", "leaves", "ends", "frames", "stacks", "states")
 
     def __init__(self, g: Grammar):
         super().__init__()
@@ -292,8 +292,9 @@ class _Chart(dict):
         # an NFA stack is an interned int: frames[stack] is (item, stack below)
         self.leaves, self.frames, self.stacks, self.states = _leaves(chart), {}, {}, {}
         self.initial = pos = _Position(0)
-        pos.pred = self[frozenset((g.start,))]
-        pos.accepting = g.start in nullables
+        pos.pred, pos.accepting = self[frozenset((g.start,))], g.start in nullables
+        self.empty = _Position(0)  # no item and no Leo entry, as inside a word
+        self.empty.pred = self[frozenset()]
 
     def __missing__(self, key: frozenset) -> dict:
         order = sorted(key)
@@ -461,7 +462,8 @@ def _close(chart: _Chart, pos: _Position, seeds) -> int:
 def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
     """The position after *last* on *terminal*, or None: the chart items,
     the words under way and those of the leaves *last* predicts step by
-    *terminal*, the words only where some are under way or start."""
+    *terminal*, the words only where some are under way or start.  Where
+    words alone go on, it shares the ended word's template or the empty position."""
     scans, pred, done = last.scans, last.pred, 0  # done: how many words end here
     if scans or pred.start is not None:
         going = []  # the words that go on
@@ -478,18 +480,16 @@ def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
     if not (kernel or predicted or done > 1):  # words alone go on
         if not scans:
             return None
+        closed = chart.empty  # and none ends: share the empty position
+        if done:  # or one ends: share its template
+            state, base, templates = ended
+            closed = templates.get(state.accepts)
+            if closed is None:
+                closed = templates[state.accepts] = _Position(base.index)
+                _close(chart, closed, [(chart.ends[leaf], base) for leaf in state.accepts])
         pos = object.__new__(_Position)
-        pos.index, pos.scans = last.index + 1, scans
-        if not done:
-            pos.wait, pos.pred, pos.leo, pos.accepting = {}, chart[frozenset()], {}, False
-            return pos
-        state, base, templates = ended  # and one ends: share its template
-        template = templates.get(state.accepts)
-        if template is None:
-            template = templates[state.accepts] = _Position(base.index)
-            _close(chart, template, [(chart.ends[leaf], base) for leaf in state.accepts])
-        pos.wait, pos.pred, pos.leo = template.wait, template.pred, template.leo
-        pos.accepting = template.accepting
+        pos.index, pos.scans, pos.wait, pos.pred, pos.leo, pos.accepting = (
+            last.index + 1, scans, closed.wait, closed.pred, closed.leo, closed.accepting)
         return pos
     pos = _Position(last.index + 1, scans)
     seeds = [(lr + 1, o) for lr, o in kernel]

@@ -56,20 +56,18 @@ class SuiteReport(Value):
 def find_tokenize_witness(t: Tokenizer) -> tuple[bytes, bytes] | None:
     """A pair (x, y) with tokenize(x + y) != tokenize(x) + tokenize(y).
 
-    Candidates come from the merge rules themselves: the two sides of a
-    merge, and every split point of a merged token's byte string.
+    Candidates, tried merge by merge in rank order: the two sides of a
+    merge, then every split point of its merged token's byte string.
     """
-    candidates: list[tuple[bytes, bytes]] = []
     for left, right, merged in t.merges:
-        candidates.append((t.vocab[left], t.vocab[right]))
         bs = t.vocab[merged]
-        candidates.extend((bs[:cut], bs[cut:]) for cut in range(1, len(bs)))
-    for x, y in candidates:
-        try:
-            if t.tokenize(x) + t.tokenize(y) != t.tokenize(x + y):
-                return (x, y)
-        except TokenizerError:
-            continue
+        for x, y in itertools.chain([(t.vocab[left], t.vocab[right])],
+                                    ((bs[:cut], bs[cut:]) for cut in range(1, len(bs)))):
+            try:
+                if t.tokenize(x) + t.tokenize(y) != t.tokenize(x + y):
+                    return (x, y)
+            except TokenizerError:
+                continue
     return None
 
 

@@ -552,6 +552,21 @@ def test_train_and_use(files, capsys, tmp_path):
     assert rc == 0 and out == "256\n"
 
 
+def test_train_reads_a_corpus_alike_whatever_its_line_ends(capsys, tmp_path):
+    # a final newline, none, or \r\n line ends: the same samples, the same file
+    trained = []
+    for k, data in enumerate([b"ab ab\nba b\nab", b"ab ab\nba b\nab\n",
+                              b"ab ab\r\nba b\r\nab\r\n"]):
+        corpus, out_path = tmp_path / f"corpus{k}.txt", tmp_path / f"trained{k}.json"
+        corpus.write_bytes(data)
+        rc, _ = run(capsys, "train", "--corpus", str(corpus), "--merges", "4",
+                    "--output", str(out_path))
+        assert rc == 0
+        trained.append(out_path.read_bytes())
+    assert trained[0] == trained[1] == trained[2]
+    assert trained[0] == (dumps_tokenizer(train([b"ab ab", b"ba b", b"ab"], 4)) + "\n").encode()
+
+
 def test_train_bytes_learns_from_the_raw_file(capsys, tmp_path):
     data = b"a\r\nb\r\nc\rd\n\xff\xff\r\n"
     corpus = tmp_path / "raw.bin"
@@ -574,6 +589,20 @@ def test_sample(files, capsys):
     assert len(lines) == 3
     for line in lines:
         assert set(line) <= {"[", "]"}
+
+
+def test_sample_does_not_recognize_its_samples(files, capsys, monkeypatch):
+    # that what the sampler draws is a member is tested on the sampler; the
+    # command only prints the samples
+    argv = ["sample", "--grammar", files["dyck"], "--alphabet", "byte", "--count", "5",
+            "--seed", "3"]
+    want = run(capsys, *argv)
+
+    def recognize(g, w):
+        raise AssertionError("sample recognized a sample")
+
+    monkeypatch.setattr(toklang.grammar, "recognize", recognize)
+    assert run(capsys, *argv) == want and want[0] == 0 and len(want[1].splitlines()) == 5
 
 
 def test_sample_of_bytes_that_are_not_utf8_is_escaped(capsys, tmp_path):

@@ -32,6 +32,7 @@ from toklang.toys import (
     dyck_grammar,
     dyck_letters_grammar,
     letter_bracket_tokenizer,
+    unicode_mix_grammar,
 )
 
 from oracles import (
@@ -499,6 +500,23 @@ def test_a_position_with_no_word_under_way_holds_no_list():
     assert session.accepts() and len(positions) == 11
     assert all(pos.scans == () or (type(pos.scans) is list and pos.scans) for pos in positions)
     assert any(pos.scans == () for pos in positions) and any(pos.scans for pos in positions)
+
+
+def test_positions_that_hold_only_words_share_one_closed_position():
+    # inside a multi-byte character no word ends and no chart item steps:
+    # each position there shares the wait and leo of the chart's one empty
+    # position rather than holding empty ones of its own
+    g = _doc_grammar()
+    data = "[a你好éb,ü]\n".encode()
+    session = RecognitionSession(g)
+    positions = [session.feed(b)._last for b in data]
+    assert session.accepts() and len(positions) == 16
+    inside = [pos for pos, b in zip(positions, data[1:]) if b & 0xC0 == 0x80]
+    assert len(inside) == 6
+    assert all(pos.scans and not pos.wait and not pos.pred and not pos.leo for pos in inside)
+    assert len({id(pos.wait) for pos in inside}) == len({id(pos.leo) for pos in inside}) == 1
+    empty = g._reduced._chart.empty
+    assert inside[0].wait is empty.wait and inside[0].leo is empty.leo
 
 
 def test_threads_sharing_a_fresh_grammar_build_its_scanner_alike():
@@ -1042,10 +1060,12 @@ def test_session_frees_positions_of_closed_groups():
 
 
 def test_sample_outputs_are_members(dyck):
-    for seed in range(20):
-        w = sample(dyck, 80, seed)
-        if w is not None:
-            assert recognize(dyck, w)
+    # on both alphabets, and through the scanner of a leaf
+    leaf = _grammar('S -> "[" S "]" | W ; W -> "a" W | "a" ;')
+    for g in (dyck, unicode_mix_grammar(), leaf):
+        members = [w for seed in range(20) if (w := sample(g, 80, seed)) is not None]
+        assert len(members) > 10 and all(recognize(g, w) for w in members)
+    assert leaf._reduced._chart.leaves == {"W"}
 
 
 def test_sample_unique_string_grammar():

@@ -47,6 +47,24 @@ def test_witness_found_for_trained_tokenizer():
     assert t.tokenize(x) + t.tokenize(y) != t.tokenize(x + y)
 
 
+def test_witness_search_stops_at_its_witness():
+    # the first merge's sides are a witness: no later merge is read
+    read = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            for merge in super().__iter__():
+                read.append(merge)
+                yield merge
+
+    t = train([b"the cat sat on the mat"] * 3, 12)
+    counted = Tokenizer(t.vocab, Counted(t.merges))
+    counted.merge_ranks  # built first, as tokenize would build it
+    read.clear()
+    assert find_tokenize_witness(counted) == find_tokenize_witness(t)
+    assert len(t.merges) == 12 and len(read) == 1
+
+
 def test_equivalence_suite_counts(dyck, brackets):
     report = run_equivalence_suite(TokenRecognizer(dyck, brackets), max_len=3)
     assert report.passed
