@@ -243,7 +243,7 @@ class _Chart(dict):
     the scan state of the leaves it reaches, each class that state takes a
     key.  A table is built on its first lookup, the empty set's with the chart."""
 
-    __slots__ = ("grammar", "of", "members", "base", "syms", "heads", "nullable", "own",
+    __slots__ = ("grammar", "of", "members", "syms", "heads", "nullable", "own",
                  "initial", "empty", "leaves", "ends", "frames", "stacks", "states")
 
     def __init__(self, g: Grammar):
@@ -272,17 +272,16 @@ class _Chart(dict):
         self.grammar = chart = Grammar(g.nonterminals, g.alphabet, tuple(dict.fromkeys(
             Production(head, tuple(of.get(s, s) for s in body))
             for head, body in g.productions)), g.start)
-        # rule r's item with its dot at d is id base[r] + d, so id + 1 is the
-        # item with its dot stepped; per id, the symbol after the dot (None
-        # once complete), the head, and whether that symbol is nullable.
-        # Classes leave nullability as it is, so g's nullables are chart's
+        # rule r's item with its dot at d is id d + the items of the rules
+        # before r, so id + 1 is the item with its dot stepped; per id, the
+        # symbol after the dot (None once complete), the head, and whether that
+        # symbol is nullable.  Classes leave nullability as it is: g's nullables are chart's
         nullables = g._nullable
-        self.base, self.syms, self.heads = base, syms, heads = [], [], []
+        self.syms, self.heads = syms, heads = [], []
         self.own = own = {n: [] for n in chart.nonterminals}
         for head, body in chart.productions:
-            base.append(len(syms))
             for dot, sym in enumerate(body):
-                own[head].append((sym, base[-1] + dot))
+                own[head].append((sym, len(syms) + dot))
                 if sym not in nullables:
                     break
             syms += body + (None,)
@@ -663,8 +662,7 @@ def reduce_grammar(g: Grammar) -> Grammar:
     grammar (the start alone, no productions) — a legal value, not an error.
     """
     generating = _deriving(g.productions, terminals=True)
-    kept = [p.head in generating
-            and all(not isinstance(s, str) or s in generating for s in p.body)
+    kept = [all(not isinstance(s, str) or s in generating for s in p.body)
             for p in g.productions]
     reachable = {g.start}
     frontier = [g.start]

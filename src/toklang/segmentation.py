@@ -137,18 +137,9 @@ def unmerge(t: Tokenizer, ids: Iterable[int]) -> list[int]:
     each byte straight to its single-byte token.  Detokenization is
     unchanged: detokenize(unmerge(ids)) == detokenize(ids).
     """
-    seq = t.check_ids(ids)
-    sb = t.single_byte_ids
-    out: list[int] = []
-    for tid in seq:
-        for b in t.vocab[tid]:
-            base = sb.get(b)
-            if base is None:
-                raise TokenizerError(
-                    f"token {tid} is not decomposable: no single-byte token "
-                    f"for byte 0x{b:02x}")
-            out.append(base)
-    return out
+    data = t.detokenize(ids)  # the one check of the ids
+    t._check_covered(data)
+    return list(map(t.single_byte_ids.__getitem__, data))
 
 
 def classify(t: Tokenizer, ids: Iterable[int]) -> Classification:

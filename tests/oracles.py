@@ -438,7 +438,7 @@ def rule_dot_items(chart, pos) -> dict[str | int, list[tuple]]:
     chart's item layout: its kernel items (flat LR(0) id, origin) and the
     bare ids of its shared prediction table, each id mapped back to (rule,
     dot) of the chart grammar, the predicted ones with origin None."""
-    base = chart.base
+    base = [0, *itertools.accumulate(len(body) + 1 for _, body in chart.grammar.productions)]
 
     def rule_dot(lr: int) -> tuple[int, int]:
         rule = bisect_right(base, lr) - 1

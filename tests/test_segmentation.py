@@ -14,6 +14,7 @@ from toklang import (
     count_tokenizations,
     enumerate_tokenizations,
     find_mergeable_pair,
+    loads_tokenizer,
     train,
     unmerge,
 )
@@ -278,8 +279,19 @@ def test_unmerge_preserves_detokenization(ids):
 
 def test_unmerge_indecomposable_token():
     t = Tokenizer((b"ab",))
-    with pytest.raises(TokenizerError, match="decomposable"):
+    with pytest.raises(TokenizerError, match="no single-byte token for byte 0x61"):
         unmerge(t, [0])
+
+
+def test_a_byte_with_no_single_byte_token_has_one_error():
+    # the tokenizer of the CI step's abc.json: no single-byte token for b or c
+    t = loads_tokenizer('{"version": 1, "vocab": {"a": 0, "bc": 1, "abc": 2}, '
+                        '"merges": [["a", "bc"]]}')
+    for call in (lambda: t.tokenize(b"abc"), lambda: classify(t, [0, 1]),
+                 lambda: t.is_proper([0, 1]), lambda: unmerge(t, [0, 1])):
+        with pytest.raises(TokenizerError) as e:
+            call()
+        assert str(e.value) == "no single-byte token for byte 0x62"
 
 
 # --- classification -----------------------------------------------------------------
