@@ -210,7 +210,13 @@ class Tokenizer(Frozen):
         return t
 
     def check_ids(self, ids: Iterable[int]) -> list[int]:
-        return [self.check_id(t) for t in ids]
+        """*ids* as a list, checked in one pass; only a list that fails it is
+        walked id by id, for ``check_id``'s error on its first bad id."""
+        seq = list(ids)
+        if not (set(map(type, seq)) == {int} and 0 <= min(seq) and max(seq) < len(self.vocab)):
+            for t in seq:
+                self.check_id(t)
+        return seq
 
     def _join(self, seq: list[int]) -> bytes:
         """detokenize of IDs already checked."""
@@ -698,12 +704,9 @@ def _gpt2_byte_table() -> dict[int, str]:
     return {b: chr(c) for b, c in zip(bs, cs)}
 
 
-_GPT2_DECODER: dict[str, int] = {c: b for b, c in _gpt2_byte_table().items()}
-
-
-def _gpt2_str_to_bytes(token: str) -> bytes:
+def _gpt2_str_to_bytes(decoder: dict[str, int], token: str) -> bytes:
     try:
-        return bytes(_GPT2_DECODER[ch] for ch in token)
+        return bytes(decoder[ch] for ch in token)
     except KeyError as e:
         raise TokenizerError(
             f"character {e.args[0]!r} is not in the byte-level codepoint table") from None
@@ -721,7 +724,9 @@ def load_gpt2_tokenizer(vocab_path, merges_path) -> Tokenizer:
         raw_vocab = _json_value(fh.read(), "vocab file")
     if not isinstance(raw_vocab, dict):
         raise TokenizerError("vocab file must map token strings to ids")
-    vocab = _vocab_from_map(raw_vocab, _gpt2_str_to_bytes)
+    # the table's inverse, built here: nothing else reads it
+    decode = partial(_gpt2_str_to_bytes, {c: b for b, c in _gpt2_byte_table().items()})
+    vocab = _vocab_from_map(raw_vocab, decode)
 
     merges = []
     with open(merges_path, encoding="utf-8") as fh:
@@ -732,6 +737,5 @@ def load_gpt2_tokenizer(vocab_path, merges_path) -> Tokenizer:
             fields = line.split(" ")
             if len(fields) != 2:
                 raise TokenizerError(f"merges line {lineno}: expected two fields")
-            merges.append(
-                (_gpt2_str_to_bytes(fields[0]), _gpt2_str_to_bytes(fields[1]), lineno))
+            merges.append((decode(fields[0]), decode(fields[1]), lineno))
     return _tokenizer_from(vocab, merges, "merges line {}")

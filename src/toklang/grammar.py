@@ -394,17 +394,17 @@ class _Position:
         return out
 
 
-def _close(chart: _Chart, pos: _Position, seeds) -> int:
-    """Fill *pos* with the closure of the kernel items *seeds*, then with
-    its Leo items, and return how many kernel items it processed.  The
-    predicted items are those of the table for the nonterminals the kernel
-    items wait on, nullables stepped over and completed ones left out: a
-    completion that starts at *pos* adds nothing, so none here reads
-    *pos*'s own table or Leo items."""
+def _close(chart: _Chart, pos: _Position, seeds: list[tuple]) -> int:
+    """Fill *pos* with the closure of the kernel items *seeds*, a list it
+    owns and grows uncopied, then with its Leo items, and return how many
+    kernel items it processed.  The predicted items are those of the table
+    for the nonterminals the kernel items wait on, nullables stepped over
+    and completed ones left out: a completion that starts at *pos* adds
+    nothing, so none here reads *pos*'s own table or Leo items."""
     syms, heads, nullable = chart.syms, chart.heads, chart.nullable
     start = chart.grammar.start
 
-    items = list(seeds)
+    items = seeds
     seen = set(items)
     predicted: set[str] = set()
     wait = pos.wait
@@ -476,6 +476,8 @@ def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
         scans = going or ()
     kernel = last.wait.get(terminal, ())
     predicted = pred.get(terminal, ())
+    pos = object.__new__(_Position)  # no __init__, and below no comprehension: each is a call
+    pos.index, pos.scans = last.index + 1, scans
     if not (kernel or predicted or done > 1):  # words alone go on
         if not scans:
             return None
@@ -486,16 +488,18 @@ def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
             if closed is None:
                 closed = templates[state.accepts] = _Position(base.index)
                 _close(chart, closed, [(chart.ends[leaf], base) for leaf in state.accepts])
-        pos = object.__new__(_Position)
-        pos.index, pos.scans, pos.wait, pos.pred, pos.leo, pos.accepting = (
-            last.index + 1, scans, closed.wait, closed.pred, closed.leo, closed.accepting)
+        pos.wait, pos.pred, pos.leo, pos.accepting = (
+            closed.wait, closed.pred, closed.leo, closed.accepting)
         return pos
-    pos = _Position(last.index + 1, scans)
-    seeds = [(lr + 1, o) for lr, o in kernel]
-    if predicted:
-        seeds += [(lr + 1, last) for lr in predicted]
+    pos.wait, pos.leo, pos.accepting, seeds = {}, {}, False, []
+    for lr, o in kernel:
+        seeds.append((lr + 1, o))
+    for lr in predicted:
+        seeds.append((lr + 1, last))
     if done:  # and the words that end here
-        seeds += [(chart.ends[leaf], base) for state, base, _ in scans for leaf in state.accepts]
+        for state, base, _ in scans:
+            for leaf in state.accepts:
+                seeds.append((chart.ends[leaf], base))
     _close(chart, pos, seeds)
     return pos
 
@@ -572,21 +576,22 @@ class RecognitionSession:
     def _allowed(self, trie: dict[int, list]) -> set[int]:
         """The ids of the words of *trie*, a ``_Chart.class_trie``, that keep
         this session live: a depth-first walk of the trie paired with chart
-        positions, entering only the classes a position expects.  A word
-        whose last class is expected is allowed without advancing (on a
-        reduced grammar an expected class leaves the chart live); a class
-        prefix is advanced once, for every word that shares it.  Positions
-        are immutable, so the session is never touched.  A dead one allows
-        nothing."""
+        positions, entering only the classes a position expects: a child
+        class of a node is tested against the position's own maps, those
+        of ``wait``, ``pred`` and its words under way, whose keys are
+        ``_Position.expected``, so no node builds a list.  A word whose last
+        class is expected is allowed without advancing (on a reduced grammar
+        an expected class leaves the chart live); a class prefix is advanced
+        once, for every word that shares it.  Positions are immutable, so
+        the session is never touched.  A dead one allows nothing."""
         chart = self.grammar._chart
         allowed: set[int] = set()
         stack = [(self._last, trie)] if self.died_at is None else []
         while stack:
             pos, node = stack.pop()
-            for c in pos.expected():
-                hit = node.get(c)
-                if hit is not None:
-                    ids, children = hit
+            wait, pred, scans = pos.wait, pos.pred, pos.scans
+            for c, (ids, children) in node.items():
+                if c in wait or c in pred or scans and any(c in s[0].on for s in scans):
                     if ids:
                         allowed.update(ids)
                     if children:

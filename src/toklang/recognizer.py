@@ -123,7 +123,8 @@ class TokenSession:
 
     def allowed_next_tokens(self) -> set[int]:
         """Exactly the token IDs that keep this session live: the byte
-        session's walk of the relevant tokens by their bytes' classes."""
+        session's walk of the relevant tokens by their bytes' classes, one
+        chart advance per expected class prefix that longer tokens share."""
         return self.inner._allowed(self.recognizer._class_trie)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+import toklang.bpe
 from toklang import (
     Tokenizer,
     TokenizerError,
@@ -116,6 +117,35 @@ def test_detokenize_unknown_id(aab):
 def test_bool_is_not_a_token_id(aab, entry):
     with pytest.raises(TokenizerError, match="unknown token id True"):
         entry(aab)
+
+
+class _Id(int):
+    """An int subclass: like bool, no token id."""
+
+
+def _check_ids_by_id(t: Tokenizer, ids) -> list[int]:
+    """``check_ids`` one id at a time: its reference."""
+    seq = []
+    for x in ids:
+        if type(x) is not int or not 0 <= x < len(t.vocab):
+            raise TokenizerError(f"unknown token id {x!r}")
+        seq.append(x)
+    return seq
+
+
+@given(st.lists(st.one_of(st.integers(-2, 7), st.booleans(), st.integers(0, 5).map(_Id),
+                          st.integers(), st.floats(), st.text(max_size=2)), max_size=8),
+       st.booleans())
+@example([3, 6, "x", -1], False)
+@example([0, True], True)
+def test_check_ids_matches_a_per_id_check(ids, lazily):
+    # the one-pass check accepts, and names the first bad id, as the loop does
+    t = aab_tokenizer()
+
+    def given_ids():
+        return (x for x in ids) if lazily else list(ids)
+
+    assert outcome(t.check_ids, given_ids()) == outcome(_check_ids_by_id, t, given_ids())
 
 
 @given(st.binary(max_size=64))
@@ -404,6 +434,29 @@ def test_gpt2_loader_rejects_a_character_outside_the_byte_table(tmp_path):
     with pytest.raises(TokenizerError,
                        match="^character ' ' is not in the byte-level codepoint table$"):
         load_gpt2_tokenizer(vocab_path, merges_path)
+
+
+def test_only_the_gpt2_loader_builds_the_byte_table(tmp_path, monkeypatch):
+    # importing the module calls no table builder: a fresh process records calls
+    probe = ("import sys\nbuilt = []\n"
+             "sys.setprofile(lambda frame, event, _: event == 'call'"
+             " and frame.f_code.co_name == '_gpt2_byte_table' and built.append(1))\n"
+             "import toklang.bpe\nsys.setprofile(None)\nprint(len(built))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+    # and the loader builds it once per call
+    vocab_path, merges_path = _write_gpt2_fixture(tmp_path)
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return _gpt2_byte_table()
+
+    monkeypatch.setattr(toklang.bpe, "_gpt2_byte_table", counted)
+    assert load_gpt2_tokenizer(vocab_path, merges_path).vocab[257] == b"abc"
+    assert len(calls) == 1
 
 
 def test_real_vocab_demo_runs(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from toklang import (
     reduce_grammar,
     relevant_token_ids,
     sample,
+    train,
 )
 from toklang.toys import (
     aab_tokenizer,
@@ -38,7 +40,13 @@ from oracles import (
     prefixes_of,
     strings_up_to,
 )
-from test_grammar import kernel_items, small_grammars, unreduced_small_grammars
+from test_grammar import (
+    _doc,
+    _doc_grammar,
+    kernel_items,
+    small_grammars,
+    unreduced_small_grammars,
+)
 
 toy_ids = st.lists(st.sampled_from([1, 2, 3, 4, 5]), max_size=6)
 
@@ -200,15 +208,15 @@ def test_accepts_tokens_validates_all_ids_first(rec):
 
 def test_accepts_tokens_checks_ids_once(rec, monkeypatch):
     calls = []
-    check_id = Tokenizer.check_id
+    check_ids = Tokenizer.check_ids
 
-    def counted(self, t):
-        calls.append(t)
-        return check_id(self, t)
+    def counted(self, ids):
+        calls.append(list(ids))
+        return check_ids(self, calls[-1])
 
-    monkeypatch.setattr(Tokenizer, "check_id", counted)
+    monkeypatch.setattr(Tokenizer, "check_ids", counted)
     assert rec.accepts_tokens([4, 5])
-    assert calls == [4, 5]
+    assert calls == [[4, 5]]
 
 
 @pytest.mark.parametrize("entry", [
@@ -461,6 +469,93 @@ def test_mask_advances_each_class_prefix_once(monkeypatch):
     mask, steps = _mask_with_advances(monkeypatch, g, [b"ab", b"ba", b"aab", b"bab"], b"")
     assert steps == b"aa"
     assert mask == {0x61, 0x62} | set(range(256, 260))
+
+
+def _class_nodes_advanced(session) -> int:
+    """How many nodes of *session*'s class trie a mask advances: those with
+    children whose class path keeps it live, found by feeding clones."""
+    count, stack = 0, [(session.inner, session.recognizer._class_trie)]
+    while stack:
+        inner, node = stack.pop()
+        for c, (_, children) in node.items():
+            if children:
+                nxt = inner.clone().feed(c)
+                if nxt.live:
+                    count += 1
+                    stack.append((nxt, children))
+    return count
+
+
+_DYCK_LETTERS_TOKENIZER = train([b"[a[b]ab]" * 8, b"[[ab]]ba[]" * 8], 30)
+_DOC_TOKENIZER = train([_doc(random.Random(3), 1024)], 40)
+
+
+@pytest.mark.parametrize("g, tokenizer, prefix", [
+    (dyck_letters_grammar(), _DYCK_LETTERS_TOKENIZER, b""),
+    (dyck_letters_grammar(), _DYCK_LETTERS_TOKENIZER, b"[a[[b]"),
+    (_doc_grammar(), _DOC_TOKENIZER, b"[ab"),
+    (_doc_grammar(), _DOC_TOKENIZER, b"[a\xc3"),
+    (_doc_grammar(), _DOC_TOKENIZER, b"[ab,"),
+], ids=["dyck-letters-empty", "dyck-letters-open", "doc-mid-word", "doc-mid-character",
+        "doc-after-separator"])
+def test_a_mask_tests_classes_against_the_position(monkeypatch, g, tokenizer, prefix):
+    # the walk tests each child class of a trie node against the position's
+    # own maps: it builds no list of expected classes, and it advances once
+    # per node with children whose class keeps the session live
+    session = TokenRecognizer(g, tokenizer).open_session()
+    for tid in tokenizer.tokenize(prefix):
+        session.feed(tid)
+    want, nodes = allowed_by_trial(session), _class_nodes_advanced(session)
+    steps = []
+    advance = toklang.grammar._advance
+
+    def counted(chart, last, terminal):
+        steps.append(terminal)
+        return advance(chart, last, terminal)
+
+    def refused(pos):
+        raise AssertionError("a mask asked a position for its expected list")
+
+    monkeypatch.setattr(toklang.grammar, "_advance", counted)
+    monkeypatch.setattr(toklang.grammar._Position, "expected", refused)
+    mask = session.allowed_next_tokens()
+    monkeypatch.undo()
+    assert mask == want and len(mask) > 1
+    assert len(steps) == nodes  # 70, 70, 22, 0 and 16: inside é no longer token goes on
+
+
+def _paired_letters_grammar() -> Grammar:
+    """52 terminal classes: each lower-case letter opens a pair that its
+    capital closes, so no two letters share a context."""
+    alts = "".join(f' | "{c}" S "{c.upper()}" S' for c in string.ascii_lowercase)
+    return parse_grammar(f'S -> ""{alts} ;', "byte")
+
+
+def _paired_letters(rng: random.Random, pairs: int) -> bytes:
+    """A member of ``_paired_letters_grammar`` of *pairs* random pairs."""
+    out, open_ = [], []
+    while pairs or open_:
+        if open_ and (not pairs or rng.random() < 0.5):
+            out.append(open_.pop().upper())
+        else:
+            pairs -= 1
+            open_.append(rng.choice(string.ascii_lowercase))
+            out.append(open_[-1])
+    return "".join(out).encode()
+
+
+def test_masks_on_a_grammar_of_many_classes():
+    # a position expects every opening letter and one closing one
+    g = _paired_letters_grammar()
+    assert len(g._reduced._chart.members) == 52
+    rng = random.Random(7)
+    tokenizer = train([_paired_letters(rng, 100) for _ in range(20)], 80)
+    assert len(tokenizer.vocab) == 256 + 80
+    session = TokenRecognizer(g, tokenizer).open_session()
+    for _ in range(30):
+        mask = session.allowed_next_tokens()
+        assert mask == allowed_by_trial(session)
+        session.feed(rng.choice(sorted(mask)))
 
 
 def test_mask_chart_work_is_flat_in_the_prefix(rec, monkeypatch):
