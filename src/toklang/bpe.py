@@ -210,8 +210,9 @@ class Tokenizer(Frozen):
         return t
 
     def check_ids(self, ids: Iterable[int]) -> list[int]:
-        """*ids* as a list, checked in one pass; only a list that fails it is
-        walked id by id, for ``check_id``'s error on its first bad id."""
+        """*ids* as a list, checked as a whole (the types, then ``min`` and
+        ``max``); only a list that fails is walked id by id, for
+        ``check_id``'s error on its first bad id."""
         seq = list(ids)
         if not (set(map(type, seq)) == {int} and 0 <= min(seq) and max(seq) < len(self.vocab)):
             for t in seq:

@@ -215,8 +215,8 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 
 
 class _Table(dict):
-    """A read-only prediction table, with the terminals among its keys."""
-    __slots__ = ("terminals", "start")
+    """A read-only prediction table, with the scan state its leaves start in."""
+    __slots__ = ("start",)
 
 
 class _ScanState(dict):
@@ -311,7 +311,6 @@ class _Chart(dict):
         frozen.start = self.scan(stacks) if stacks else None
         if stacks:  # and each class the start takes is a key
             frozen.update((t, ()) for t in frozen.start.on if t not in frozen)
-        frozen.terminals = tuple(sym for sym in frozen if sym.__class__ is int)
         return self.setdefault(key, frozen)  # published once built
 
     def push(self, item: int, below: int | None) -> int:
@@ -373,25 +372,14 @@ class _Position:
     (scan state, base position, templates): a non-empty list, or ``()``."""
     __slots__ = ("index", "wait", "pred", "accepting", "leo", "scans")
 
-    def __init__(self, index: int, scans: list[tuple] | tuple = ()):
+    def __init__(self, index: int):
         self.index = index
         self.wait: dict[str | int, list[tuple]] = {}  # kernel items only
         self.pred: _Table  # shared, never mutated; set by the closure
         self.accepting = False
         # nonterminal -> topmost item of its reduction path from here
         self.leo: dict[str, tuple] = {}
-        self.scans = scans
-
-    def expected(self) -> list[int]:
-        """The terminals this position advances on, each once: those its
-        kernel items wait on that its prediction table lacks, then the
-        table's own, then the classes the words under way take."""
-        pred = self.pred
-        out = [sym for sym in self.wait if sym.__class__ is int and sym not in pred]
-        out += pred.terminals
-        if self.scans:
-            out = [*dict.fromkeys(out + [t for state, _, _ in self.scans for t in state.on])]
-        return out
+        self.scans: list[tuple] | tuple = ()
 
 
 def _close(chart: _Chart, pos: _Position, seeds: list[tuple]) -> int:
@@ -542,9 +530,12 @@ class RecognitionSession:
     def expected(self) -> frozenset[int]:
         """The terminals ``feed`` would accept next; once dead, those it
         expected at ``died_at``: every member of each class the chart
-        position expects."""
-        members = self.grammar._chart.members
-        return frozenset(t for c in self._last.expected() for t in members[c])
+        position expects, by ``_allowed``'s test of a class."""
+        pos = self._last
+        wait, pred, scans = pos.wait, pos.pred, pos.scans
+        return frozenset(t for c, ts in self.grammar._chart.members.items()
+                         if c in wait or c in pred or any(c in s[0].on for s in scans)
+                         for t in ts)
 
     def feed(self, terminal: int) -> "RecognitionSession":
         return self._feed_checked(as_terminals(self.grammar, (terminal,)))
@@ -577,9 +568,9 @@ class RecognitionSession:
         """The ids of the words of *trie*, a ``_Chart.class_trie``, that keep
         this session live: a depth-first walk of the trie paired with chart
         positions, entering only the classes a position expects: a child
-        class of a node is tested against the position's own maps, those
-        of ``wait``, ``pred`` and its words under way, whose keys are
-        ``_Position.expected``, so no node builds a list.  A word whose last
+        class of a node is expected when it is a key of the position's
+        ``wait`` or ``pred`` or of the ``on`` map of a word under way there,
+        so no node builds a list of classes.  A word whose last
         class is expected is allowed without advancing (on a reduced grammar
         an expected class leaves the chart live); a class prefix is advanced
         once, for every word that shares it.  Positions are immutable, so

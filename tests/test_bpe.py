@@ -139,7 +139,7 @@ def _check_ids_by_id(t: Tokenizer, ids) -> list[int]:
 @example([3, 6, "x", -1], False)
 @example([0, True], True)
 def test_check_ids_matches_a_per_id_check(ids, lazily):
-    # the one-pass check accepts, and names the first bad id, as the loop does
+    # the whole-list check accepts, and names the first bad id, as the loop does
     t = aab_tokenizer()
 
     def given_ids():

@@ -207,16 +207,28 @@ def test_accepts_tokens_validates_all_ids_first(rec):
 
 
 def test_accepts_tokens_checks_ids_once(rec, monkeypatch):
-    calls = []
-    check_ids = Tokenizer.check_ids
+    # one check of the whole list, and no id checked again on its own: a
+    # list that passes calls no check_id, and one that fails walks its ids
+    # once, up to the first bad one
+    lists, ids = [], []
+    check_ids, check_id = Tokenizer.check_ids, Tokenizer.check_id
 
-    def counted(self, ids):
-        calls.append(list(ids))
-        return check_ids(self, calls[-1])
+    def counted_ids(self, seq):
+        lists.append(list(seq))
+        return check_ids(self, lists[-1])
 
-    monkeypatch.setattr(Tokenizer, "check_ids", counted)
+    def counted_id(self, t):
+        ids.append(t)
+        return check_id(self, t)
+
+    monkeypatch.setattr(Tokenizer, "check_ids", counted_ids)
+    monkeypatch.setattr(Tokenizer, "check_id", counted_id)
     assert rec.accepts_tokens([4, 5])
-    assert calls == [[4, 5]]
+    assert lists == [[4, 5]] and ids == []
+    lists.clear()
+    with pytest.raises(TokenizerError):
+        rec.accepts_tokens([2, 999, 3])
+    assert lists == [[2, 999, 3]] and ids == [2, 999]
 
 
 @pytest.mark.parametrize("entry", [
@@ -513,11 +525,14 @@ def test_a_mask_tests_classes_against_the_position(monkeypatch, g, tokenizer, pr
         steps.append(terminal)
         return advance(chart, last, terminal)
 
-    def refused(pos):
-        raise AssertionError("a mask asked a position for its expected list")
+    def refused(*_):
+        raise AssertionError("a mask asked for a list of expected classes")
 
     monkeypatch.setattr(toklang.grammar, "_advance", counted)
-    monkeypatch.setattr(toklang.grammar._Position, "expected", refused)
+    # a position has no list of its expected classes to give, and a walk
+    # that asked for one, of a position or of the session, would meet this
+    monkeypatch.setattr(toklang.grammar._Position, "expected", refused, raising=False)
+    monkeypatch.setattr(toklang.grammar.RecognitionSession, "expected", refused)
     mask = session.allowed_next_tokens()
     monkeypatch.undo()
     assert mask == want and len(mask) > 1
