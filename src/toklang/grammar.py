@@ -366,6 +366,25 @@ class _Chart(dict):
             node.setdefault(of[terms[-1]], [[], {}])[0].append(wid)
         return root
 
+    def split(self, table: _Table, trie: dict[int, list]) -> tuple[frozenset[int], dict]:
+        """The words of *trie* parted by *table*: the ids allowed at the bare
+        position that holds the table alone, with no kernel item, Leo entry
+        or word under way, and the class trie of the other ids.  A position
+        with this table holds the bare one's items and more, and a Leo entry
+        there only for a head the table lacks, which the bare position does
+        not complete.  So the first part is allowed wherever the table is:
+        the context-independent tokens of XGrammar (Dong et al., 2024)."""
+        bare = _Position(0)
+        bare.pred = table
+        sure = frozenset(_allowed(self, bare, trie))
+        words, stack = [], [((), trie)]
+        while stack:  # a class is its own least member: a path of classes is a word
+            path, node = stack.pop()
+            for c, (ids, children) in node.items():
+                words += [(wid, path + (c,)) for wid in ids if wid not in sure]
+                stack.append((path + (c,), children))
+        return sure, self.class_trie(words)
+
 
 class _Position:
     """A chart position; its scans are the words under way there, each
@@ -564,30 +583,30 @@ class RecognitionSession:
         s._last = self._last
         return s
 
-    def _allowed(self, trie: dict[int, list]) -> set[int]:
-        """The ids of the words of *trie*, a ``_Chart.class_trie``, that keep
-        this session live: a depth-first walk of the trie paired with chart
-        positions, entering only the classes a position expects: a child
-        class of a node is expected when it is a key of the position's
-        ``wait`` or ``pred`` or of the ``on`` map of a word under way there,
-        so no node builds a list of classes.  A word whose last
-        class is expected is allowed without advancing (on a reduced grammar
-        an expected class leaves the chart live); a class prefix is advanced
-        once, for every word that shares it.  Positions are immutable, so
-        the session is never touched.  A dead one allows nothing."""
-        chart = self.grammar._chart
-        allowed: set[int] = set()
-        stack = [(self._last, trie)] if self.died_at is None else []
-        while stack:
-            pos, node = stack.pop()
-            wait, pred, scans = pos.wait, pos.pred, pos.scans
-            for c, (ids, children) in node.items():
-                if c in wait or c in pred or scans and any(c in s[0].on for s in scans):
-                    if ids:
-                        allowed.update(ids)
-                    if children:
-                        stack.append((_advance(chart, pos, c), children))
-        return allowed
+
+def _allowed(chart: _Chart, pos: _Position, trie: dict[int, list]) -> set[int]:
+    """The ids of the words of *trie*, a ``_Chart.class_trie``, that keep the
+    chart live after *pos*: a depth-first walk of the trie paired with chart
+    positions, entering only the classes a position expects: a child
+    class of a node is expected when it is a key of the position's
+    ``wait`` or ``pred`` or of the ``on`` map of a word under way there,
+    so no node builds a list of classes.  A word whose last
+    class is expected is allowed without advancing (on a reduced grammar
+    an expected class leaves the chart live); a class prefix is advanced
+    once, for every word that shares it.  Positions are immutable, so
+    no session is touched."""
+    allowed: set[int] = set()
+    stack = [(pos, trie)]
+    while stack:
+        pos, node = stack.pop()
+        wait, pred, scans = pos.wait, pos.pred, pos.scans
+        for c, (ids, children) in node.items():
+            if c in wait or c in pred or scans and any(c in s[0].on for s in scans):
+                if ids:
+                    allowed.update(ids)
+                if children:
+                    stack.append((_advance(chart, pos, c), children))
+    return allowed
 
 
 def _deriving(productions, terminals: bool) -> set[str]:

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from ._value import Frozen
 from .bpe import Kind, Tokenizer, TokenizerError
-from .grammar import Grammar, GrammarError, RecognitionSession, recognize
+from .grammar import Grammar, GrammarError, RecognitionSession, _allowed, recognize
 
 
 class TokenRecognizer(Frozen):
@@ -56,6 +56,11 @@ class TokenRecognizer(Frozen):
         vocab = self.tokenizer.vocab
         return self.grammar._reduced._chart.class_trie(
             (tid, vocab[tid]) for tid in relevant_token_ids(self))
+
+    @cached_property
+    def _masks(self) -> dict[int, tuple[frozenset[int], dict]]:
+        """Per prediction table, by its id, its ``_Chart.split`` of the class trie."""
+        return {}
 
     def accepts_tokens(self, ids: Iterable[int]) -> bool:
         """True iff detokenize(ids), the one check of the ids, is a member."""
@@ -122,10 +127,21 @@ class TokenSession:
         return s
 
     def allowed_next_tokens(self) -> set[int]:
-        """Exactly the token IDs that keep this session live: the byte
-        session's walk of the relevant tokens by their bytes' classes, one
-        chart advance per expected class prefix that longer tokens share."""
-        return self.inner._allowed(self.recognizer._class_trie)
+        """Exactly the token IDs that keep this session live, in two parts
+        keyed by the chart position's prediction table, as XGrammar (Dong et
+        al., 2024) parts the tokens that need no context from the others.
+        First the ids that the table alone allows, ``_Chart.split`` of the
+        class trie, cached per table: the position holds the table's items
+        and more, so they are allowed here too.  Then the others, by a walk
+        of their class trie from the position, one chart advance per
+        expected class prefix.  A dead session allows nothing."""
+        if not self.inner.live:
+            return set()
+        chart, pos, masks = self.inner.grammar._chart, self.inner._last, self.recognizer._masks
+        if id(pos.pred) not in masks:  # a table lives as long as its chart
+            masks[id(pos.pred)] = chart.split(pos.pred, self.recognizer._class_trie)
+        sure, rest = masks[id(pos.pred)]
+        return _allowed(chart, pos, rest) | sure
 
 
 def relevant_token_ids(rec: TokenRecognizer) -> list[int]:

@@ -416,8 +416,10 @@ def test_allowed_next_tokens_matches_trials_and_viable_prefixes(rec, picks):
         return tuple(data) in cuts[len(data)]  # a cut of full length is a prefix
 
     def check(prefix: bytes, session):
-        mask = session.allowed_next_tokens()
-        assert mask == allowed_by_trial(session)
+        mask, trial = session.allowed_next_tokens(), allowed_by_trial(session)
+        if session.live:  # the ids that the position's table allows alone are allowed here
+            assert rec._masks[id(session.inner._last.pred)][0] <= trial
+        assert mask == trial
         assert mask == {t for t, bs in enumerate(vocab) if viable(prefix + bs)}
 
     prefix, session = b"", rec.open_session()
@@ -483,10 +485,11 @@ def test_mask_advances_each_class_prefix_once(monkeypatch):
     assert mask == {0x61, 0x62} | set(range(256, 260))
 
 
-def _class_nodes_advanced(session) -> int:
-    """How many nodes of *session*'s class trie a mask advances: those with
-    children whose class path keeps it live, found by feeding clones."""
-    count, stack = 0, [(session.inner, session.recognizer._class_trie)]
+def _class_nodes_advanced(inner, trie) -> int:
+    """How many nodes of the class *trie* a walk from the byte session
+    *inner* advances: those with children whose class path keeps it live,
+    found by feeding clones."""
+    count, stack = 0, [(inner, trie)]
     while stack:
         inner, node = stack.pop()
         for c, (_, children) in node.items():
@@ -498,26 +501,41 @@ def _class_nodes_advanced(session) -> int:
     return count
 
 
+def _bare(session):
+    """A byte session at the bare position of *session*'s prediction table:
+    the table alone, with no kernel item, Leo entry or word under way."""
+    bare = RecognitionSession(session.recognizer.grammar)
+    bare._last = toklang.grammar._Position(0)
+    bare._last.pred = session.inner._last.pred
+    return bare
+
+
 _DYCK_LETTERS_TOKENIZER = train([b"[a[b]ab]" * 8, b"[[ab]]ba[]" * 8], 30)
 _DOC_TOKENIZER = train([_doc(random.Random(3), 1024)], 40)
 
 
-@pytest.mark.parametrize("g, tokenizer, prefix", [
-    (dyck_letters_grammar(), _DYCK_LETTERS_TOKENIZER, b""),
-    (dyck_letters_grammar(), _DYCK_LETTERS_TOKENIZER, b"[a[[b]"),
-    (_doc_grammar(), _DOC_TOKENIZER, b"[ab"),
-    (_doc_grammar(), _DOC_TOKENIZER, b"[a\xc3"),
-    (_doc_grammar(), _DOC_TOKENIZER, b"[ab,"),
+@pytest.mark.parametrize("g, tokenizer, prefix, nodes", [
+    (dyck_letters_grammar(), _DYCK_LETTERS_TOKENIZER, b"", (70, 1)),
+    (dyck_letters_grammar(), _DYCK_LETTERS_TOKENIZER, b"[a[[b]", (70, 1)),
+    (_doc_grammar(), _DOC_TOKENIZER, b"[ab", (2, 20)),
+    (_doc_grammar(), _DOC_TOKENIZER, b"[a\xc3", (0, 0)),  # inside é no longer token goes on
+    (_doc_grammar(), _DOC_TOKENIZER, b"[ab,", (15, 3)),
 ], ids=["dyck-letters-empty", "dyck-letters-open", "doc-mid-word", "doc-mid-character",
         "doc-after-separator"])
-def test_a_mask_tests_classes_against_the_position(monkeypatch, g, tokenizer, prefix):
+def test_a_mask_tests_classes_against_the_position(monkeypatch, g, tokenizer, prefix,
+                                                     nodes):
     # the walk tests each child class of a trie node against the position's
-    # own maps: it builds no list of expected classes, and it advances once
-    # per node with children whose class keeps the session live
-    session = TokenRecognizer(g, tokenizer).open_session()
+    # own maps: it builds no list of expected classes.  A cold table pays the
+    # bare walk of the whole class trie, once per node with children whose
+    # class keeps the bare position live, and then the walk of the rest from
+    # the position; a warm table pays the second alone
+    rec = TokenRecognizer(g, tokenizer)
+    session = rec.open_session()
     for tid in tokenizer.tokenize(prefix):
         session.feed(tid)
-    want, nodes = allowed_by_trial(session), _class_nodes_advanced(session)
+    table = session.inner._last.pred
+    assert id(table) not in rec._masks
+    want, bare = allowed_by_trial(session), _class_nodes_advanced(_bare(session), rec._class_trie)
     steps = []
     advance = toklang.grammar._advance
 
@@ -533,10 +551,14 @@ def test_a_mask_tests_classes_against_the_position(monkeypatch, g, tokenizer, pr
     # that asked for one, of a position or of the session, would meet this
     monkeypatch.setattr(toklang.grammar._Position, "expected", refused, raising=False)
     monkeypatch.setattr(toklang.grammar.RecognitionSession, "expected", refused)
-    mask = session.allowed_next_tokens()
+    cold = session.allowed_next_tokens()
+    cold_steps, steps[:] = len(steps), []
+    warm = session.allowed_next_tokens()
     monkeypatch.undo()
-    assert mask == want and len(mask) > 1
-    assert len(steps) == nodes  # 70, 70, 22, 0 and 16: inside é no longer token goes on
+    assert cold == warm == want and len(want) > 1
+    rest = _class_nodes_advanced(session.inner, rec._masks[id(table)][1])
+    assert (bare, rest) == nodes
+    assert (cold_steps, len(steps)) == (bare + rest, rest)
 
 
 def _paired_letters_grammar() -> Grammar:
@@ -585,6 +607,24 @@ def test_mask_chart_work_is_flat_in_the_prefix(rec, monkeypatch):
         costs.append(sum(counts))
         monkeypatch.undo()
     assert costs[0] == costs[1]
+
+
+@pytest.mark.parametrize("g, tokenizer", [
+    (dyck_letters_grammar(), _DYCK_LETTERS_TOKENIZER),
+    (_doc_grammar(), _DOC_TOKENIZER),
+], ids=["dyck-letters", "doc"])
+def test_mask_cache_holds_one_entry_per_table(g, tokenizer):
+    # the cached parts of masks are keyed by prediction table, and a chart
+    # has finitely many: a long decode fills the cache early, then never grows it
+    rec = TokenRecognizer(g, tokenizer)
+    chart, session, rng = rec.grammar._reduced._chart, rec.open_session(), random.Random(11)
+    sizes = []
+    for _ in range(2000):
+        mask = session.allowed_next_tokens()
+        assert mask and len(rec._masks) <= len(chart)
+        sizes.append(len(rec._masks))
+        session.feed(rng.choice(sorted(mask)))
+    assert session.live and sizes[500] == sizes[-1]
 
 
 def test_mask_skips_a_branch_that_derives_nothing(brackets):

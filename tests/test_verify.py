@@ -20,6 +20,7 @@ from toklang.toys import (
     bracket_tokenizer,
     byte_identity_tokenizer,
     dyck_grammar,
+    dyck_letters_grammar,
     letter_bracket_tokenizer,
 )
 
@@ -86,6 +87,21 @@ def test_equivalence_suite_checks_the_mask(dyck, brackets, monkeypatch):
     assert not report.passed
     assert report.failures[0] == "tokens []: the mask allows [] that kill the session " \
         "and leaves out [1] that do not"
+
+
+def test_equivalence_suite_guards_the_cached_part_of_a_mask(monkeypatch):
+    # a planted fault: the ids cached for the initial prediction table gain
+    # "]", which kills a session at the empty prefix
+    rec = TokenRecognizer(dyck_letters_grammar(), letter_bracket_tokenizer())
+    assert run_equivalence_suite(rec, max_len=2).passed
+    table = rec.open_session().inner._last.pred
+    sure, rest = rec._masks[id(table)]
+    assert ord("]") not in sure
+    monkeypatch.setitem(rec._masks, id(table), (sure | {ord("]")}, rest))
+    report = run_equivalence_suite(rec, max_len=2)
+    assert not report.passed
+    assert report.failures[0] == "tokens []: the mask allows [93] that kill the session " \
+        "and leaves out [] that do not"
 
 
 def test_partition_suite_passes(aab):
