@@ -120,6 +120,9 @@ def main() -> int:
         print(f"error: the checkouts run different benchmark code: {differing}",
               file=sys.stderr)
         return 2
+    # read before the runs, so a file that is no JSON stops the script at once
+    doc = (json.loads(args.json.read_text(encoding="utf-8"))
+           if args.json is not None and args.json.exists() else {"runs": []})
     runs: list[list[dict]] = [[], []]
     for k, seed in enumerate(args.seeds):
         for side in ((0, 1) if k % 2 == 0 else (1, 0)):
@@ -158,8 +161,6 @@ def main() -> int:
             "pairs": [{"seed": seed, "parent": p, "change": c}
                       for seed, p, c in zip(args.seeds, *runs)],
             "metrics": metrics}
-        doc = (json.loads(args.json.read_text(encoding="utf-8")) if args.json.exists()
-               else {"runs": []})
         doc["runs"].append(record)
         args.json.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0

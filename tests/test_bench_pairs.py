@@ -121,7 +121,6 @@ def _write_runs(tmp_path, monkeypatch, path: Path) -> None:
         assert bench_pairs.main() == 0
 
 
-
 def test_writes_each_run_with_its_pairs_and_verdicts(tmp_path, monkeypatch):
     # the paired runs are stubbed; op_ms_p50 is better in 2 of 3 pairs
     path = tmp_path / "BENCH_1.json"
@@ -147,7 +146,8 @@ def test_writes_each_run_with_its_pairs_and_verdicts(tmp_path, monkeypatch):
 
 def test_records_the_commit_of_a_git_checkout(tmp_path):
     commit = _bench_pairs().commit
-    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
     (tmp_path / "a.txt").write_text("1\n")
     for args in (["init", "-q"], ["add", "a.txt"], ["commit", "-q", "-m", "a"]):
         subprocess.run([*git, *args], check=True, capture_output=True)
