@@ -18,7 +18,6 @@ from ._value import DataError
 
 SCHEMA_VERSION = 1
 
-SAMPLE_ATTEMPTS = 50  # retries per requested sample before giving up
 
 
 class CliError(DataError):
@@ -252,14 +251,10 @@ def cmd_sample(args) -> int:
     rng = random.Random(args.seed)
     lines = []
     for _ in range(args.count):
-        for _ in range(SAMPLE_ATTEMPTS):
-            w = sample(g, args.max_expansions, rng)
-            if w is not None:
-                break
-        else:
-            raise CliError(
-                f"sampling budget exhausted {SAMPLE_ATTEMPTS} times; "
-                f"raise --max-expansions")
+        w = sample(g, args.max_expansions, rng)
+        if w is None:  # then no draw fits
+            raise CliError(f"no derivation takes at most {args.max_expansions} "
+                           f"expansions; raise --max-expansions")
         if isinstance(w, bytes):
             try:
                 lines.append(w.decode("utf-8"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import re
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import groupby
 from typing import Iterable, Literal, NamedTuple
 
@@ -106,6 +107,12 @@ class Grammar(Frozen):
         return frozenset(_deriving(self.productions, terminals=False))
 
     @cached_property
+    def _least(self) -> dict[str, int]:
+        """Each nonterminal that derives a terminal string, with the least
+        number of expansions such a derivation takes."""
+        return _deriving(self.productions, terminals=True)
+
+    @cached_property
     def _reduced(self) -> "Grammar":
         return reduce_grammar(self)
 
@@ -192,10 +199,12 @@ def as_terminals(g: Grammar, w) -> tuple[int, ...]:
 # (state, base position, templates); a state that accepts closes the base's
 # completion once into a template.  A position of words alone shares the
 # wait, pred, leo and accept flag of the one ending word's template, or of
-# the chart's empty position.  So it holds no item of a leaf's rules, and a
-# byte inside a word costs a DFA step and one _Position.  One _Position class
-# and one step, _advance, serve every chart; a chart with no leaf, such as
-# Dyck-letters', has no word under way, and each step pays one test for that.
+# the chart's empty position.  So it holds no item of a leaf's rules.  And
+# where one word alone is under way, the bytes it takes that no chart item
+# takes run through its DFA (_run), with one _Position where they end, not
+# one per byte.  One _Position class and one step, _advance, serve every
+# chart and every other byte; a chart with no leaf, such as Dyck-letters',
+# has no word under way, and pays one test per feed and per step for that.
 # The plain chart without these shortcuts is kept in tests/oracles.py as the
 # reference the property tests compare with.
 #
@@ -488,13 +497,8 @@ def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
     if not (kernel or predicted or done > 1):  # words alone go on
         if not scans:
             return None
-        closed = chart.empty  # and none ends: share the empty position
-        if done:  # or one ends: share its template
-            state, base, templates = ended
-            closed = templates.get(state.accepts)
-            if closed is None:
-                closed = templates[state.accepts] = _Position(base.index)
-                _close(chart, closed, [(chart.ends[leaf], base) for leaf in state.accepts])
+        # and none ends: share the empty position, or one ends: its template
+        closed = _template(chart, *ended) if done else chart.empty
         pos.wait, pos.pred, pos.leo, pos.accepting = (
             closed.wait, closed.pred, closed.leo, closed.accepting)
         return pos
@@ -509,6 +513,42 @@ def _advance(chart: _Chart, last: _Position, terminal: int) -> _Position | None:
                 seeds.append((chart.ends[leaf], base))
     _close(chart, pos, seeds)
     return pos
+
+
+def _template(chart: _Chart, state: _ScanState, base: _Position, templates: dict) -> _Position:
+    """The closed position shared where words alone go on and one ends, in
+    *state*, started at *base*: the completion at *base* of the leaves it
+    accepts, closed once per word start and set of leaves into *templates*."""
+    closed = templates.get(state.accepts)
+    if closed is None:
+        closed = templates[state.accepts] = _Position(base.index)
+        _close(chart, closed, [(chart.ends[leaf], base) for leaf in state.accepts])
+    return closed
+
+
+def _run(chart: _Chart, pos: _Position, c: int, terms, of) -> tuple[_Position, int | None]:
+    """Feed class *c*, then the classes of the iterator *terms*, to *pos*,
+    where one word alone is under way and *c* is a key of neither map, while
+    that holds: a DFA step per terminal and a template lookup where the word
+    accepts, as ``_advance`` steps, but one _Position at the end, none if no
+    step.  A table that starts words has their classes as keys, so none
+    starts here.  Returns the position and the class read but not fed, for
+    ``_advance``, or None once *terms* ends."""
+    (state, base, templates), = pos.scans
+    shared, empty, steps = pos, chart.empty, 0
+    while (nxt := state[c]) is not None:
+        state, steps = nxt, steps + 1  # _template's lookup inlined: a call costs more
+        shared = (templates.get(nxt.accepts) or _template(chart, nxt, base, templates)
+                  ) if nxt.accepts else empty
+        c = None if (t := next(terms, None)) is None else of(t, t)
+        if c is None or c in shared.wait or c in shared.pred:
+            break
+    if steps:
+        last, pos = pos, object.__new__(_Position)
+        pos.index, pos.scans = last.index + steps, [(state, base, templates)]
+        pos.wait, pos.pred, pos.leo, pos.accepting = (
+            shared.wait, shared.pred, shared.leo, shared.accepting)
+    return pos, c
 
 
 def recognize(g: Grammar, w) -> bool:
@@ -561,16 +601,30 @@ class RecognitionSession:
 
     def _feed_checked(self, terms) -> "RecognitionSession":
         """Feed *terms*, terminals already checked: the one loop that moves a
-        chart over input.  A position's index is the terminals it consumed."""
+        chart over input, by ``_advance``, or by ``_run`` inside a word.  A
+        position's index is the terminals it consumed."""
         if self.died_at is None:
             chart = self.grammar._chart
-            of, pos = chart.of.get, self._last
-            for t in terms:
-                nxt = _advance(chart, pos, of(t, t))
-                if nxt is None:
-                    self.died_at = pos.index
-                    break
-                pos = nxt
+            of, pos, it = chart.of.get, self._last, iter(terms)
+            if not chart.leaves:  # no word is ever under way: step by step
+                for t in it:
+                    nxt = _advance(chart, pos, of(t, t))
+                    if nxt is None:
+                        self.died_at = pos.index
+                        break
+                    pos = nxt
+            else:
+                for t in it:
+                    c = of(t, t)
+                    if len(pos.scans) == 1 and c not in pos.wait and c not in pos.pred:
+                        pos, c = _run(chart, pos, c, it, of)
+                        if c is None:
+                            break
+                    nxt = _advance(chart, pos, c)
+                    if nxt is None:
+                        self.died_at = pos.index
+                        break
+                    pos = nxt
             self._last = pos
         self.consumed += len(terms)
         return self
@@ -609,14 +663,18 @@ def _allowed(chart: _Chart, pos: _Position, trie: dict[int, list]) -> set[int]:
     return allowed
 
 
-def _deriving(productions, terminals: bool) -> set[str]:
+def _deriving(productions, terminals: bool) -> dict[str, int]:
     """Nonterminals that derive a terminal string, or only ε when not
-    *terminals*.  Each production counts the nonterminal occurrences of its
-    body not yet found, and each nonterminal found releases the productions
-    waiting on it once, so the work is linear in the grammar's size."""
-    missing = [0] * len(productions)
+    *terminals*, each with the least number of expansions such a derivation
+    takes.  Each production counts the nonterminal occurrences of its body
+    not yet found and sums the counts of those found; a production whose
+    body is all found enters a heap at 1 + that sum, and the least entry
+    whose head is new finds its head (Knuth, "A generalization of
+    Dijkstra's algorithm", 1977), which releases the productions waiting
+    on it once: the work is O(n log n) in the grammar's size n."""
+    missing, cost = [0] * len(productions), [1] * len(productions)
     waiting: dict[str, list[int]] = {}
-    heads = []  # of productions whose body derives, in the order found
+    heap = []  # (least expansions, production) of productions whose body is found
     for i, (head, body) in enumerate(productions):
         names = [s for s in body if isinstance(s, str)]
         if terminals or len(names) == len(body):
@@ -624,15 +682,19 @@ def _deriving(productions, terminals: bool) -> set[str]:
             for name in names:
                 waiting.setdefault(name, []).append(i)
             if not names:
-                heads.append(head)
-    found: set[str] = set()
-    for head in heads:  # grows while it is walked
+                heap.append((1, i))
+    heapify(heap)
+    found: dict[str, int] = {}
+    while heap:
+        least, i = heappop(heap)
+        head = productions[i].head
         if head not in found:
-            found.add(head)
-            for i in waiting.get(head, ()):
-                missing[i] -= 1
-                if not missing[i]:
-                    heads.append(productions[i].head)
+            found[head] = least
+            for j in waiting.get(head, ()):
+                missing[j] -= 1
+                cost[j] += least
+                if not missing[j]:
+                    heappush(heap, (cost[j], j))
     return found
 
 
@@ -676,7 +738,7 @@ def reduce_grammar(g: Grammar) -> Grammar:
     start symbol that generates nothing yields the canonical empty-language
     grammar (the start alone, no productions) — a legal value, not an error.
     """
-    generating = _deriving(g.productions, terminals=True)
+    generating = g._least
     kept = [all(not isinstance(s, str) or s in generating for s in p.body)
             for p in g.productions]
     reachable = {g.start}
@@ -696,32 +758,42 @@ def reduce_grammar(g: Grammar) -> Grammar:
 
 
 def sample(g: Grammar, max_expansions: int, seed: int | random.Random = 0):
-    """One random leftmost derivation, or None once the budget runs out.
+    """One random leftmost derivation of at most *max_expansions*
+    expansions, or None where there is none: the language is empty, or its
+    least derivation takes more.
 
-    Uniform choice among a nonterminal's productions; deterministic for a
-    fixed seed.  Returns str for unicode grammars, bytes for byte grammars.
+    Each nonterminal takes a uniform choice among its productions.  Where
+    that choice would leave the symbols still to expand needing, at their
+    least, more expansions than the budget has left, the choice is drawn
+    again among the productions that fit, and one always does.  So a
+    derivation that never meets that case draws what a uniform choice
+    alone draws.  Deterministic for a fixed seed; returns str for unicode
+    grammars, bytes for byte grammars.
     """
     if type(max_expansions) is not int or max_expansions < 0:  # bool is no count
         raise GrammarError(f"max_expansions must be an int >= 0, got {max_expansions!r}")
     g = g._reduced
+    least, productions = g._least, g.productions
+    if least.get(g.start, max_expansions + 1) > max_expansions:
+        return None
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     by_head = g._rules_by_head
+    needs = [sum(least[s] for s in body if isinstance(s, str)) for _, body in productions]
     out: list[int] = []
     stack: list[str | int] = [g.start]
-    expansions = 0
+    spare = max_expansions - least[g.start]  # the budget past the stack's least need
     while stack:
         sym = stack.pop()
         if isinstance(sym, int):
             out.append(sym)
             continue
         rules = by_head[sym]
-        if not rules:
-            return None  # empty-language grammar
-        expansions += 1
-        if expansions > max_expansions:
-            return None
-        body = g.productions[rng.choice(rules)].body
-        stack.extend(reversed(body))
+        room = spare + least[sym] - 1  # what the body of sym's production may need
+        rule = rng.choice(rules)
+        if needs[rule] > room:
+            rule = rng.choice([r for r in rules if needs[r] <= room])
+        spare = room - needs[rule]
+        stack.extend(reversed(productions[rule].body))
     return bytes(out) if g.alphabet == "byte" else "".join(map(chr, out))
 
 

@@ -11,7 +11,9 @@ completion's waiters, which the shared prediction tables and Leo
 items replaced), and ``classify_by_retokenize`` /
 ``accepts_proper_by_retokenize`` (the whole-string retokenize that the
 pair-by-pair properness check replaced), ``deriving_by_fixpoint`` (the
-rescan of every production that the reduction's worklist replaced),
+rescan of every production that the reduction's heap of least expansion
+counts replaced), ``sample_by_uniform_choice`` (the sampler that drew
+uniformly whatever the budget left),
 ``terminal_classes_by_slices`` (the terminal contexts as body slices, which
 interned ids replaced) and ``count_by_suffix_dp`` (the count of
 segmentations from every offset's matches, which the forward pass of the
@@ -313,16 +315,39 @@ def train_by_recount(corpus, num_merges: int) -> Tokenizer:
 # --- reduction and terminal classes as they were first written ---
 
 
-def deriving_by_fixpoint(productions, terminals: bool) -> set[str]:
+def deriving_by_fixpoint(productions, terminals: bool) -> dict[str, int]:
     """Nonterminals that derive a terminal string, or only ε when not
-    *terminals*: every production rescanned until nothing changes."""
-    found: set[str] = set()
-    size = -1
-    while size != len(found):
-        size = len(found)
-        found.update(head for head, body in productions if all(
-            s in found if isinstance(s, str) else terminals for s in body))
+    *terminals*, each with the least number of expansions such a derivation
+    takes: every production rescanned until nothing changes."""
+    found: dict[str, int] = {}
+    changed = True
+    while changed:
+        changed = False
+        for head, body in productions:
+            if all(s in found if isinstance(s, str) else terminals for s in body):
+                least = 1 + sum(found[s] for s in body if isinstance(s, str))
+                if least < found.get(head, least + 1):
+                    found[head], changed = least, True
     return found
+
+
+def sample_by_uniform_choice(g: Grammar, max_expansions: int, rng):
+    """``sample`` as a uniform choice at every expansion alone, None once
+    the budget runs out: most draws fail on a grammar whose productions
+    mostly open two nonterminals."""
+    g = g._reduced
+    out, stack, expansions = [], [g.start], 0
+    while stack:
+        sym = stack.pop()
+        if isinstance(sym, int):
+            out.append(sym)
+            continue
+        rules = g._rules_by_head[sym]
+        expansions += 1
+        if not rules or expansions > max_expansions:
+            return None
+        stack.extend(reversed(g.productions[rng.choice(rules)].body))
+    return bytes(out) if g.alphabet == "byte" else "".join(map(chr, out))
 
 
 def terminal_classes_by_slices(g: Grammar) -> dict[int, int]:

@@ -640,7 +640,7 @@ def test_sample_exhausting_its_budget_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert captured.err == \
-        "error: sampling budget exhausted 50 times; raise --max-expansions\n"
+        "error: no derivation takes at most 1 expansions; raise --max-expansions\n"
 
 
 def test_verify_suites(files, capsys):

@@ -16,6 +16,7 @@ from toklang import (
     Production,
     RecognitionSession,
     TokenRecognizer,
+    Tokenizer,
     UTF8,
     add_leading_space,
     as_terminals,
@@ -38,6 +39,7 @@ from toklang.toys import (
 from oracles import (
     advance,
     all_strings,
+    allowed_by_trial,
     balanced_brackets,
     bracket_prefix_viable,
     deriving_by_fixpoint,
@@ -47,6 +49,7 @@ from oracles import (
     outcome,
     parse_grammar_by_scan,
     prefixes_of,
+    sample_by_uniform_choice,
     strings_up_to,
     terminal_classes_by_slices,
     wait_sets,
@@ -972,6 +975,95 @@ def test_chart_matches_oracles_on_generated_grammars(g):
          (initial_position(chart.grammar), 0 if g.is_empty_language else None))
 
 
+# a word's bytes fed as a run
+_RUN_DOC = _doc_grammar()
+# W's last "a" may be X's first, so where a word of W ends, one of X starts
+_RUN_WORDS = _grammar('S -> "[" S "]" | W X ; W -> "a" W | "a" ; X -> "a" X | "b" X | "b" ;')
+_DOC_PIECES = [b"a", b"b", "é".encode(), "你".encode(), b"[", b"]", b",", b"\n",
+               b"\xc3", b"\xe4\xbd", b"z"]  # half characters, and a byte no rule takes
+_RUN_TOKENIZER = Tokenizer(tuple(bytes([b]) for b in range(256)) + (
+    b"aa", b"ab", b"ba", b"aaa", "é".encode(), "你".encode(), b"a\xc3", b"\xa9a", b"a,", b"]\n"))
+
+
+@st.composite
+def _grammars_and_inputs(draw):
+    """A small grammar over a and b, the document grammar or the one above,
+    and bytes to feed it: for the document grammar, pieces of members with
+    cut characters and a foreign byte among them."""
+    kind = draw(st.sampled_from(["small", "doc", "words"]))
+    if kind == "small":
+        return draw(small_grammars()), bytes(draw(st.lists(st.sampled_from((_A, _B)), max_size=8)))
+    if kind == "doc":
+        return _RUN_DOC, b"".join(draw(st.lists(st.sampled_from(_DOC_PIECES), max_size=10)))
+    return _RUN_WORDS, bytes(draw(st.lists(st.sampled_from(b"[]ab"), max_size=10)))
+
+
+def _by_index(chart, pos) -> tuple:
+    """A position with each origin read as its index, the scan states by
+    identity: what two walks of one chart compare."""
+    return (pos.index, wait_sets(pos, chart), id(pos.pred), pos.accepting,
+            {head: (lr, o.index) for head, (lr, o) in pos.leo.items()},
+            [(id(state), base.index) for state, base, _ in pos.scans])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grammars_and_inputs())
+@example((_RUN_DOC, "[aé你,b]\n".encode()))
+@example((_RUN_DOC, b"[abz"))              # a death inside a word
+@example((_RUN_DOC, b"[a\xc3a"))          # and inside a character
+@example((_RUN_DOC, "[你好]\nab\n".encode()))
+@example((_RUN_WORDS, b"[[aaab]]"))
+@example((_RUN_WORDS, b"[aaaa]"))          # the end of input inside two words
+# where W ends inside a run, the chart waits on or predicts a class W takes
+@example((_grammar('S -> W "a" "c" | "c" S "c" ; W -> "a" W | "b" W | "a" ;'), b"abaac"))
+@example((_grammar('S -> W B ; W -> "a" W | "b" W | "a" ; B -> "a" B "c" | "c" ;'), b"abaacc"))
+def test_a_word_fed_as_a_run_equals_the_chart_byte_by_byte(case):
+    # at every prefix, one call, a call per byte, _advance per byte and the
+    # reference chart agree; so does the mask after one call
+    g, data = case
+    chart = g._reduced._chart
+    stepped, pos = RecognitionSession(g), chart.initial
+    ref, died = initial_position(chart.grammar), 0 if g.is_empty_language else None
+    for k in range(len(data) + 1):
+        whole = RecognitionSession(g)._feed_checked(data[:k])
+        verdicts = (whole.live, whole.died_at, whole.accepts(), whole.expected())
+        assert verdicts == (stepped.live, stepped.died_at, stepped.accepts(), stepped.expected())
+        assert verdicts == (died is None, died, died is None and ref.accepting,
+                            {t for c in ref.wait if isinstance(c, int) for t in chart.members[c]})
+        assert _by_index(chart, whole._last) == _by_index(chart, stepped._last) \
+            == _by_index(chart, pos)
+        if k < len(data):
+            stepped.feed(data[k])
+            if died is None:
+                c = chart.of.get(data[k], data[k])
+                nxt, ref_nxt = toklang.grammar._advance(chart, pos, c), advance(chart.grammar, ref, c)
+                assert (nxt is None) == (ref_nxt is None)
+                if nxt is None:
+                    died = k
+                else:
+                    pos, ref = nxt, ref_nxt
+    session = TokenRecognizer(g, _RUN_TOKENIZER).open_session()
+    session.inner._feed_checked(data if died is None else data[:died])
+    clone = session.clone()
+    assert session.live != g.is_empty_language
+    assert clone.allowed_next_tokens() == allowed_by_trial(clone)
+
+
+def test_a_line_of_words_takes_advances_by_words_not_bytes(monkeypatch):
+    # a line of k words: _advance steps the brackets, commas and newline and
+    # each word's first byte, 2k + 2 calls, however long the words are
+    g, calls = _doc_grammar(), []
+    advance = toklang.grammar._advance
+    monkeypatch.setattr(toklang.grammar, "_advance",
+                        lambda *args: calls.append(args[2]) or advance(*args))
+    for k in (3, 30):
+        for word in ("a", "aé你", "aé你" * 10):  # 1, 6 and 60 bytes
+            line = ("[" + ",".join([word] * k) + "]\n").encode()
+            calls.clear()
+            assert recognize(g, line)
+            assert len(calls) == 2 * k + 2, (k, word, len(calls))
+
+
 @settings(max_examples=300)
 @given(small_grammars())
 @example(_grammar('S -> W S | "b" S "b" | "" ; W -> "a" W | "a" ;'))
@@ -1086,6 +1178,35 @@ def test_sample_refuses_a_budget_that_is_no_int_or_negative(dyck, budget):
 def test_sample_budget_exhaustion_returns_none():
     g = reduce_grammar(parse_grammar('S -> "[" S "]" S | "" ;'))
     assert sample(g, 0, 0) is None
+
+
+def test_sample_fits_a_grammar_whose_productions_open_two_nonterminals():
+    # a uniform choice among the 27 productions opens two more 26 times in
+    # 27, so it returned None in 188 of these 200 draws and b"" in the rest
+    alts = "".join(f' | "{c}" S "{c.upper()}" S' for c in "abcdefghijklmnopqrstuvwxyz")
+    g = parse_grammar(f'S -> ""{alts} ;', "byte")
+    rng = random.Random(7)
+    draws = [sample(g, 40, rng) for _ in range(200)]
+    assert all(w is not None and recognize(g, w) for w in draws)
+    assert sum(len(w) > 20 for w in draws) > 100
+
+
+@settings(max_examples=200)
+@given(unreduced_small_grammars(), st.integers(0, 12), st.integers(0, 2 ** 32))
+@example(_grammar('S -> "a" S S | "" ;'), 7, 3)
+@example(_grammar('S -> A ; A -> "a" ;'), 1, 0)
+def test_sample_draws_a_member_whenever_the_budget_fits(g, budget, seed):
+    # a member whenever the budget covers the start's least derivation, and
+    # where the uniform choice alone ended within the budget, the same
+    # member from the same random numbers
+    least = g._reduced._least.get(g.start)
+    rng, uniform_rng = random.Random(seed), random.Random(seed)
+    w = sample(g, budget, rng)
+    assert (w is not None) == (least is not None and least <= budget)
+    assert w is None or recognize(g, w)
+    uniform = sample_by_uniform_choice(g, budget, uniform_rng)
+    if uniform is not None:
+        assert w == uniform and rng.getstate() == uniform_rng.getstate()
 
 
 def test_sample_deterministic(dyck):

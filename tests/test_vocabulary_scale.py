@@ -10,12 +10,21 @@ weights from 30,000 random words of 2 to 10 letters.
 import itertools
 import random
 import string
+from collections import Counter
 
 import pytest
 
-from toklang import Tokenizer, count_tokenizations, dumps_tokenizer, loads_tokenizer, train
+from toklang import (
+    Kind,
+    Tokenizer,
+    classify,
+    count_tokenizations,
+    dumps_tokenizer,
+    loads_tokenizer,
+    train,
+)
 
-from oracles import count_by_suffix_dp, tokenize_by_rescan
+from oracles import classify_by_retokenize, count_by_suffix_dp, tokenize_by_rescan
 
 TRAIN_LINES = 4000
 
@@ -71,3 +80,48 @@ def test_count_matches_the_suffix_dp(tokenizer, corpus):
 
 def test_a_file_round_trip_gives_the_same_tokenizer(tokenizer):
     assert loads_tokenizer(dumps_tokenizer(tokenizer)) == tokenizer
+
+
+def _perturbed(t: Tokenizer, proper: list[int], width: int, rng: random.Random) -> list[list[int]]:
+    """Windows of *width* tokens of the proper tokenization *proper*, each
+    as it is, with one token split into its merge's two sides, and with one
+    boundary between two tokens moved by a byte where both new sides are
+    tokens: the same bytes each time."""
+    ids = {bs: tid for tid, bs in enumerate(t.vocab)}
+    sides = {merged: [left, right] for left, right, merged in t.merges}
+    cases = []
+    for start in range(0, len(proper) - width, width // 2):
+        window = proper[start:start + width]
+        i = rng.choice([k for k, tid in enumerate(window) if tid in sides])
+        cases += [window, window[:i] + sides[window[i]] + window[i + 1:]]
+        moves = []
+        for k in range(width - 1):
+            joined, cut = t.vocab[window[k]] + t.vocab[window[k + 1]], len(t.vocab[window[k]])
+            moves += [(k, [ids[joined[:c]], ids[joined[c:]]]) for c in (cut - 1, cut + 1)
+                      if joined[:c] in ids and joined[c:] in ids]
+        if moves:
+            k, pair = rng.choice(moves)
+            cases.append(window[:k] + pair + window[k + 2:])
+    return cases
+
+
+def test_classify_matches_the_retokenize_on_perturbed_sequences(tokenizer, corpus):
+    # a split token or a moved boundary makes a Mergeable or WrongMergeOrder
+    # sequence; then every pair verdict met, in a fresh tokenizer's memo,
+    # and every one-token verdict equal the rescan of their bytes
+    t = Tokenizer(tokenizer.vocab, tokenizer.merges)
+    proper = tokenizer.tokenize(_held_out(corpus, 3300))
+    kinds = Counter()
+    for seq in _perturbed(t, proper, 24, random.Random(3)):
+        got = classify(t, seq)
+        assert got == classify_by_retokenize(t, seq)
+        if got.kind is Kind.WRONG_MERGE_ORDER:
+            assert list(got.proper_form) == tokenize_by_rescan(t, t.detokenize(seq))
+        kinds[got.kind] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 20, kinds
+    verdicts = t._pair_verdicts
+    assert len(verdicts) > 500
+    for (a, b), ok in verdicts.items():
+        assert ok == (tokenize_by_rescan(t, t.vocab[a] + t.vocab[b]) == [a, b])
+    for tid in verdicts.runs:
+        assert verdicts.alone(tid) == (tokenize_by_rescan(t, t.vocab[tid]) == [tid])
