@@ -19,7 +19,6 @@ from ._value import DataError
 SCHEMA_VERSION = 1
 
 
-
 class CliError(DataError):
     """User-facing configuration or data error; exits with status 2."""
 
